@@ -5,7 +5,7 @@ PY := python
 SRC := src
 export PYTHONPATH := $(SRC)
 
-.PHONY: test lint bench bench-smoke check-ops perf-report query-smoke recover-smoke trace-smoke chaos-smoke http-smoke
+.PHONY: test lint bench bench-smoke check-ops ledger-smoke perf-report query-smoke recover-smoke trace-smoke chaos-smoke http-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -121,10 +121,17 @@ http-smoke:
 	git diff --exit-code -- benchmarks/baselines/smoke_ops.json
 
 # Op-count drift gate: every smoke workload's instrumented tallies must
-# match benchmarks/baselines/smoke_ops.json (CI runs this under both
-# REPRO_CDS_BACKEND values; refresh intentionally with --update).
+# match benchmarks/baselines/smoke_ops.json, and each cds/* shape must
+# tally identically under both CDS backends (refresh intentionally
+# with --update).
 check-ops:
 	$(PY) benchmarks/check_smoke_ops.py
+
+# The layered perf ledger (BENCHMARK.json's command) on tiny instances:
+# all five workloads, every answer checked, artifacts under
+# benchmarks/results/ledger/<run-id>/.  See benchmarks/ledger/README.md.
+ledger-smoke:
+	python3 benchmarks/ledger/run.py --smoke
 
 # Refresh the repo-root BENCH_<date>.json against the last committed one
 # (see benchmarks/perf_report.py --help for baselining against a git ref).

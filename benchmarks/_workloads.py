@@ -327,26 +327,25 @@ def _cds_wide_query(m: int, n: int, seed: int = 13):
 
 
 def _make_cds_dynamic(backend: str, **params):
+    # ExecSpec arrived in PR 13 (before it build_catalog took the knob
+    # as a keyword); older checkouts skip via the ImportError probe in
+    # measure().
     import repro.core.cds_arena  # noqa: F401
 
     from repro import dynamic
-    from repro.util.counters import OpCounters
+    from repro.core.engine import ExecSpec
 
     schemas, initial, batches = dynamic.triangle_stream(**params)
+    spec = ExecSpec(cds_backend=backend)
 
     def run():
-        catalog, view = dynamic.build_catalog(
-            schemas, initial, cds_backend=backend
-        )
+        catalog, view = dynamic.build_catalog(schemas, initial, spec=spec)
         for batch in batches:
             catalog.apply_batch(batch)
         return view
 
     def instrumented():
-        catalog, view = dynamic.build_catalog(
-            schemas, initial, cds_backend=backend
-        )
-        counters = OpCounters()
+        catalog, view = dynamic.build_catalog(schemas, initial, spec=spec)
         for batch in batches:
             catalog.apply_batch(batch)
         snapshot = view.counters.snapshot()
@@ -589,15 +588,17 @@ def measure(
     for name in names:
         try:
             run, instrumented = registry[name]()
-        except ModuleNotFoundError as exc:
+        except ImportError as exc:
             if exc.name not in (
                 "repro.dynamic", "repro.parallel", "repro.core.cds_arena",
                 "repro.lang", "repro.planner", "repro.serve",
+                "repro.core.engine",
             ):
                 raise
             # Workload needs a subsystem this checkout predates
             # (repro.dynamic arrived in PR 2, repro.parallel in PR 3,
-            # repro.core.cds_arena in PR 4, lang/planner/serve in PR 5)
+            # repro.core.cds_arena in PR 4, lang/planner/serve in PR 5,
+            # repro.core.engine.ExecSpec in PR 13)
             # when baselining against an older ref: skip it;
             # perf_report only diffs names present on both sides.
             # Anything else (a broken import in the current tree)

@@ -29,12 +29,12 @@ import multiprocessing
 import os
 import time
 
-from repro.core.cds_arena import resolve_cds_backend
-from repro.core.engine import join
+from repro.core.engine import ExecSpec, join
 from repro.core.query import Query
 from repro.datasets.instances import triangle_with_output
 from repro.parallel.executor import _run_shard, run_sharded
 from repro.parallel.planner import plan_and_slice
+from repro.parallel.supervisor import ShardPayload
 from repro.storage.relation import Relation
 from repro.util.counters import NullCounters, OpCounters
 
@@ -65,6 +65,12 @@ CASES = sizes(
 GAO = ["A", "B", "C"]
 
 
+def _spec(query):
+    return ExecSpec(
+        gao=GAO, strategy="general", shards=SHARDS, workers=WORKERS
+    ).resolve(query)
+
+
 def _triangle_query(n, k):
     r, s, t = triangle_with_output(n, k, seed=5)
     return Query(
@@ -76,15 +82,12 @@ def _triangle_query(n, k):
     )
 
 
-def _bare_pool_run(relations):
+def _bare_pool_run(prepared):
     """The pre-supervisor pooled path: plan, slice, ``Pool.imap``."""
-    cds_backend = resolve_cds_backend(None)
-    plan, slices = plan_and_slice(relations, GAO[0], SHARDS)
+    spec = _spec(prepared)
+    plan, slices = plan_and_slice(prepared.relations, GAO[0], SHARDS)
     payloads = [
-        (
-            shard_rels, list(GAO), "general", True, True, None, False,
-            cds_backend, shard.lo, shard.hi, None,
-        )
+        ShardPayload(shard_rels, spec, False, shard.lo, shard.hi, None)
         for shard, shard_rels in zip(plan, slices)
     ]
     rows = []
@@ -98,14 +101,9 @@ def _bare_pool_run(relations):
     return rows
 
 
-def _supervised_run(relations):
+def _supervised_run(prepared):
     return run_sharded(
-        relations,
-        GAO,
-        SHARDS,
-        workers=WORKERS,
-        strategy="general",
-        counters=NullCounters(),
+        prepared.relations, _spec(prepared), NullCounters()
     ).rows
 
 
@@ -153,16 +151,15 @@ def test_supervisor_overhead_fault_free(benchmark):
 
     # --- row gate: supervised == bare pool == sequential, bytewise ---
     prepared = _triangle_query(n, k).with_gao(GAO, counters=NullCounters())
-    relations = list(prepared.relations)
     seq = join(_triangle_query(n, k), gao=GAO, strategy="general")
-    sup_rows = _supervised_run(relations)
-    bare_rows = _bare_pool_run(relations)
+    sup_rows = _supervised_run(prepared)
+    bare_rows = _bare_pool_run(prepared)
     assert sup_rows == seq.rows
     assert bare_rows == seq.rows
 
     # --- time gate: the supervisor is within MAX_OVERHEAD of bare ---
-    bare_s = _min_time(lambda: _bare_pool_run(relations))
-    sup_s = _min_time(lambda: _supervised_run(relations))
+    bare_s = _min_time(lambda: _bare_pool_run(prepared))
+    sup_s = _min_time(lambda: _supervised_run(prepared))
     overhead = (sup_s - bare_s) / bare_s if bare_s > 0 else 0.0
     metrics = {
         "rows": len(seq.rows),
@@ -171,7 +168,7 @@ def test_supervisor_overhead_fault_free(benchmark):
         "overhead_frac": round(overhead, 4),
     }
     benchmark.pedantic(
-        lambda: _supervised_run(relations), rounds=ROUNDS, iterations=1
+        lambda: _supervised_run(prepared), rounds=ROUNDS, iterations=1
     )
     record(benchmark, "RESILIENCE_overhead", case, metrics)
     assert sup_s <= bare_s * (1.0 + MAX_OVERHEAD) + ABS_SLACK_S, (

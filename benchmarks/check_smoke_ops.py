@@ -3,10 +3,12 @@
 Runs every smoke workload's instrumented form and compares the op
 snapshots against ``benchmarks/baselines/smoke_ops.json``.  The paper's
 evaluation currency is operation counts, and the arena CDS's contract
-is *exact* count equality with the pointer tree — so CI runs this under
-both ``REPRO_CDS_BACKEND`` values; any drift (between backends, or
-against history) fails loudly instead of silently shifting the
-perf-trajectory baselines.
+is *exact* count equality with the pointer tree — so the registry's
+``cds/*`` family runs every shape under both backends (selected by
+keyword, ``cds/<shape>/pointer`` and ``cds/<shape>/arena``) and this
+check also compares each pair; any drift (between backends, or against
+history) fails loudly instead of silently shifting the perf-trajectory
+baselines.
 
 Refresh intentionally after an algorithmic change::
 
@@ -49,7 +51,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     current = collect()
-    backend = os.environ.get("REPRO_CDS_BACKEND", "<default>")
     if args.update:
         os.makedirs(os.path.dirname(BASELINE), exist_ok=True)
         with open(BASELINE, "w") as handle:
@@ -78,10 +79,19 @@ def main(argv=None) -> int:
                 if baseline[name].get(key) != current[name].get(key)
             }
             failures.append(f"{name}: {drift}")
+    shapes = sorted(
+        name[: -len("/pointer")]
+        for name in current
+        if name.startswith("cds/") and name.endswith("/pointer")
+    )
+    for shape in shapes:
+        if current[f"{shape}/pointer"] != current.get(f"{shape}/arena"):
+            failures.append(
+                f"{shape}: pointer and arena op counts differ"
+            )
     if failures:
         print(
-            f"op-count drift vs {os.path.basename(BASELINE)} "
-            f"(cds_backend={backend}):",
+            f"op-count drift vs {os.path.basename(BASELINE)}:",
             file=sys.stderr,
         )
         for line in failures:
@@ -89,7 +99,7 @@ def main(argv=None) -> int:
         return 1
     print(
         f"op counts match baseline for {len(current)} smoke workloads "
-        f"(cds_backend={backend})"
+        f"({len(shapes)} cds/* shapes identical under both CDS backends)"
     )
     return 0
 

@@ -6,12 +6,13 @@ Public API highlights
 ``repro.Relation``            an indexed relation (GAO-consistent trie)
 ``repro.Query``               a natural-join query
 ``repro.join``                evaluate with Minesweeper (auto GAO/strategy)
+``repro.ExecSpec``            the run knobs, declared once (join's keywords)
 ``repro.naive_join``          ground-truth evaluation
 ``repro.baselines``           Yannakakis, Leapfrog Triejoin, generic join, ...
 ``repro.certificates``        certificate construction and verification
 ``repro.datasets``            paper instance families and synthetic graphs
 ``repro.dynamic``             writable relations, live views, streaming
-``repro.parallel``            sharded parallel execution (ShardedExecutor)
+``repro.parallel``            sharded parallel execution (run_sharded)
 ``repro.lang``                conjunctive-query text syntax (parse/lower)
 ``repro.planner``             cost-based plans + plan cache
 ``repro.serve``               sessions, prepared statements, script replay
@@ -21,6 +22,7 @@ from repro.core import (
     Constraint,
     explain,
     search_gao,
+    ExecSpec,
     JoinResult,
     LiveJoin,
     Minesweeper,
@@ -28,12 +30,10 @@ from repro.core import (
     Query,
     WILDCARD,
     join,
-    minesweeper_join,
     naive_join,
 )
 from repro.dynamic import Catalog, Update
 from repro.lang import parse
-from repro.parallel import ShardedExecutor
 from repro.planner import Plan, PlanCache, Planner
 from repro.serve import Session
 from repro.storage import (
@@ -53,6 +53,7 @@ __all__ = [
     "Constraint",
     "explain",
     "search_gao",
+    "ExecSpec",
     "JoinResult",
     "LiveJoin",
     "Minesweeper",
@@ -60,7 +61,6 @@ __all__ = [
     "Query",
     "WILDCARD",
     "join",
-    "minesweeper_join",
     "naive_join",
     "BTree",
     "Catalog",
@@ -72,7 +72,6 @@ __all__ = [
     "Planner",
     "Relation",
     "Session",
-    "ShardedExecutor",
     "parse",
     "SortedList",
     "TrieRelation",

@@ -29,6 +29,7 @@ STRICT_SET: Tuple[str, ...] = (
     "src/repro/obs/",
     "src/repro/analysis/",
     "src/repro/parallel/",
+    "src/repro/core/engine.py",
     "src/repro/core/resilience.py",
     "src/repro/planner/cache.py",
     "src/repro/dynamic/wal.py",

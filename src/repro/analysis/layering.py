@@ -18,9 +18,9 @@ Two subpackages sit outside the tower by design:
 
 Function-level (deferred) imports are checked too: a lazy upward
 import is still an architectural edge, it just hides from module load
-order.  The two deliberate ones (``core.engine`` / ``core.incremental``
-pulling the sharded executor for the ``workers=`` escape hatch) carry
-``# lint: disable=layering`` pragmas with their justification.
+order.  The one deliberate edge (``core.engine`` pulling the sharded
+executor for the ``workers=`` escape hatch) carries a
+``# lint: disable=layering`` pragma with its justification.
 """
 
 from __future__ import annotations

@@ -26,10 +26,13 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.analysis.framework import Checker, Finding, ModuleInfo, Project
 
 #: module dotted name -> class names shipped (directly or as fields) to
-#: pool workers.  See run_sharded(): payload = sliced Relations, whose
-#: indexes are FlatTrie/Delta/Trie relations over interval pools and
-#: counters; the arena CDS pickles into workers as plain int arrays.
+#: pool workers.  See run_sharded(): payload = the run's ExecSpec plus
+#: sliced Relations, whose indexes are FlatTrie/Delta/Trie relations
+#: over interval pools and counters; the arena CDS pickles into workers
+#: as plain int arrays.
 PAYLOAD_CLASSES: Dict[str, Tuple[str, ...]] = {
+    "repro.core.engine": ("ExecSpec",),
+    "repro.parallel.supervisor": ("ShardPayload",),
     "repro.storage.relation": ("Relation",),
     "repro.storage.flat_trie": ("FlatTrieRelation",),
     "repro.storage.delta": ("DeltaRelation",),

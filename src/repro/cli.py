@@ -76,7 +76,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.core.engine import join
+from repro.core.engine import ExecSpec, run_join
 from repro.core.gao_search import search_gao
 from repro.core.query import Query
 from repro.storage.flat_trie import FlatTrieRelation
@@ -132,21 +132,23 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallel_args(args: argparse.Namespace):
-    """Validated ``(workers, shards)`` from the shared CLI flags.
+def _exec_spec(args: argparse.Namespace, query=None, **knobs):
+    """The command's resolved :class:`~repro.core.engine.ExecSpec`.
 
-    ``shards`` is resolved to its default (``--workers``, else 1) here,
-    once, for every command that takes the pair.
+    Built from the shared ``--workers/--shards/--cds-backend`` flags
+    plus the command's own ``knobs`` and resolved against ``query`` —
+    or, with none loaded yet, range-checked and defaulted only.  An
+    out-of-range flag exits with the spec's own message.
     """
-    workers = args.workers
-    shards = args.shards
-    if workers is not None and workers < 0:
-        raise SystemExit("--workers must be non-negative")
-    if shards is not None and shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if shards is None:
-        shards = workers if workers else 1
-    return workers, shards
+    try:
+        return ExecSpec(
+            workers=args.workers,
+            shards=args.shards,
+            cds_backend=args.cds_backend,
+            **knobs,
+        ).resolve(query)
+    except ValueError as exc:
+        raise SystemExit(f"bad execution flags: {exc}")
 
 
 def _resilience_args(args: argparse.Namespace):
@@ -179,12 +181,12 @@ def _resilience_args(args: argparse.Namespace):
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise SystemExit("--limit must be non-negative")
-    workers, shards = _parallel_args(args)
     budget, retry_policy = _resilience_args(args)
     query = _build_query(args.relation)
     gao = args.gao.split(",") if args.gao else None
+    spec = _exec_spec(
+        args, query, gao=gao or (), backend=args.backend, limit=args.limit
+    )
     if args.explain:
         from repro.core.explain import explain, format_explanation
 
@@ -193,14 +195,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
     if args.engine == "minesweeper":
         from repro.core.resilience import admit
 
-        result = join(
+        result = run_join(
             query,
-            gao=gao,
-            backend=args.backend,
-            limit=args.limit,
-            workers=workers,
-            shards=shards,
-            cds_backend=args.cds_backend,
+            spec,
             admission=admit(budget),
             retry_policy=retry_policy,
         )
@@ -212,7 +209,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 "--limit is Minesweeper-only (the baselines are batch "
                 "engines with no certificate-bound streaming path)"
             )
-        if workers or (shards and shards > 1):
+        if spec.sharded:
             raise SystemExit(
                 "--workers/--shards are Minesweeper-only (the baselines "
                 "have no sharded execution path)"
@@ -223,10 +220,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 "Minesweeper-only (the baselines have no cooperative "
                 "admission checkpoints)"
             )
-        if gao is None:
-            gao, _ = query.choose_gao()
+        used_gao = gao = list(spec.gao)
         prepared = query.with_gao(gao, backend=args.backend)
-        used_gao = gao
         if args.engine == "leapfrog":
             from repro.baselines.leapfrog import leapfrog_triejoin
 
@@ -266,22 +261,15 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
     from repro.certificates.recorder import record_certificate
     from repro.certificates.verifier import check_certificate
 
-    workers, shards = _parallel_args(args)
     query = _build_query(args.relation)
-    gao = args.gao.split(",") if args.gao else query.choose_gao()[0]
-    prepared = query.with_gao(gao, backend=args.backend)
-    if shards > 1 or (workers or 0) >= 1:
-        # like join: --workers 1 is a real 1-process pool over the
-        # single-range plan, not a silent fall-through
+    spec = _exec_spec(
+        args, query, gao=args.gao.split(",") if args.gao else ()
+    )
+    prepared = query.with_gao(spec.gao, backend=args.backend)
+    if spec.sharded:
         from repro.parallel.certify import certify_sharded
 
-        results = certify_sharded(
-            prepared,
-            shards,
-            workers=workers or 0,
-            samples=args.samples,
-            cds_backend=args.cds_backend,
-        )
+        results = certify_sharded(prepared, spec, samples=args.samples)
         for shard in results:
             verdict = "PASSED" if shard.passed else "REFUTED"
             print(
@@ -301,7 +289,7 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
         print("# certificate check: REFUTED")
         return 1
     rows, argument = record_certificate(
-        prepared, cds_backend=args.cds_backend
+        prepared, cds_backend=spec.cds_backend
     )
     print(f"# output rows: {len(rows)}")
     print(f"# recorded comparisons: {len(argument)}")
@@ -365,25 +353,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     catalog = _catalog_from_specs(
         args.relation, memtable_limit=args.memtable_limit
     )
-    gao = args.gao.split(",") if args.gao else None
-    workers, shards = _parallel_args(args)
-    for spec in args.view:
+    spec = _exec_spec(args, gao=args.gao.split(",") if args.gao else ())
+    for view_arg in args.view:
         try:
-            name, rest = spec.split("=", 1)
+            name, rest = view_arg.split("=", 1)
         except ValueError:
             raise SystemExit(
-                f"bad --view spec {spec!r}; expected NAME=R1,R2,..."
+                f"bad --view spec {view_arg!r}; expected NAME=R1,R2,..."
             )
         members = [r.strip() for r in rest.split(",") if r.strip()]
         try:
-            catalog.register_view(
-                name.strip(),
-                members,
-                gao=gao,
-                shards=shards,
-                workers=workers or 0,
-                cds_backend=args.cds_backend,
-            )
+            catalog.register_view(name.strip(), members, spec)
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"cannot register view {name!r}: {exc}")
     try:
@@ -493,10 +473,7 @@ def _planner_config(args: argparse.Namespace):
     """
     from repro.planner import PlannerConfig
 
-    if args.workers is not None and args.workers < 0:
-        raise SystemExit("--workers must be non-negative")
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
+    _exec_spec(args)  # range-checks --workers/--shards/--cds-backend
     if args.sample_limit < 1:
         raise SystemExit("--sample-limit must be >= 1")
     budget, retry_policy = _resilience_args(args)

@@ -22,7 +22,7 @@ from repro.core.constraints import (
     specializes,
 )
 from repro.core.bowtie import BowtieMinesweeper, bowtie_join
-from repro.core.engine import JoinResult, join
+from repro.core.engine import ExecSpec, JoinResult, iterate_join, join, run_join
 from repro.core.explain import Explanation, explain, format_explanation
 from repro.core.gao_search import (
     GaoSearchResult,
@@ -37,7 +37,7 @@ from repro.core.intersection import (
     partition_certificate,
     merge_intersection,
 )
-from repro.core.minesweeper import Minesweeper, MinesweeperError, minesweeper_join
+from repro.core.minesweeper import Minesweeper, MinesweeperError
 from repro.core.probe_acyclic import ChainProbeStrategy, NotAChainError, sort_as_chain
 from repro.core.probe_general import GeneralProbeStrategy
 from repro.core.query import PreparedQuery, Query, naive_join
@@ -64,8 +64,11 @@ __all__ = [
     "last_equality_position",
     "meet",
     "specializes",
+    "ExecSpec",
     "JoinResult",
+    "iterate_join",
     "join",
+    "run_join",
     "Explanation",
     "explain",
     "format_explanation",
@@ -78,7 +81,6 @@ __all__ = [
     "consistent_gao",
     "Minesweeper",
     "MinesweeperError",
-    "minesweeper_join",
     "ChainProbeStrategy",
     "NotAChainError",
     "sort_as_chain",

@@ -42,7 +42,6 @@ rows and exact op-count equality across the whole workload registry.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Tuple
 
@@ -70,17 +69,15 @@ from repro.util.sentinels import ExtendedValue
 CDS_BACKENDS = ("pointer", "arena")
 
 #: Default backend for every engine that takes a ``cds_backend`` flag.
-#: Override per process with ``REPRO_CDS_BACKEND=pointer`` (CI runs the
-#: bench smoke under both values).
 DEFAULT_CDS_BACKEND = "arena"
 
 _EQ_MIN_CAP = 4
 
 
 def resolve_cds_backend(name: Optional[str]) -> str:
-    """Map ``None`` / ``"auto"`` to the configured default; validate."""
+    """Map ``None`` / ``"auto"`` to the default; validate."""
     if name is None or name == "auto":
-        name = os.environ.get("REPRO_CDS_BACKEND", DEFAULT_CDS_BACKEND)
+        return DEFAULT_CDS_BACKEND
     if name not in CDS_BACKENDS:
         raise ValueError(
             f"unknown cds_backend {name!r}; expected one of {CDS_BACKENDS}"

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import time
 from bisect import insort
+from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.cds_arena import resolve_cds_backend
-from repro.core.minesweeper import Minesweeper
+from repro.core.engine import ExecSpec, run_join
 from repro.core.query import PreparedQuery, Query
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
@@ -125,24 +125,15 @@ class LiveJoin:
         indexes, shared with the catalog so storage updates are visible
         live.  Column orders must be consistent with the view's GAO
         (they are never re-indexed: a rebuilt copy would go stale).
-    gao:
-        Global attribute order; chosen per the paper when omitted.
-    strategy:
-        Minesweeper probe strategy (``"auto"`` / ``"chain"`` /
-        ``"general"``), threaded through to every evaluation.
-    cds_backend:
-        ConstraintTree storage backend for every evaluation (``"arena"``
-        / ``"pointer"``; default arena).  Rows and op counts invariant.
-    shards / workers:
-        With ``shards`` > 1, every evaluation this view performs — the
-        seed, each delta term of a maintenance batch, and recomputes —
-        fans out across contiguous ranges of the first GAO attribute
-        (see :mod:`repro.parallel`); ``workers`` sets the pool size
-        (0 = in-process sequential shard execution, the deterministic
-        default).  Rows are invariant in both; merged op counts are
-        invariant in ``workers``.
+    spec:
+        How every evaluation this view performs — the seed, each delta
+        term of a maintenance batch, and recomputes — runs (see
+        :class:`~repro.core.engine.ExecSpec`; ``backend`` and ``limit``
+        do not apply to a live view).  With no ``gao`` the paper's
+        choice is used when the stored column orders already obey it,
+        else an order they do obey.
 
-        Cost trade-off: each fanned-out evaluation re-plans and
+        Sharding cost trade-off: each fanned-out evaluation re-plans and
         re-slices the *current* leading relations — O(live tuples) of
         slicing per delta term on top of the delta-bound probe work
         (op counters tally probes, not slicing).  That is worthwhile
@@ -155,15 +146,12 @@ class LiveJoin:
         self,
         name: str,
         relations: Sequence[Relation],
-        gao: Optional[Sequence[str]] = None,
-        strategy: str = "auto",
-        shards: int = 1,
-        workers: int = 0,
-        cds_backend: Optional[str] = None,
+        spec: ExecSpec = ExecSpec(),
     ) -> None:
         self.name = name
         query = Query(list(relations))
-        if gao is None:
+        gao: Optional[Sequence[str]] = spec.gao
+        if not gao:
             gao, _ = query.choose_gao()
             if not query.is_gao_consistent(gao):
                 # The paper's preferred order would re-index the stored
@@ -186,18 +174,19 @@ class LiveJoin:
         self._by_name: Dict[str, Relation] = {
             r.name: r for r in self.relations
         }
-        self.gao: Tuple[str, ...] = tuple(gao)
-        self.strategy = strategy
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        self.shards = shards
-        self.workers = workers
-        #: CDS backend for every evaluation this view performs (the
-        #: seed, each delta term, recomputes).  Resolved once so pooled
-        #: shard workers agree with in-process runs.
-        self.cds_backend = resolve_cds_backend(cds_backend)
+        #: What every evaluation runs under, resolved once (delta
+        #: terms share the view's hypergraph, so one resolution holds
+        #: for all of them and pooled workers agree with in-process
+        #: runs).
+        self._run_spec = replace(
+            spec, gao=tuple(gao), backend=None, limit=None
+        ).resolve(query)
+        #: The view's configuration as `!view` WAL records and snapshot
+        #: manifests round-trip it: GAO, shards/workers and CDS backend
+        #: pinned (replay must not re-run today's heuristics), the
+        #: strategy as declared.
+        self.spec = replace(self._run_spec, strategy=spec.strategy)
+        self.gao = self.spec.gao
         #: Cumulative maintenance ops (delta terms only, not the seed).
         self.counters = OpCounters()
         self._counts: Dict[Row, int] = {}
@@ -215,26 +204,9 @@ class LiveJoin:
     def _evaluate(
         self, relations: Sequence[Relation], counters: OpCounters
     ) -> List[Row]:
-        if self.shards > 1 or self.workers >= 1:
-            # workers >= 1 with a single shard still runs the one-range
-            # plan through a real pool — consistent with join()
-            from repro.parallel.executor import run_sharded  # lint: disable=layering -- deferred import breaking the core->parallel cycle
-
-            rows = run_sharded(
-                relations,
-                self.gao,
-                shards=self.shards,
-                workers=self.workers,
-                strategy=self.strategy,
-                counters=counters,
-                cds_backend=self.cds_backend,
-            ).rows
-            return rows
-        return Minesweeper(
-            self._prepared(relations, counters),
-            strategy=self.strategy,
-            cds_backend=self.cds_backend,
-        ).run()
+        return run_join(
+            self._prepared(relations, counters), self._run_spec
+        ).rows
 
     def _seed(self) -> Dict[str, int]:
         counters = OpCounters()

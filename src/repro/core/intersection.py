@@ -25,23 +25,11 @@ from repro.util.counters import OpCounters
 from repro.util.search import gallop_left
 from repro.util.sentinels import NEG_INF, POS_INF, ExtendedValue
 
-try:  # optional accelerator for the O(N) input validation
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is normally available
-    _np = None
-
 
 def _strictly_increasing(data: Sequence[int]) -> bool:
-    """True iff ``data`` is strictly increasing (vectorized when large)."""
+    """True iff ``data`` is strictly increasing."""
     if len(data) < 2:
         return True
-    if _np is not None and len(data) >= 1024:
-        try:
-            arr = _np.asarray(data, dtype=_np.int64)
-        except (OverflowError, ValueError, TypeError):
-            pass  # exotic values: fall back to the pure-Python scan
-        else:
-            return bool((arr[1:] > arr[:-1]).all())
     prev = data[0]
     for v in data[1:]:
         if v <= prev:

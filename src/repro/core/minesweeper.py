@@ -11,13 +11,9 @@ Theorem 3.2), so the algorithm makes progress and terminates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.cds_arena import (
-    make_cds,
-    make_probe_strategy,
-    resolve_cds_backend,
-)
+from repro.core.cds_arena import make_cds, make_probe_strategy
 from repro.core.constraints import Constraint, WILDCARD
 from repro.core.query import PreparedQuery
 from repro.core.resilience import AdmittedQuery
@@ -55,9 +51,9 @@ class Minesweeper:
     cds_backend:
         ``"arena"`` (flat array-backed ConstraintTree, the default) or
         ``"pointer"`` (per-node objects); ``None`` / ``"auto"`` resolve
-        via :data:`repro.core.cds_arena.DEFAULT_CDS_BACKEND` (env
-        override ``REPRO_CDS_BACKEND``).  Rows and operation counts are
-        invariant in this knob — only wall-clock changes.
+        to :data:`repro.core.cds_arena.DEFAULT_CDS_BACKEND`.  Rows and
+        operation counts are invariant in this knob — only wall-clock
+        changes.
     """
 
     def __init__(
@@ -73,16 +69,11 @@ class Minesweeper:
     ) -> None:
         self.query = query
         self.counters: OpCounters = query.counters
-        self.cds_backend = (
-            "pointer" if not merge_intervals else resolve_cds_backend(
-                cds_backend
-            )
-        )
         self.cds = make_cds(
             query.n,
             counters=self.counters,
             merge_intervals=merge_intervals,
-            cds_backend=self.cds_backend,
+            cds_backend=cds_backend,
         )
         if strategy == "auto":
             strategy = "chain" if query.is_neo_gao() else "general"
@@ -128,7 +119,7 @@ class Minesweeper:
         """Compute the join; returns output tuples in GAO order."""
         return list(self.iterate())
 
-    def iterate(self):
+    def iterate(self) -> Iterator[Tuple[int, ...]]:
         """Yield output tuples as they are discovered (GAO order).
 
         Because Minesweeper's work is certificate-bound rather than
@@ -532,10 +523,3 @@ class Minesweeper:
                     Constraint.trusted(tuple(prefix), low, high)
                 )
         return member, constraints
-
-
-def minesweeper_join(
-    query: PreparedQuery, **kwargs
-) -> List[Tuple[int, ...]]:
-    """Run Minesweeper on a prepared query and return its output tuples."""
-    return Minesweeper(query, **kwargs).run()

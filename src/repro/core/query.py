@@ -88,6 +88,15 @@ class Query:
                 return False
         return True
 
+    def check_gao(self, gao: Sequence[str]) -> None:
+        """Raise ``ValueError`` unless ``gao`` orders exactly the
+        query's attributes."""
+        if set(gao) != set(self.attributes()) or len(set(gao)) != len(gao):
+            raise ValueError(
+                f"GAO {list(gao)} is not a permutation of "
+                f"{self.attributes()}"
+            )
+
     def with_gao(
         self,
         gao: Sequence[str],
@@ -103,10 +112,7 @@ class Query:
         relation keeps the backend it was constructed with.
         """
         gao = list(gao)
-        if set(gao) != set(self.attributes()) or len(set(gao)) != len(gao):
-            raise ValueError(
-                f"GAO {gao} is not a permutation of {self.attributes()}"
-            )
+        self.check_gao(gao)
         shared = counters if counters is not None else OpCounters()
         position = {a: i for i, a in enumerate(gao)}
         prepared: List[Relation] = []

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.engine import ExecSpec
 from repro.core.incremental import LiveJoin
 from repro.storage.delta import DeltaRelation
 from repro.storage.relation import Relation
@@ -221,18 +222,12 @@ class Catalog:
         self,
         name: str,
         relation_names: Sequence[str],
-        gao: Optional[Sequence[str]] = None,
-        strategy: str = "auto",
-        shards: int = 1,
-        workers: int = 0,
-        cds_backend: Optional[str] = None,
+        spec: ExecSpec = ExecSpec(),
     ) -> LiveJoin:
         """Register (and immediately materialize) a live join view.
 
-        ``shards`` / ``workers`` thread through to the view's
-        evaluations: the seed, each maintenance delta term, and
-        recomputes fan out across ranges of the first GAO attribute
-        (see :class:`~repro.core.incremental.LiveJoin`).
+        ``spec`` configures every evaluation the view performs (see
+        :class:`~repro.core.incremental.LiveJoin`).
         """
         if name in self._views:
             raise ValueError(f"view {name!r} already registered")
@@ -240,13 +235,7 @@ class Catalog:
         if missing:
             raise KeyError(f"unknown relations {missing} in view {name!r}")
         view = LiveJoin(
-            name,
-            [self._relations[n] for n in relation_names],
-            gao=gao,
-            strategy=strategy,
-            cds_backend=cds_backend,
-            shards=shards,
-            workers=workers,
+            name, [self._relations[n] for n in relation_names], spec
         )
         # Log the *resolved* configuration (gao / cds_backend picked by
         # the view), so replaying the record reconstructs this exact
@@ -256,11 +245,7 @@ class Catalog:
             {
                 "name": name,
                 "relations": list(relation_names),
-                "gao": list(view.gao),
-                "strategy": view.strategy,
-                "shards": view.shards,
-                "workers": view.workers,
-                "cds_backend": view.cds_backend,
+                **view.spec.to_record(),
             },
         )
         self._views[name] = view

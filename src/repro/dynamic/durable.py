@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.engine import ExecSpec
 from repro.dynamic import merkle
 from repro.dynamic import snapshot as snapshot_mod
 from repro.dynamic.catalog import Catalog
@@ -130,15 +131,9 @@ def _restore_from_snapshot(
     catalog.generation = manifest["generation"]
     catalog.batches_applied = manifest["batches_applied"]
     catalog.memtable_limit = manifest.get("memtable_limit")
-    for view_name, spec in manifest["views"].items():
+    for view_name, entry in manifest["views"].items():
         catalog.register_view(
-            view_name,
-            spec["relations"],
-            gao=spec["gao"],
-            strategy=spec["strategy"],
-            shards=spec["shards"],
-            workers=spec["workers"],
-            cds_backend=spec["cds_backend"],
+            view_name, entry["relations"], ExecSpec.from_record(entry)
         )
 
 
@@ -158,11 +153,7 @@ def _replay_record(catalog: Catalog, record) -> None:
         catalog.register_view(
             payload["name"],
             payload["relations"],
-            gao=payload["gao"],
-            strategy=payload["strategy"],
-            shards=payload["shards"],
-            workers=payload["workers"],
-            cds_backend=payload["cds_backend"],
+            ExecSpec.from_record(payload),
         )
     elif record.kind == KIND_FLUSH:
         catalog.flush(record.payload.get("name"))

@@ -212,11 +212,7 @@ def write_snapshot(
         view = catalog.view(view_name)
         views[view_name] = {
             "relations": [r.name for r in view.relations],
-            "gao": list(view.gao),
-            "strategy": view.strategy,
-            "shards": view.shards,
-            "workers": view.workers,
-            "cds_backend": view.cds_backend,
+            **view.spec.to_record(),
         }
     manifest = {
         "format": FORMAT,

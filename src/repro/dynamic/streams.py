@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.engine import ExecSpec
 from repro.core.incremental import LiveJoin
 from repro.dynamic.catalog import Catalog, DELETE, INSERT, Update
 
@@ -171,17 +172,13 @@ def build_catalog(
     schemas: Dict[str, Sequence[str]],
     initial: Dict[str, List[Row]],
     view: str = "Q",
-    gao: Optional[Sequence[str]] = None,
     memtable_limit: Optional[int] = None,
-    strategy: str = "auto",
-    cds_backend: Optional[str] = None,
+    spec: ExecSpec = ExecSpec(),
 ) -> Tuple[Catalog, LiveJoin]:
-    """Materialize a stream's initial state into a served catalog."""
+    """Materialize a stream's initial state into a served catalog whose
+    one view runs under ``spec``."""
     catalog = Catalog(memtable_limit=memtable_limit)
     for name, attributes in schemas.items():
         catalog.create_relation(name, attributes, initial.get(name, ()))
-    live = catalog.register_view(
-        view, list(schemas), gao=gao, strategy=strategy,
-        cds_backend=cds_backend,
-    )
+    live = catalog.register_view(view, list(schemas), spec)
     return catalog, live

@@ -23,7 +23,10 @@ Failures map to the PR 9 resilience taxonomy as structured HTTP codes,
 each with a typed JSON payload (``{"error": <class>, ...fields}``):
 429 ``BudgetExceeded`` / ``IngestBackpressure``, 504 ``QueryTimeout``,
 503 ``ShardFailure`` (breaker state attached) / ``PoolSaturated``,
-404 ``UnknownTenantError``, 400 parse/validation/script errors.
+404 ``UnknownTenantError``, 400 parse/validation/script errors.  A
+``Content-Length`` that is not a plain decimal is a 400
+``BadContentLength`` and one over :data:`MAX_BODY_BYTES` a 413
+``PayloadTooLarge`` — both answered before any body byte is read.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ from repro.serve.session import ExecResult
 
 JSON_CONTENT = "application/json"
 PROM_CONTENT = "text/plain; version=0.0.4; charset=utf-8"
+#: Largest request body the front door reads; a bigger declared
+#: ``Content-Length`` is refused unread.
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 Response = Tuple[int, bytes, str]
 
@@ -147,6 +153,22 @@ class Gateway:
         except Exception as exc:  # noqa: BLE001 — edge of the process
             status, error = error_payload(exc)
             payload, content = error, JSON_CONTENT
+        return self._respond(method, path, status, payload, content)
+
+    def reject(
+        self, method: str, path: str, status: int, error: str, message: str
+    ) -> Response:
+        """A typed refusal decided before routing (the handler's
+        framing checks), counted like every other request."""
+        return self._respond(
+            method, path, status,
+            {"error": error, "message": message}, JSON_CONTENT,
+        )
+
+    def _respond(
+        self, method: str, path: str, status: int, payload: object,
+        content: str,
+    ) -> Response:
         self._metrics.counter(
             "http_requests_total",
             "HTTP requests served, by route and status code.",
@@ -368,18 +390,43 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self, method: str) -> None:
-        body: Optional[bytes] = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
         server = self.server
         assert isinstance(server, QueryServer)
-        status, raw, content = server.gateway.handle(
+        gateway = server.gateway
+        body: Optional[bytes] = None
+        refusal: Optional[Response] = None
+        if method == "POST":
+            declared = (self.headers.get("Content-Length") or "0").strip()
+            # RFC 9110 §8.6: 1*DIGIT.  int() alone would also take "-1"
+            # (which makes rfile.read block until the peer hangs up),
+            # "+5", "1_0" and non-ASCII digits.
+            plain = declared.isascii() and declared.isdigit()
+            length = int(declared) if plain else -1
+            if length < 0:
+                refusal = gateway.reject(
+                    method, self.path, 400, "BadContentLength",
+                    "Content-Length must be a non-negative decimal "
+                    f"integer, got {declared!r}",
+                )
+            elif length > MAX_BODY_BYTES:
+                refusal = gateway.reject(
+                    method, self.path, 413, "PayloadTooLarge",
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                )
+            else:
+                body = self.rfile.read(length)
+        if refusal is not None:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+        status, raw, content = refusal or gateway.handle(
             method, self.path, body
         )
         self.send_response(status)
         self.send_header("Content-Type", content)
         self.send_header("Content-Length", str(len(raw)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
 

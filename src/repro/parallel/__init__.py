@@ -27,24 +27,20 @@ Layers:
 * :mod:`repro.parallel.certify` — the same fan-out for the
   Proposition-2.5 certificate recorder/checker.
 
-Entry points: ``join(..., workers=, shards=)``
-(:func:`repro.core.engine.join`), ``LiveJoin(..., workers=, shards=)``,
-and the ``--workers/--shards`` CLI flags on ``join`` / ``certificate`` /
+Entry points: the ``shards`` / ``workers`` fields of
+:class:`repro.core.engine.ExecSpec` — ``join(..., workers=, shards=)``,
+``LiveJoin(..., ExecSpec(workers=, shards=))``, and the
+``--workers/--shards`` CLI flags on ``join`` / ``certificate`` /
 ``stream``.
 """
 
-from repro.parallel.executor import (
-    ShardedExecutor,
-    ShardedRun,
-    run_sharded,
-)
+from repro.parallel.executor import ShardedRun, run_sharded
 from repro.parallel.planner import Shard, plan_shards, shard_relations
 from repro.parallel.supervisor import ShardSupervisor
 
 __all__ = [
     "Shard",
     "ShardSupervisor",
-    "ShardedExecutor",
     "ShardedRun",
     "plan_shards",
     "run_sharded",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.certificates.recorder import record_certificate
-from repro.core.cds_arena import resolve_cds_backend
 from repro.certificates.verifier import check_certificate
+from repro.core.engine import ExecSpec
 from repro.core.query import PreparedQuery
 from repro.parallel.planner import plan_and_slice
 from repro.storage.relation import Relation
@@ -61,23 +61,21 @@ def _certify_shard(payload: CertifyPayload) -> ShardCertificate:
 
 
 def certify_sharded(
-    prepared: PreparedQuery,
-    shards: int,
-    workers: int = 0,
-    samples: int = 20,
-    cds_backend: Optional[str] = None,
+    prepared: PreparedQuery, spec: ExecSpec, samples: int = 20
 ) -> List[ShardCertificate]:
     """Record and check one certificate per shard of the plan.
 
-    ``workers=0`` runs the shards sequentially in-process; ``>= 1``
-    uses a ``multiprocessing`` pool.  Results arrive in plan (range)
-    order either way.
+    Of ``spec`` only ``shards`` / ``workers`` / ``cds_backend`` apply
+    (the GAO is ``prepared``'s): ``workers=0`` runs the shards
+    sequentially in-process; ``>= 1`` uses a ``multiprocessing`` pool.
+    Results arrive in plan (range) order either way.
     """
-    plan, slices = plan_and_slice(
-        prepared.relations, prepared.gao[0], shards
-    )
     # Resolved on the driver so pool workers agree with in-process runs.
-    cds_backend = resolve_cds_backend(cds_backend)
+    spec = spec.resolve()
+    workers, cds_backend = spec.workers, spec.cds_backend
+    plan, slices = plan_and_slice(
+        prepared.relations, prepared.gao[0], spec.shards or 1
+    )
     payloads = [
         (
             shard_rels,

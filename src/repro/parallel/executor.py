@@ -38,13 +38,10 @@ pool workers cancel themselves cooperatively mid-shard.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.cds_arena import resolve_cds_backend
-from repro.core.engine import JoinResult
-from repro.core.minesweeper import Minesweeper
-from repro.core.query import PreparedQuery, Query
+from repro.core.engine import ExecSpec, stream_rows
+from repro.core.query import PreparedQuery
 from repro.core.resilience import (
     AdmittedQuery,
     CircuitBreaker,
@@ -52,8 +49,6 @@ from repro.core.resilience import (
     ResilienceStats,
     RetryPolicy,
 )
-from repro.hypergraph.elimination import is_nested_elimination_order
-from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.planner import plan_and_slice
 from repro.parallel.supervisor import (
@@ -80,64 +75,28 @@ class ShardedRun(NamedTuple):
     shards_discarded: int
 
 
-def resolve_strategy(
-    relations: Sequence[Relation], gao: Sequence[str], strategy: str
-) -> str:
-    """Resolve ``"auto"`` once for the whole plan (paper rule: chain
-    iff the GAO is a nested elimination order).  Every shard shares the
-    query's hypergraph, so resolving centrally keeps the plan's shards
-    agreeing with each other and with the unsharded engine."""
-    if strategy != "auto":
-        return strategy
-    h = Hypergraph({r.name: r.attributes for r in relations})
-    return "chain" if is_nested_elimination_order(h, gao) else "general"
-
-
 def _run_shard(payload: ShardPayload) -> ShardResult:
     """Run one shard to completion (executed inside a supervised pool
     worker, or inline for the ``workers=0`` sequential mode and the
     supervisor's deterministic fallback)."""
-    (
-        relations, gao, strategy, memoize, merge_intervals, limit, count,
-        cds_backend, _lo, _hi, deadline_s,
-    ) = payload
-    counters = OpCounters() if count else NullCounters()
-    for r in relations:
+    counters = OpCounters() if payload.count else NullCounters()
+    for r in payload.relations:
         r.rebind_counters(counters)
-    prepared = PreparedQuery(list(relations), gao, counters)
+    prepared = PreparedQuery(payload.relations, payload.spec.gao, counters)
     admission = None
-    if deadline_s is not None:
+    if payload.deadline_s is not None:
         # Re-pin the shipped deadline fraction to this process's clock:
         # the worker cancels itself cooperatively from the engine loop.
         admission = QueryBudget(
-            deadline_ms=max(1, int(deadline_s * 1000))
+            deadline_ms=max(1, int(payload.deadline_s * 1000))
         ).admit()
-    engine = Minesweeper(
-        prepared,
-        strategy=strategy,
-        memoize=memoize,
-        merge_intervals=merge_intervals,
-        cds_backend=cds_backend,
-        admission=admission,
-    )
-    if limit is None:
-        rows = engine.run()
-    else:
-        rows = list(itertools.islice(engine.iterate(), limit))
-    return rows, counters
+    return list(stream_rows(prepared, payload.spec, admission)), counters
 
 
 def run_sharded(
     relations: Sequence[Relation],
-    gao: Sequence[str],
-    shards: int,
-    workers: int = 0,
-    strategy: str = "auto",
-    memoize: bool = True,
-    merge_intervals: bool = True,
-    counters: Optional[OpCounters] = None,
-    limit: Optional[int] = None,
-    cds_backend: Optional[str] = None,
+    spec: ExecSpec,
+    counters: OpCounters,
     tracer: Optional[Tracer] = None,
     admission: Optional[AdmittedQuery] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -146,28 +105,31 @@ def run_sharded(
 ) -> ShardedRun:
     """Plan, execute, and merge a sharded run over prepared relations.
 
-    ``relations`` must already be indexed consistently with ``gao``
-    (the caller — ``join`` or ``LiveJoin`` — guarantees it).  Returns a
+    ``spec`` must be resolved (:meth:`ExecSpec.resolve`) and
+    ``relations`` already indexed consistently with ``spec.gao`` — the
+    caller, :func:`repro.core.engine.run_join`, guarantees both; the
+    spec is shipped unchanged to every shard, so all of them (and the
+    unsharded engine) agree on strategy and CDS backend.  Returns a
     :class:`ShardedRun`; ``rows`` are in global GAO order and
-    ``counters`` is the provided counters object (or a fresh one) with
-    every shard's tally merged in.  ``workers=0`` runs the shards
+    ``counters`` is the provided counters object with every shard's
+    tally merged in.  ``spec.workers == 0`` runs the shards
     sequentially in-process; the merged rows and counters are identical
     either way.
 
-    Under ``limit``, shard results are consumed in plan (range) order
-    and consumption stops as soon as the global prefix is full, so the
-    merged counters reflect only the shards whose certificate was
-    actually consumed — in both modes (a pool may have later shards in
-    flight when consumption stops; their work is terminated, discarded
-    untallied, and counted in ``shards_discarded``).
+    Under ``spec.limit``, shard results are consumed in plan (range)
+    order and consumption stops as soon as the global prefix is full,
+    so the merged counters reflect only the shards whose certificate
+    was actually consumed — in both modes (a pool may have later shards
+    in flight when consumption stops; their work is terminated,
+    discarded untallied, and counted in ``shards_discarded``).
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) records one child
-    span per shard consumed.  In-process (``workers=0``) the span
-    brackets the shard's actual engine run; pooled, the driver cannot
-    observe the worker's clock, so the span brackets the wait for that
-    shard's result to arrive in plan order (attribute ``mode=pooled``
-    marks the distinction).  Rows and op counts are invariant in the
-    tracer — it only ever reads the clock.
+    span per shard consumed.  In-process the span brackets the shard's
+    actual engine run; pooled, the driver cannot observe the worker's
+    clock, so the span brackets the wait for that shard's result to
+    arrive in plan order (attribute ``mode=pooled`` marks the
+    distinction).  Rows and op counts are invariant in the tracer — it
+    only ever reads the clock.
 
     ``admission`` / ``retry_policy`` / ``breaker`` / ``resilience``
     are the resilience plumbing (see :mod:`repro.core.resilience`):
@@ -177,33 +139,17 @@ def run_sharded(
     """
     if tracer is None:
         tracer = NULL_TRACER
-    base = counters if counters is not None else OpCounters()
-    strategy = resolve_strategy(relations, gao, strategy)
-    # Resolve the CDS backend once on the driver so every pool worker
-    # builds the same tree kind regardless of its own environment.
-    cds_backend = resolve_cds_backend(cds_backend)
-    plan, slices = plan_and_slice(relations, gao[0], shards)
+    limit, workers = spec.limit, spec.workers or 0
+    plan, slices = plan_and_slice(relations, spec.gao[0], spec.shards or 1)
     if limit == 0 or not plan:
         # Nothing to run: limit=0 consumes no certificate at all, and an
         # empty leading domain proves emptiness from the stored tries
         # alone (an output value must occur in some leading relation).
-        return ShardedRun([], base, len(plan), 0)
-    count = base.enabled
+        return ShardedRun([], counters, len(plan), 0)
+    count = counters.enabled
     deadline_s = admission.remaining_s() if admission is not None else None
-    payloads: List[ShardPayload] = [
-        (
-            shard_rels,
-            list(gao),
-            strategy,
-            memoize,
-            merge_intervals,
-            limit,
-            count,
-            cds_backend,
-            shard.lo,
-            shard.hi,
-            deadline_s,
-        )
+    payloads = [
+        ShardPayload(shard_rels, spec, count, shard.lo, shard.hi, deadline_s)
         for shard, shard_rels in zip(plan, slices)
     ]
     rows: List[Row] = []
@@ -234,12 +180,12 @@ def run_sharded(
             ) as span:
                 shard_rows, shard_counters = next(results)
                 rows.extend(shard_rows)
-                base.merge(shard_counters)
+                counters.merge(shard_counters)
                 span.set("rows", len(shard_rows))
                 span.set_ops(shard_counters.snapshot())
             if admission is not None:
                 admission.check_ops(
-                    base.interval_ops + base.constraints
+                    counters.interval_ops + counters.constraints
                 )
                 admission.check_rows(len(rows))
                 admission.check_deadline("driver")
@@ -261,112 +207,10 @@ def run_sharded(
     # leave every original relation tallying into the merged object, not
     # a discarded per-shard one.
     for r in relations:
-        r.rebind_counters(base)
+        r.rebind_counters(counters)
     if limit is not None:
         rows = rows[:limit]
-    return ShardedRun(rows, base, len(payloads), discarded)
+    return ShardedRun(rows, counters, len(payloads), discarded)
 
 
-class ShardedExecutor:
-    """Run a natural-join query as a plan of per-range Minesweepers.
-
-    The high-level counterpart of :func:`run_sharded`: prepares the
-    query for its GAO (re-indexing if needed, exactly like
-    :func:`repro.core.engine.join`), shards the leading attribute's
-    domain, and returns a :class:`~repro.core.engine.JoinResult` whose
-    ``counters`` is the merged per-shard tally and whose ``rows`` equal
-    the unsharded engine's output.
-    """
-
-    def __init__(
-        self,
-        query: Query,
-        gao: Optional[Sequence[str]] = None,
-        shards: int = 2,
-        workers: int = 0,
-        strategy: str = "auto",
-        memoize: bool = True,
-        merge_intervals: bool = True,
-        counters: Optional[OpCounters] = None,
-        backend: Optional[str] = None,
-        limit: Optional[int] = None,
-        cds_backend: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
-        admission: Optional[AdmittedQuery] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        resilience: Optional[ResilienceStats] = None,
-    ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
-        if gao is None:
-            gao, _ = query.choose_gao()
-        self.counters = counters if counters is not None else OpCounters()
-        prepared = (
-            query
-            if backend is None
-            and isinstance(query, PreparedQuery)
-            and tuple(gao) == query.gao
-            else query.with_gao(gao, backend=backend)
-        )
-        self.prepared = prepared
-        self.gao: Tuple[str, ...] = tuple(gao)
-        self.shards = shards
-        self.workers = workers
-        self.strategy = resolve_strategy(
-            prepared.relations, self.gao, strategy
-        )
-        self.memoize = memoize
-        self.merge_intervals = merge_intervals
-        self.limit = limit
-        self.cds_backend = resolve_cds_backend(cds_backend)
-        self.tracer = tracer
-        self.admission = admission
-        self.retry_policy = retry_policy
-        self.breaker = breaker
-        self.resilience = resilience
-
-    def run(self) -> JoinResult:
-        run = run_sharded(
-            self.prepared.relations,
-            self.gao,
-            shards=self.shards,
-            workers=self.workers,
-            strategy=self.strategy,
-            memoize=self.memoize,
-            merge_intervals=self.merge_intervals,
-            counters=self.counters,
-            limit=self.limit,
-            cds_backend=self.cds_backend,
-            tracer=self.tracer,
-            admission=self.admission,
-            retry_policy=self.retry_policy,
-            breaker=self.breaker,
-            resilience=self.resilience,
-        )
-        return JoinResult(
-            run.rows,
-            self.gao,
-            self.strategy,
-            run.counters,
-            limit=self.limit,
-            shards=run.shards_run,
-            workers=self.workers,
-            shards_discarded=run.shards_discarded,
-        )
-
-
-#: Re-exported for payload-shape introspection (see
-#: :mod:`repro.analysis.payloads` and the supervisor, where it is
-#: defined).
-__all__ = [
-    "ShardPayload",
-    "ShardedExecutor",
-    "ShardedRun",
-    "resolve_strategy",
-    "run_sharded",
-]
+__all__ = ["ShardPayload", "ShardedRun", "run_sharded"]

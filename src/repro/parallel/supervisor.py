@@ -49,8 +49,18 @@ import time
 from collections import deque
 from multiprocessing.connection import Connection, wait as connection_wait
 from multiprocessing.process import BaseProcess
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
+from repro.core.engine import ExecSpec
 from repro.core.resilience import (
     AdmittedQuery,
     CircuitBreaker,
@@ -76,25 +86,22 @@ from repro.util.counters import OpCounters
 
 Row = Tuple[int, ...]
 
-#: What one worker needs to run one shard: (relations, gao, strategy,
-#: memoize, merge_intervals, limit, count, cds_backend, lo, hi,
-#: deadline_s) — all plain picklable data.  ``lo``/``hi`` are the
-#: shard's leading-attribute range (result validation + cooperative
-#: checks) and ``deadline_s`` the remaining query deadline fraction
-#: shipped to the worker (None = unbounded).
-ShardPayload = Tuple[
-    List[Relation],
-    List[str],
-    str,
-    bool,
-    bool,
-    Optional[int],
-    bool,
-    str,
-    int,
-    int,
-    Optional[float],
-]
+
+class ShardPayload(NamedTuple):
+    """What one worker needs to run one shard — all plain picklable data."""
+
+    relations: List[Relation]
+    #: The run's resolved spec, shipped unchanged to every shard.
+    spec: ExecSpec
+    #: Whether the shard tallies into real counters or ``NullCounters``.
+    count: bool
+    #: The shard's leading-attribute range (result validation +
+    #: cooperative checks).
+    lo: int
+    hi: int
+    #: Remaining query deadline fraction (None = unbounded).
+    deadline_s: Optional[float]
+
 
 #: One completed shard: (rows, per-shard counters).
 ShardResult = Tuple[List[Row], OpCounters]
@@ -267,7 +274,7 @@ class ShardSupervisor:
                 apply_worker_fault(fault, in_pool_worker=False)
                 rows, counters = self.run_shard(payload)
                 rows = poison_result(
-                    fault, rows, shard.lo, len(payload[1])
+                    fault, rows, shard.lo, len(payload.spec.gao)
                 )
             except InjectedCrash:
                 raise
@@ -335,7 +342,7 @@ class ShardSupervisor:
                 self.payloads[index],
                 fault,
                 shard.lo,
-                len(self.payloads[index][1]),
+                len(self.payloads[index].spec.gao),
                 child_conn,
             ),
             daemon=True,
@@ -497,7 +504,7 @@ class ShardSupervisor:
         try:
             apply_worker_fault(fault, in_pool_worker=False)
             rows, counters = self.run_shard(self.payloads[index])
-            rows = poison_result(fault, rows, shard.lo, len(self.payloads[index][1]))
+            rows = poison_result(fault, rows, shard.lo, len(self.payloads[index].spec.gao))
         except (InjectedCrash, ExecutionError):
             raise
         except Exception as exc:

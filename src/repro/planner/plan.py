@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.core.engine import ExecSpec
 from repro.core.explain import Explanation, format_explanation
 
 #: Engine identifiers a plan can carry.
@@ -81,6 +82,19 @@ class Plan:
     #: instance rather than the full data.
     sampled: bool = False
     sample_limit: int = 0
+
+    def spec(self, gao: Tuple[str, ...]) -> ExecSpec:
+        """The plan's Minesweeper run configuration over ``gao`` — the
+        plan's own order, or its localization to a statement's variable
+        names (the serving layer's case)."""
+        return ExecSpec(
+            gao=gao,
+            strategy=self.strategy,
+            backend=self.backend,
+            cds_backend=self.cds_backend,
+            shards=self.shards,
+            workers=self.workers,
+        )
 
     def knobs(self, rename: Optional[dict] = None) -> str:
         gao = (

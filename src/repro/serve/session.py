@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.engine import iterate_join, join
+from repro.core.engine import iterate_join, run_join
 from repro.core.resilience import (
     AdmittedQuery,
     CircuitBreaker,
@@ -456,16 +456,23 @@ class Session:
             "downgraded to workers=0).",
         ).set(1 if self.breaker.open else 0)
 
-    def _engine_rows(
+    def _row_stream(
         self,
         lowered: LoweredQuery,
         plan: Plan,
         gao: Tuple[str, ...],
-        triangle,
+        triangle: Optional[TriangleMapping],
         counters: OpCounters,
         admission: Optional[AdmittedQuery] = None,
-    ) -> List[Row]:
-        """Full output rows over the localized ``gao`` order, sorted."""
+    ) -> Iterator[Row]:
+        """The plan's output rows over the localized ``gao`` order,
+        ascending — the one engine dispatch both result shapes fold.
+
+        Batch engines (triangle, Yannakakis, sharded Minesweeper) hand
+        back a finished list; a serial Minesweeper plan streams lazily,
+        so a consumer that stops early pays only for the certificate it
+        consumed.
+        """
         if plan.engine == ENGINE_TRIANGLE:
             from repro.core.triangle import triangle_join
 
@@ -476,15 +483,15 @@ class Session:
                 )
             )
             self._post_check(admission, counters, len(rows), "triangle")
-            return rows
+            return iter(rows)
         if plan.engine == ENGINE_YANNAKAKIS:
             from repro.baselines.yannakakis import yannakakis_join
 
             rows = yannakakis_join(lowered.query, list(gao), counters)
             self._post_check(admission, counters, len(rows), "yannakakis")
-            return rows
-        workers = plan.workers or None
-        if workers and not self.breaker.allow_pool():
+            return iter(rows)
+        spec = plan.spec(gao)
+        if spec.workers and not self.breaker.allow_pool():
             # Breaker open: repeated pooled shard failures downgraded
             # the session to in-process execution (byte-identical rows;
             # only the pool is bypassed).  Reason is kept on the
@@ -496,22 +503,21 @@ class Session:
                     "pool.downgrade", 0.0,
                     reason=self.breaker.reason or "breaker open",
                 )
-            workers = None
-        return join(
-            lowered.query,
-            gao=list(gao),
-            strategy=plan.strategy,
-            counters=counters,
-            backend=plan.backend,
-            workers=workers,
-            shards=plan.shards,
-            cds_backend=plan.cds_backend,
-            tracer=self.obs.tracer,
-            admission=admission,
-            retry_policy=self.retry_policy,
-            breaker=self.breaker,
-            resilience=self.resilience,
-        ).rows
+            spec = replace(spec, workers=0)
+        if not spec.sharded:
+            return iterate_join(lowered.query, spec, counters, admission)[0]
+        return iter(
+            run_join(
+                lowered.query,
+                spec,
+                counters,
+                tracer=self.obs.tracer,
+                admission=admission,
+                retry_policy=self.retry_policy,
+                breaker=self.breaker,
+                resilience=self.resilience,
+            ).rows
+        )
 
     @staticmethod
     def _post_check(
@@ -539,88 +545,46 @@ class Session:
         lowered: LoweredQuery,
         plan: Plan,
         gao: Tuple[str, ...],
-        triangle,
+        triangle: Optional[TriangleMapping],
         counters: OpCounters,
         admission: Optional[AdmittedQuery] = None,
     ) -> ExecResult:
-        head = lowered.statement.head_vars
-        if tuple(head) == tuple(gao):
-            rows = self._engine_rows(
-                lowered, plan, gao, triangle, counters, admission
-            )
-            return ExecResult(
-                lowered.statement, plan, tuple(head), rows=rows
-            )
-        positions = [gao.index(v) for v in head]
-        dedup_needed = len(head) < len(gao)
-        if (
-            plan.engine not in (ENGINE_TRIANGLE, ENGINE_YANNAKAKIS)
-            and plan.shards == 1
-            and plan.workers == 0
-        ):
-            # Stream the projection: distinct projected rows accumulate
-            # in a set; the full join output is never held as a list.
-            # Only fully-serial plans stream — a workers>=1 plan must
-            # actually run its pool (join() treats workers=1 as a real
-            # 1-process pool, never a silent fall-through).
-            iterator, _ = iterate_join(
-                lowered.query,
-                gao=list(gao),
-                strategy=plan.strategy,
-                counters=counters,
-                backend=plan.backend,
-                cds_backend=plan.cds_backend,
-                admission=admission,
-            )
-            projected = {
-                tuple(row[p] for p in positions) for row in iterator
-            }
-            rows = sorted(projected)
+        head = tuple(lowered.statement.head_vars)
+        stream = self._row_stream(
+            lowered, plan, gao, triangle, counters, admission
+        )
+        if head == gao:
+            rows = list(stream)
         else:
-            full = self._engine_rows(
-                lowered, plan, gao, triangle, counters, admission
-            )
-            projected_iter = (
-                tuple(row[p] for p in positions) for row in full
+            # Project as the rows stream by; a projection that drops
+            # variables can repeat rows, so those pass through a set.
+            positions = [gao.index(v) for v in head]
+            projected = (
+                tuple(row[p] for p in positions) for row in stream
             )
             rows = sorted(
-                set(projected_iter) if dedup_needed else projected_iter
+                set(projected) if len(head) < len(gao) else projected
             )
-        return ExecResult(lowered.statement, plan, tuple(head), rows=rows)
+        return ExecResult(lowered.statement, plan, head, rows=rows)
 
     def _execute_aggregate(
         self,
         lowered: LoweredQuery,
         plan: Plan,
         gao: Tuple[str, ...],
-        triangle,
+        triangle: Optional[TriangleMapping],
         aggregate: Aggregate,
         counters: OpCounters,
         admission: Optional[AdmittedQuery] = None,
     ) -> ExecResult:
         column = aggregate.unparse().replace(" ", "").lower()
-        if (
-            plan.engine in (ENGINE_TRIANGLE, ENGINE_YANNAKAKIS)
-            or plan.shards > 1
-            or plan.workers > 0
-        ):
-            # Batch engines (and sharded/pooled runs) return a full
-            # list; the aggregate folds it.
-            rows = self._engine_rows(
+        value = self._fold(
+            aggregate,
+            gao,
+            self._row_stream(
                 lowered, plan, gao, triangle, counters, admission
-            )
-            iterator = iter(rows)
-        else:
-            iterator, _ = iterate_join(
-                lowered.query,
-                gao=list(gao),
-                strategy=plan.strategy,
-                counters=counters,
-                backend=plan.backend,
-                cds_backend=plan.cds_backend,
-                admission=admission,
-            )
-        value = self._fold(aggregate, gao, iterator)
+            ),
+        )
         rows = [] if value is None else [(value,)]
         return ExecResult(
             lowered.statement,

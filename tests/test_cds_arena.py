@@ -19,11 +19,12 @@ from repro.core.cds_arena import (
     ArenaConstraintTree,
     ArenaGeneralProbeStrategy,
     CDS_BACKENDS,
+    DEFAULT_CDS_BACKEND,
     make_cds,
     resolve_cds_backend,
 )
 from repro.core.constraints import Constraint, WILDCARD
-from repro.core.engine import join
+from repro.core.engine import ExecSpec, join
 from repro.core.minesweeper import Minesweeper
 from repro.core.probe_acyclic import ChainProbeStrategy, NotAChainError
 from repro.core.probe_general import GeneralProbeStrategy
@@ -196,15 +197,13 @@ class TestArenaTreeEquivalence:
             ConstraintTree,
         )
 
-    def test_resolve_backend(self, monkeypatch):
-        assert resolve_cds_backend("pointer") == "pointer"
-        assert resolve_cds_backend("arena") == "arena"
-        assert resolve_cds_backend(None) in CDS_BACKENDS
-        monkeypatch.setenv("REPRO_CDS_BACKEND", "pointer")
-        assert resolve_cds_backend(None) == "pointer"
-        monkeypatch.setenv("REPRO_CDS_BACKEND", "bogus")
+    def test_resolve_backend(self):
+        for name in CDS_BACKENDS:
+            assert resolve_cds_backend(name) == name
+        assert resolve_cds_backend(None) == DEFAULT_CDS_BACKEND
+        assert resolve_cds_backend("auto") == DEFAULT_CDS_BACKEND
         with pytest.raises(ValueError):
-            resolve_cds_backend(None)
+            resolve_cds_backend("bogus")
 
     def test_pickle_round_trip_plain_arrays(self):
         rng = random.Random(7)
@@ -401,7 +400,6 @@ class TestEngineEquivalence:
         engine = Minesweeper(
             prepared, merge_intervals=False, cds_backend="arena"
         )
-        assert engine.cds_backend == "pointer"
         assert isinstance(engine.cds, ConstraintTree)
 
     @pytest.mark.parametrize("n", [24, 48])
@@ -433,7 +431,7 @@ class TestEngineEquivalence:
         states = {}
         for backend in ("pointer", "arena"):
             catalog, view = dynamic.build_catalog(
-                schemas, initial, cds_backend=backend
+                schemas, initial, spec=ExecSpec(cds_backend=backend)
             )
             ops = OpCounters()
             for batch in batches:

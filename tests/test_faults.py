@@ -22,6 +22,7 @@ import os
 
 import pytest
 
+from repro.core.engine import ExecSpec
 from repro.dynamic import Update, open_catalog, recover_catalog
 from repro.testing.faults import (
     CRASH_POINTS,
@@ -76,14 +77,16 @@ def _query_resilient(catalog):
         pass  # the expected typed abort — never a hang or bad rows
 
 
-def _ops():
-    """The scenario: one durability-relevant operation per entry."""
+def _ops(cds_backend=None):
+    """The scenario: one durability-relevant operation per entry (the
+    view evaluates on ``cds_backend``; None = the default)."""
     return [
         ("create-R", lambda c: c.create_relation(
             "R", ["A", "B"], [(1, 2), (2, 3)])),
         ("create-S", lambda c: c.create_relation(
             "S", ["B", "C"], [(2, 9), (3, 7)])),
-        ("view-V", lambda c: c.register_view("V", ["R", "S"])),
+        ("view-V", lambda c: c.register_view(
+            "V", ["R", "S"], ExecSpec(cds_backend=cds_backend))),
         ("query-sharded", _query_sharded),
         ("query-resilient", _query_resilient),
         ("batch-1", lambda c: c.apply_batch([
@@ -122,20 +125,20 @@ def state_of(catalog):
     )
 
 
-def run_clean(data_dir):
+def run_clean(data_dir, cds_backend=None):
     """Run every op; returns the checkpoint states (one per boundary)."""
     catalog, _ = open_catalog(
         data_dir, fsync=FSYNC, segment_limit=SEGMENT_LIMIT
     )
     checkpoints = [state_of(catalog)]
-    for _label, op in _ops():
+    for _label, op in _ops(cds_backend):
         op(catalog)
         checkpoints.append(state_of(catalog))
     catalog.wal.close()
     return checkpoints
 
 
-def run_crashing(data_dir, fs=None):
+def run_crashing(data_dir, fs=None, cds_backend=None):
     """Run the scenario until an injected crash (or completion).
 
     The catalog is abandoned, not closed — every crash point fires
@@ -145,7 +148,7 @@ def run_crashing(data_dir, fs=None):
     catalog, _ = open_catalog(
         data_dir, fsync=FSYNC, segment_limit=SEGMENT_LIMIT, fs=fs
     )
-    for _label, op in _ops():
+    for _label, op in _ops(cds_backend):
         op(catalog)
     catalog.wal.close()
 
@@ -240,19 +243,25 @@ class TestCrashEveryPoint:
             # completed, so recovery must see the *final* state.
             assert got == checkpoints[-1]
 
-    def test_crash_after_wal_commit_preserves_batch(self, tmp_path):
+    @pytest.mark.parametrize("cds_backend", ["arena", "pointer"])
+    def test_crash_after_wal_commit_preserves_batch(
+        self, tmp_path, cds_backend
+    ):
         # Sharper than "pre or post": once the WAL append returned,
         # the batch MUST survive.  catalog.apply.mutate sits exactly
-        # after append_batch and before any memory mutation.
-        checkpoints = run_clean(str(tmp_path / "clean"))
+        # after append_batch and before any memory mutation.  Run on
+        # both CDS backends: the view is rebuilt from its logged spec,
+        # and replay maintains it through that backend.
+        checkpoints = run_clean(str(tmp_path / "clean"), cds_backend)
         data_dir = str(tmp_path / "crash")
         injector = FaultInjector().crash_at("catalog.apply.mutate", hit=1)
         with injected(injector):
             with pytest.raises(InjectedCrash):
-                run_crashing(data_dir)
+                run_crashing(data_dir, cds_backend=cds_backend)
         recovered, _ = recover_catalog(data_dir, attach=False)
         # batch-1 is the first apply_batch: checkpoint index 6.
         assert state_of(recovered) == checkpoints[6]
+        assert recovered.view("V").spec.cds_backend == cds_backend
 
     def test_crash_before_wal_append_loses_batch(self, tmp_path):
         checkpoints = run_clean(str(tmp_path / "clean"))

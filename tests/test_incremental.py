@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.core.engine import ExecSpec
 from repro.core.incremental import LiveJoin, consistent_gao
 from repro.core.query import Query, naive_join
 from repro.dynamic import (
@@ -41,7 +42,7 @@ def naive_state(view):
     return naive_join(query, list(view.gao))
 
 
-def triangle_view(r, s, t, **kwargs):
+def triangle_view(r, s, t, **knobs):
     return LiveJoin(
         "Q",
         [
@@ -49,7 +50,7 @@ def triangle_view(r, s, t, **kwargs):
             live_relation("S", ("B", "C"), s),
             live_relation("T", ("A", "C"), t),
         ],
-        **kwargs,
+        ExecSpec(**knobs),
     )
 
 

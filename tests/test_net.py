@@ -2,6 +2,7 @@
 the HTTP gateway, and concurrent multi-tenant isolation."""
 
 import json
+import socket
 import threading
 import time
 
@@ -30,7 +31,7 @@ from repro.net import (
     UnknownTenantError,
     serve_http,
 )
-from repro.net.server import error_payload
+from repro.net.server import MAX_BODY_BYTES, error_payload
 from repro.planner.cache import PlanCache
 from repro.serve import Session
 
@@ -770,3 +771,35 @@ class TestHTTPEndToEnd:
         exposition = client.metrics()
         assert "repro_stat" in exposition
         assert "repro_http_requests_total" in exposition
+
+    @pytest.mark.parametrize("declared,status,error", [
+        ("abc", 400, "BadContentLength"),
+        ("-1", 400, "BadContentLength"),
+        ("+5", 400, "BadContentLength"),
+        (str(MAX_BODY_BYTES + 1), 413, "PayloadTooLarge"),
+    ])
+    def test_hostile_content_length_gets_a_typed_answer(
+        self, served, declared, status, error
+    ):
+        # Raw socket: the stdlib client would fix the header up.  No
+        # body is ever sent, so a server that tries to read one hangs
+        # and the 1-second socket timeout fails the test.
+        url, registry = served
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=1.0) as conn:
+            conn.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+            )
+            reply = b""
+            while chunk := conn.recv(65536):  # server closes after it
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == error
+        counted = registry.metrics.counter(
+            "http_requests_total", "",
+            labels={"route": "POST /v1/query", "code": status},
+        )
+        assert counted.value == 1

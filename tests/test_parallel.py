@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import join
+from repro.core.engine import ExecSpec, join
 from repro.core.incremental import LiveJoin
 from repro.core.query import Query, naive_join
 from repro.parallel.certify import certify_sharded
-from repro.parallel.executor import ShardedExecutor
 from repro.parallel.planner import Shard, plan_shards, shard_relations
 from repro.storage.delta import DeltaRelation
 from repro.storage.relation import Relation
@@ -214,7 +213,7 @@ class TestShardInvariance:
         with pytest.raises(ValueError):
             join(triangle_query(r, r, r), workers=-1)
         with pytest.raises(ValueError):
-            ShardedExecutor(triangle_query(r, r, r), shards=2, limit=-1)
+            join(triangle_query(r, r, r), shards=2, limit=-1)
 
 
 class TestLimitUnderSharding:
@@ -295,7 +294,7 @@ class TestLiveJoinSharded:
         t0 = [(1, 3), (2, 1), (5, 7)]
         plain = LiveJoin("Q", self._relations(r0, s0, t0))
         sharded = LiveJoin(
-            "Q", self._relations(r0, s0, t0), shards=3, workers=0
+            "Q", self._relations(r0, s0, t0), ExecSpec(shards=3, workers=0)
         )
         assert sharded.rows() == plain.rows()
         batches = [
@@ -314,19 +313,23 @@ class TestLiveJoinSharded:
         s0 = [(i % 4, i % 3) for i in range(8)]
         t0 = [(i, i % 3) for i in range(8)]
         inproc = LiveJoin(
-            "Q", self._relations(r0, s0, t0), shards=3, workers=0
+            "Q", self._relations(r0, s0, t0), ExecSpec(shards=3, workers=0)
         )
         pooled = LiveJoin(
-            "Q", self._relations(r0, s0, t0), shards=3, workers=2
+            "Q", self._relations(r0, s0, t0), ExecSpec(shards=3, workers=2)
         )
         assert inproc.rows() == pooled.rows()
         assert inproc.initial_ops == pooled.initial_ops
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LiveJoin("Q", self._relations([(1, 2)], [], []), shards=0)
+            LiveJoin(
+                "Q", self._relations([(1, 2)], [], []), ExecSpec(shards=0)
+            )
         with pytest.raises(ValueError):
-            LiveJoin("Q", self._relations([(1, 2)], [], []), workers=-1)
+            LiveJoin(
+                "Q", self._relations([(1, 2)], [], []), ExecSpec(workers=-1)
+            )
 
 
 class TestCertifySharded:
@@ -336,7 +339,7 @@ class TestCertifySharded:
         t = [(i, i % 4) for i in range(6)]
         query = triangle_query(r, s, t)
         prepared = query.with_gao(["A", "B", "C"])
-        results = certify_sharded(prepared, shards=3, samples=5)
+        results = certify_sharded(prepared, ExecSpec(shards=3), samples=5)
         assert 1 < len(results) <= 3
         assert all(shard.passed for shard in results)
         seq = join(triangle_query(r, s, t), gao=["A", "B", "C"])

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.engine import ExecSpec
 from repro.dynamic import (
     Catalog,
     CorruptWalError,
@@ -497,3 +498,75 @@ class TestDurableRecovery:
         assert set(manifest["relations"]) == {"R", "S"}
         assert manifest["views"]["V"]["relations"] == ["R", "S"]
         catalog.wal.close()
+
+
+class TestViewSpecOnDisk:
+    """A view's ExecSpec round-trips through `!view` WAL records and
+    snapshot manifests in the byte layout pinned here (taken from the
+    commit before ExecSpec existed, so old directories keep recovering
+    and new ones stay readable by old code)."""
+
+    VIEW_RECORDS = [
+        '!view {"cds_backend":"arena","gao":["A","B","C"],"name":"V",'
+        '"relations":["R","S"],"shards":1,"strategy":"auto","workers":0}\n',
+        '!view {"cds_backend":"pointer","gao":["A","B","C"],"name":"W",'
+        '"relations":["R","S","T"],"shards":2,"strategy":"general",'
+        '"workers":0}\n',
+    ]
+    MANIFEST_VIEWS = {
+        "V": {"relations": ["R", "S"], "gao": ["A", "B", "C"],
+              "strategy": "auto", "shards": 1, "workers": 0,
+              "cds_backend": "arena"},
+        "W": {"relations": ["R", "S", "T"], "gao": ["A", "B", "C"],
+              "strategy": "general", "shards": 2, "workers": 0,
+              "cds_backend": "pointer"},
+    }
+
+    def build(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        catalog, _ = open_catalog(data_dir, fsync="off")
+        catalog.create_relation("R", ["A", "B"], [(1, 2), (2, 3)])
+        catalog.create_relation("S", ["B", "C"], [(2, 9), (3, 7)])
+        catalog.create_relation("T", ["A", "C"], [(1, 9), (2, 7)])
+        catalog.register_view("V", ["R", "S"])
+        catalog.register_view("W", ["R", "S", "T"], ExecSpec(
+            gao=["A", "B", "C"], strategy="general", shards=2,
+            workers=0, cds_backend="pointer",
+        ))
+        return data_dir, catalog
+
+    def test_view_records_and_manifest_entries_are_pinned(self, tmp_path):
+        data_dir, catalog = self.build(tmp_path)
+        catalog.snapshot()
+        catalog.wal.close()
+        wal = os.path.join(data_dir, "wal")
+        lines = []
+        for name in sorted(os.listdir(wal)):
+            with open(os.path.join(wal, name), newline="") as handle:
+                lines += [ln for ln in handle if ln.startswith("!view ")]
+        assert lines == self.VIEW_RECORDS
+        (_, snap_path), = list_snapshots(data_dir)
+        assert load_manifest(snap_path)["views"] == self.MANIFEST_VIEWS
+
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_both_restore_paths_rebuild_the_same_spec(
+        self, tmp_path, snapshot
+    ):
+        data_dir, catalog = self.build(tmp_path)
+        if snapshot:
+            catalog.snapshot(truncate_wal=True)
+        want = {n: catalog.view(n).spec for n in catalog.view_names()}
+        rows = {n: catalog.view(n).rows() for n in catalog.view_names()}
+        catalog.wal.close()
+        recovered, report = recover_catalog(data_dir, attach=False)
+        assert (report.snapshot_id is not None) == snapshot
+        assert {
+            n: recovered.view(n).spec for n in recovered.view_names()
+        } == want
+        assert want["W"] == ExecSpec(
+            gao=("A", "B", "C"), strategy="general", shards=2,
+            workers=0, cds_backend="pointer",
+        )
+        assert {
+            n: recovered.view(n).rows() for n in recovered.view_names()
+        } == rows
