@@ -10,7 +10,7 @@ export PYTHONPATH := $(SRC)
 test:
 	$(PY) -m pytest -x -q
 
-# Static analysis: the seven `repro lint` checkers plus the mypy strict
+# Static analysis: the eight `repro lint` checkers plus the mypy strict
 # ratchet (mypy.ini).  mypy is not baked into the container image, so
 # it runs only where installed (CI pins and installs it); the
 # strict-annotations lint rule is the always-on local mirror.

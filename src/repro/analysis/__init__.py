@@ -1,9 +1,9 @@
 """Static analysis for the reproduction: ``repro lint``.
 
 Machine-checks the invariants earlier PRs established informally —
-import layering, counter discipline, crashpoint parity,
-log-before-mutate WAL ordering, determinism hygiene, multiprocessing
-payload picklability, and the strict-typing ratchet.  See
+import layering, the stdlib-only runtime, counter discipline,
+crashpoint parity, log-before-mutate WAL ordering, determinism hygiene,
+multiprocessing payload picklability, and the strict-typing ratchet.  See
 :mod:`repro.analysis.framework` for the checker/baseline machinery and
 :mod:`repro.analysis.runner` for the CLI driver.
 """

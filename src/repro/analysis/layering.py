@@ -1,4 +1,5 @@
-"""Checker: the import-layering DAG (rule ``layering``).
+"""Checkers for import edges: the layering DAG (rule ``layering``)
+and the stdlib-only runtime (rule ``third-party-import``).
 
 The engine is layered; an import edge may only point *down*:
 
@@ -21,11 +22,19 @@ import is still an architectural edge, it just hides from module load
 order.  The one deliberate edge (``core.engine`` pulling the sharded
 executor for the ``workers=`` escape hatch) carries a
 ``# lint: disable=layering`` pragma with its justification.
+
+``layering`` looks only at edges inside the package.  Edges leaving it
+are the business of ``third-party-import``: the runtime is standard
+library only, so every process that imports ``repro`` (the HTTP
+server, each spawned shard worker, a recovering catalog) starts at the
+interpreter's own footprint.  A deferred import counts the same — it
+moves the cost from start-up to the first request that reaches it.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.framework import Checker, Finding, ModuleInfo
@@ -175,3 +184,36 @@ class LayeringChecker(Checker):
                 "dependency or justify a deferred import with a pragma"
             ),
         )
+
+
+class ThirdPartyImportChecker(Checker):
+    rule = "third-party-import"
+    description = "src/repro imports only itself and the standard library"
+
+    def visit_module(self, mod: ModuleInfo) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue  # relative imports stay inside the package
+            for name in names:
+                top = name.split(".")[0]
+                if top == "repro" or top in sys.stdlib_module_names:
+                    continue
+                findings.append(
+                    Finding(
+                        rule=self.rule,
+                        path=mod.rel,
+                        line=node.lineno,
+                        message=f"import of third-party package '{top}'",
+                        hint=(
+                            "the runtime is stdlib-only; do the work "
+                            "in-tree, or keep the dependency on the test "
+                            "side (pytest.importorskip)"
+                        ),
+                    )
+                )
+        return findings

@@ -37,7 +37,10 @@ from repro.analysis.framework import (
     run_checkers,
     write_baseline,
 )
-from repro.analysis.layering import LayeringChecker
+from repro.analysis.layering import (
+    LayeringChecker,
+    ThirdPartyImportChecker,
+)
 from repro.analysis.payloads import MpPayloadChecker
 from repro.analysis.wal_order import WalOrderChecker
 
@@ -54,6 +57,7 @@ def all_checkers() -> List[Checker]:
     """The rule suite, in stable registration order."""
     return [
         LayeringChecker(),
+        ThirdPartyImportChecker(),
         CounterDisciplineChecker(),
         CrashpointParityChecker(),
         WalOrderChecker(),

@@ -1,9 +1,12 @@
 """Query hypergraphs: acyclicity, elimination orders, widths, AGM bounds."""
 
 from repro.hypergraph.agm import (
+    CoverLP,
     agm_bound,
+    edge_cover_lp,
     fractional_cover_number,
     fractional_edge_cover,
+    solve_cover_lp,
 )
 from repro.hypergraph.acyclicity import (
     find_beta_cycle,
@@ -32,9 +35,12 @@ from repro.hypergraph.treewidth_exact import (
 )
 
 __all__ = [
+    "CoverLP",
     "agm_bound",
+    "edge_cover_lp",
     "fractional_cover_number",
     "fractional_edge_cover",
+    "solve_cover_lp",
     "best_elimination_order_bruteforce",
     "exact_treewidth",
     "Hypergraph",

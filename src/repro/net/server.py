@@ -388,6 +388,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # One segment per response: with the stock unbuffered wfile the
+    # headers and the body leave as two small writes, and on a
+    # keep-alive connection Nagle holds the second until the client's
+    # delayed ACK of the first (~40 ms per request).  Buffer the
+    # response, flush it once, and switch Nagle off for bodies larger
+    # than the buffer.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def _dispatch(self, method: str) -> None:
         server = self.server
@@ -429,6 +437,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
+        self.wfile.flush()
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         self._dispatch("GET")

@@ -630,19 +630,3 @@ class TestDurableCli:
             )
         assert code == 0
         assert "# replayed 1 batches" in out
-
-
-def test_importing_the_cli_does_not_import_numpy():
-    # Every process that imports repro (the HTTP server, each spawned
-    # shard worker) would pay numpy's import time and memory for an
-    # input check the pure-Python scan does as fast.
-    import os
-    import subprocess
-
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import repro.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, check=True, timeout=60,
-    )

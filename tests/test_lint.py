@@ -36,7 +36,10 @@ from repro.analysis.counters import CounterDisciplineChecker
 from repro.analysis.crashpoints import CrashpointParityChecker
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.framework import Finding, RuleStats
-from repro.analysis.layering import LayeringChecker
+from repro.analysis.layering import (
+    LayeringChecker,
+    ThirdPartyImportChecker,
+)
 from repro.analysis.payloads import MpPayloadChecker
 from repro.analysis.wal_order import WalOrderChecker
 
@@ -109,6 +112,60 @@ class TestLayering:
         })
         active, _ = run_rule(proj, LayeringChecker())
         assert active == []
+
+
+class TestThirdPartyImport:
+    def test_module_level_import_flags(self, tmp_path):
+        proj = make_project(tmp_path, {
+            "hypergraph/agm.py": """
+                import os.path
+                import numpy as np
+                from scipy.optimize import linprog
+                """,
+        })
+        active, _ = run_rule(proj, ThirdPartyImportChecker())
+        assert [f.message for f in active] == [
+            "import of third-party package 'numpy'",
+            "import of third-party package 'scipy'",
+        ]
+
+    def test_deferred_import_flags(self, tmp_path):
+        proj = make_project(tmp_path, {
+            "hypergraph/agm.py": """
+                def cover() -> None:
+                    from scipy.optimize import linprog
+                """,
+        })
+        active, _ = run_rule(proj, ThirdPartyImportChecker())
+        assert len(active) == 1
+        assert "'scipy'" in active[0].message
+        assert active[0].line == 3
+
+    def test_stdlib_and_own_package_pass(self, tmp_path):
+        proj = make_project(tmp_path, {
+            "core/engine.py": """
+                from __future__ import annotations
+                import json, xml.etree.ElementTree
+                from fractions import Fraction
+                import repro.storage.trie
+                from repro.util import counters
+                from . import sibling
+                from ..storage import trie
+                """,
+        })
+        active, _ = run_rule(proj, ThirdPartyImportChecker())
+        assert active == []
+
+    def test_pragma_suppresses(self, tmp_path):
+        proj = make_project(tmp_path, {
+            "experiments/plots.py": """
+                def draw() -> None:
+                    import matplotlib  # lint: disable=third-party-import -- plotting extra
+                """,
+        })
+        active, suppressed = run_rule(proj, ThirdPartyImportChecker())
+        assert active == []
+        assert len(suppressed) == 1
 
 
 class TestCounterDiscipline:

@@ -1,8 +1,10 @@
 """Network serving tests: shared plan cache, pools, ingest, tenants,
 the HTTP gateway, and concurrent multi-tenant isolation."""
 
+import http.client
 import json
 import socket
+import statistics
 import threading
 import time
 
@@ -771,6 +773,39 @@ class TestHTTPEndToEnd:
         exposition = client.metrics()
         assert "repro_stat" in exposition
         assert "repro_http_requests_total" in exposition
+
+    def test_keep_alive_connection_is_not_stalled_by_nagle(self, served):
+        # Headers and body as two writes on a persistent connection
+        # cost one delayed ACK (~40 ms) per request; the connection-
+        # per-request Client never sees it.
+        url, _ = served
+        client = self.load(url)
+        query = {"tenant": "alpha", "query": PAIRS}
+        client.prepare(PAIRS, tenant="alpha")  # plan cached: bodies stable
+        want = {
+            "/healthz": client._request("GET", "/healthz")[1],
+            "/v1/prepare": client._request("POST", "/v1/prepare", query)[1],
+        }
+        host, port = url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        seconds = []
+        try:
+            for turn in range(50):
+                path = ("/healthz", "/v1/prepare")[turn % 2]
+                started = time.perf_counter()
+                if path == "/healthz":
+                    conn.request("GET", path)
+                else:
+                    conn.request("POST", path, body=json.dumps(query))
+                response = conn.getresponse()
+                body = response.read()
+                seconds.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert not response.will_close  # still the one connection
+                assert body == want[path]
+        finally:
+            conn.close()
+        assert statistics.median(seconds) < 0.010
 
     @pytest.mark.parametrize("declared,status,error", [
         ("abc", 400, "BadContentLength"),

@@ -1,5 +1,9 @@
 """Serving-layer tests: sessions, plan caching, aggregates, scripts."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.dynamic import Catalog, Update
@@ -330,3 +334,49 @@ class TestDurableSession:
         assert manifest["relations"]["R"]["live_rows"] == 1
         catalog, _ = recover_catalog(data_dir, attach=False)
         assert catalog.relation("R").index.tuples() == [(1,)]
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+at_startup = set(sys.modules)  # __main__, whatever site's .pth files load
+import repro.cli
+from repro.dynamic import Catalog
+from repro.serve import Session
+
+n = 12
+cycle = [(i, (i + 1) % n) for i in range(n)]
+catalog = Catalog()
+for name in "RST":
+    catalog.create_relation(name, ["A", "B"], cycle)
+catalog.create_relation("U", ["A", "B"], [((i + 3) % n, i) for i in range(n)])
+catalog.create_relation("E", ["A", "B"], [(1, 2), (2, 3), (1, 3)])
+session = Session(catalog)
+planned = {
+    "yannakakis": "Q(x, z) :- R(x, y), S(y, z)",
+    "triangle": "Q(x, y, z) :- E(x, y), E(y, z), E(x, z)",
+    "minesweeper": "Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)",
+}
+for engine, text in planned.items():
+    result = session.execute(text)
+    assert result.plan.engine == engine, (text, result.plan.engine)
+    assert result.rows, text
+assert "fractional cover : 1.5" in session.explain(planned["triangle"])
+foreign = sorted(
+    {name.split(".")[0] for name in set(sys.modules) - at_startup}
+    - sys.stdlib_module_names - {"repro"}
+)
+assert not foreign, foreign
+"""
+
+
+def test_serving_process_loads_only_repro_and_the_standard_library():
+    # Every process that plans a query (the HTTP server, each spawned
+    # shard worker, a recovering catalog) pays for whatever the plan
+    # path imports, eagerly or lazily: one third-party package there
+    # is tens of MB and most of a second before the first answer.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+        env=env, check=True, timeout=60,
+    )
