@@ -33,8 +33,17 @@ bench-smoke:
 
 # Query-serving smoke: parse -> plan -> execute over the committed demo
 # script, plus a one-shot `repro query` (CI runs this next to bench-smoke).
+# The demo ends with a write followed by EXPLAIN of an already-planned
+# query: the plan must have survived the write, and the comparison
+# board must be scored on demand.
 query-smoke:
-	$(PY) -m repro.cli serve --script examples/serving_demo.script
+	$(PY) -m repro.cli serve --script examples/serving_demo.script \
+	  > /tmp/repro-query-smoke.out
+	cat /tmp/repro-query-smoke.out
+	grep -q '^plan origin      : cached$$' /tmp/repro-query-smoke.out
+	grep -q 'for comparison, scored on demand' /tmp/repro-query-smoke.out
+	grep -q '^planned at       : generation 3 (now 4)$$' \
+	  /tmp/repro-query-smoke.out
 	printf '1,2\n2,3\n3,1\n' > /tmp/repro-query-smoke.csv
 	$(PY) -m repro.cli query \
 	  --relation R=A,B:/tmp/repro-query-smoke.csv \

@@ -4,9 +4,9 @@ For each ``planner/*`` workload pair this measures a cold execution
 (fresh session: parse + plan + execute) against a cached one (warm
 session: parse + cache hit + execute) on identical data, asserts the
 cache contract — identical rows, *zero* planner calls on the cached
-path — and records both timings into ``summary.csv`` / the
-pytest-benchmark JSON, so the cached-vs-cold trajectory is a diffable
-artifact.
+path, before and after a write — and records both timings into
+``summary.csv`` / the pytest-benchmark JSON, so the cached-vs-cold
+trajectory is a diffable artifact.
 
 The wall-clock ratio is machine-dependent and not asserted (the call
 counters are the gate); the committed ``BENCH_*.json`` records it.
@@ -49,13 +49,21 @@ def test_cached_plan_skips_planning():
     assert session.planner.plans_built == built
     assert session.planner.estimate_runs == estimates
     assert second.rows == first.rows
-    # ... and a catalog mutation re-opens planning exactly once.
+    # ... and the plan outlives a write: no re-plan, no scoring run,
+    # and the written row is in the answer.
     from repro.dynamic import Update
 
-    catalog.apply_batch([Update("R", "+", (0, 1))])
+    top = max(v for rows in (r, s, t) for row in rows for v in row)
+    a, b, c = top + 1, top + 2, top + 3
+    catalog.apply_batch(
+        [Update("R", "+", (a, b)), Update("S", "+", (b, c)),
+         Update("T", "+", (a, c))]
+    )
     third = session.execute(text)
-    assert not third.cached_plan
-    assert session.planner.plans_built == built + 1
+    assert third.cached_plan
+    assert session.planner.plans_built == built
+    assert session.planner.estimate_runs == estimates
+    assert third.rows == sorted(first.rows + [(a, b, c)])
 
 
 @pytest.mark.parametrize("mode", ["cold", "cached"])

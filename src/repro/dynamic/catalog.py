@@ -89,9 +89,10 @@ class Catalog:
         #: Monotone counter bumped by every operation that can change
         #: what a planner saw — DDL (``create_relation``), data
         #: (``apply_batch``), and storage-layout maintenance
-        #: (``flush`` / ``compact``).  Cached plans are keyed by query
-        #: signature *plus* this generation, so any of those events
-        #: invalidates them (see :mod:`repro.planner.cache`).
+        #: (``flush`` / ``compact``).  A version stamp for snapshots,
+        #: stats and ``EXPLAIN`` ("planned at generation G (now G')");
+        #: it invalidates nothing — cached plans survive writes and
+        #: age by data drift instead (see :mod:`repro.planner.cache`).
         self.generation = 0
         #: Durability (ISSUE 6): when a write-ahead log is attached,
         #: every mutation is committed to it *before* touching memory,

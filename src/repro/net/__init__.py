@@ -7,8 +7,8 @@ The serving subsystem stacks five pieces over :mod:`repro.serve`:
   :class:`~repro.planner.cache.PlanCache`;
 * :mod:`repro.net.ingest` — an async ingestion queue: update batches
   enqueue, a single writer thread per tenant applies them off the
-  read path (WAL-before-mutate preserved; the generation bump lazily
-  invalidates cached plans), with typed backpressure when full;
+  read path (WAL-before-mutate preserved; cached plans survive the
+  write), with typed backpressure when full;
 * :mod:`repro.net.tenants` — the tenant registry: tenant id → durable
   catalog (per-tenant data-dir subdirectory), per-tenant QoS defaults
   (:class:`~repro.core.resilience.QueryBudget`), a reader/writer lock

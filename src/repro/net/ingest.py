@@ -5,8 +5,7 @@ parsed batch and return a ticket immediately (202); a single writer
 thread drains the queue in submission order, applying each batch under
 the tenant's exclusive write lock via ``catalog.apply_batch`` — so the
 WAL-before-mutate ordering, crashpoint placement, and generation bump
-(which lazily invalidates cached plans) are exactly the ones the
-durable path already tests.  After each batch the writer eagerly
+are exactly the ones the durable path already tests.  After each batch the writer eagerly
 rebuilds every relation's merged view *while still holding the write
 lock*, so concurrent readers never pay (or race) a view rebuild: the
 read path stays genuinely read-only.

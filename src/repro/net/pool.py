@@ -1,14 +1,16 @@
 """Session pooling and the shared, tenant-scoped plan cache.
 
-The plan cache is already keyed by renaming-invariant signature +
-catalog generation, so sharing one process-wide cache across every
-session is sound once the cache is locked (it is — see
-:class:`~repro.planner.cache.PlanCache`).  What signatures alone do
-NOT disambiguate is the *tenant*: two tenants' catalogs have unrelated
-generation counters (and possibly different schemas), so an identical
-query text must not collide.  :class:`ScopedPlanCache` namespaces
-every key with the tenant id — plans stay in the one shared LRU (one
-capacity knob, one set of counters) but never cross tenants.
+The plan cache is keyed by renaming-invariant signature, so sharing
+one process-wide cache across every session is sound once the cache is
+locked (it is — see :class:`~repro.planner.cache.PlanCache`).  What
+signatures alone do NOT disambiguate is the *tenant*: two tenants'
+catalogs hold unrelated data (and possibly different schemas), so an
+identical query text must not collide — neither on a cached plan nor
+on a plan being built.  :class:`ScopedPlanCache` namespaces every key
+with the tenant id — plans stay in the one shared LRU (one capacity
+knob, one set of counters) and single-flight election happens per
+(tenant, signature), so the sessions of one tenant's pool coalesce on
+each other's cold plans and never on another tenant's.
 
 :class:`SessionPool` bounds how many :class:`~repro.serve.session.Session`
 objects a tenant runs concurrently.  Sessions are created lazily up to
@@ -24,7 +26,7 @@ from __future__ import annotations
 import queue
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.resilience import ExecutionError
 from repro.lang.ast import QueryError
@@ -49,11 +51,11 @@ class PoolSaturated(ExecutionError):
 class ScopedPlanCache(PlanCache):
     """A tenant-namespaced view of one shared :class:`PlanCache`.
 
-    ``get``/``put``/``clear`` delegate to the shared cache with every
-    key prefixed by the tenant id (NUL-separated: tenant ids cannot
-    contain NUL, so prefixes never collide).  Hit/miss/eviction
-    counters are process-wide by design — capacity is a process
-    resource, so its pressure is a process-level signal.
+    ``resolve``/``clear`` delegate to the shared cache with every key
+    prefixed by the tenant id (NUL-separated: tenant ids cannot contain
+    NUL, so prefixes never collide).  Hit/miss/eviction counters are
+    process-wide by design — capacity is a process resource, so its
+    pressure is a process-level signal.
     """
 
     def __init__(self, shared: PlanCache, scope: str) -> None:
@@ -64,14 +66,13 @@ class ScopedPlanCache(PlanCache):
     def _key(self, signature: str) -> str:
         return self._prefix + signature
 
-    def get(self, signature: str, generation: int) -> Optional[Plan]:
-        return self._shared.get(self._key(signature), generation)
-
-    def put(self, plan: Plan, key: Optional[str] = None) -> None:
-        base = key if key is not None else plan.signature
-        if not base:
-            raise ValueError("cannot cache a plan with an empty signature")
-        self._shared.put(plan, key=self._key(base))
+    def resolve(
+        self,
+        signature: str,
+        sizes: Mapping[str, int],
+        build: Callable[[], Plan],
+    ) -> Tuple[Plan, str]:
+        return self._shared.resolve(self._key(signature), sizes, build)
 
     def clear(self) -> None:
         with self._shared._lock:

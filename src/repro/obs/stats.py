@@ -9,7 +9,8 @@ nested schema everything renders from::
 
     session.queries_executed / statements_prepared
     planner.plans_built / estimate_runs
-    plan_cache.entries / hits / misses / invalidated / evicted
+    plan_cache.entries / in_flight / hits / misses / coalesced /
+               invalidated / drift_replans / evicted
     ops.<counter>                       (cumulative engine OpCounters)
     catalog.generation / batches_applied
     catalog.relations.<name>.<lsm key>  (DeltaRelation.stats)

@@ -5,8 +5,10 @@ The second layer of the query subsystem (ISSUE 5): the
 :class:`Plan` — specialized triangle engine, Yannakakis for
 alpha-acyclic inputs, or sharded/serial Minesweeper under the
 cheapest *measured* GAO — and the :class:`PlanCache` amortizes that
-decision across repeated traffic, keyed by the statement's
-renaming-invariant signature plus the catalog generation.
+decision across repeated traffic *and across writes*: keyed by the
+statement's renaming-invariant signature, built once per key however
+many readers miss together, and rebuilt only when the data a
+cost-based plan was measured on has drifted.
 """
 
 from repro.planner.cache import PlanCache

@@ -25,6 +25,12 @@ ENGINE_TRIANGLE = "triangle"
 ENGINE_YANNAKAKIS = "yannakakis"
 ENGINE_MINESWEEPER = "minesweeper"
 
+#: A cost-based plan is stale once some body relation holds this many
+#: times more — or fewer — rows than when the plan was built (or went
+#: to or from empty).  Below that the sampled estimates that ranked
+#: the GAOs still describe the data; re-planning buys nothing.
+DRIFT_FACTOR = 2
+
 
 @dataclass(frozen=True)
 class TriangleMapping:
@@ -76,12 +82,35 @@ class Plan:
     rationale: str = ""
     scoreboard: List[CandidatePlan] = field(default_factory=list)
     explanation: Optional[Explanation] = None
-    #: Catalog generation the plan was built against (cache key part).
+    #: Catalog generation the plan was built at — reported by
+    #: ``explain()``, never compared: a write does not stale a plan.
     generation: int = 0
+    #: Stored relation name -> row count when the plan was built (the
+    #: drift baseline; see :meth:`drifted`).
+    cardinalities: Dict[str, int] = field(default_factory=dict)
     #: True when candidate estimates were measured on a down-sampled
     #: instance rather than the full data.
     sampled: bool = False
     sample_limit: int = 0
+
+    def drifted(self, sizes: Mapping[str, int]) -> bool:
+        """True when the data has moved enough to re-plan.
+
+        Only a Minesweeper plan can drift: its GAO was picked by
+        measured cost, and cost follows the data.  The triangle and
+        Yannakakis picks are theorems about the query's shape
+        (Theorem 5.4, Section 4.4) that no data change overturns.
+        ``sizes`` maps each body relation to its current row count.
+        """
+        if self.engine != ENGINE_MINESWEEPER:
+            return False
+        for name, then in self.cardinalities.items():
+            small, large = sorted((then, sizes[name]))
+            # large > 0 keeps empty -> empty current; to or from empty
+            # (small == 0) always drifts.
+            if large > 0 and large >= DRIFT_FACTOR * small:
+                return True
+        return False
 
     def spec(self, gao: Tuple[str, ...]) -> ExecSpec:
         """The plan's Minesweeper run configuration over ``gao`` — the
@@ -114,14 +143,30 @@ class Plan:
             parts.append(f"cds_backend={self.cds_backend}")
         return " ".join(parts)
 
-    def explain(self, rename: Optional[dict] = None) -> str:
-        """The full report: plan, rationale, structure, scoreboard.
+    def explain(
+        self,
+        rename: Optional[dict] = None,
+        comparison: Sequence[CandidatePlan] = (),
+        generation: Optional[int] = None,
+        sizes: Optional[Mapping[str, int]] = None,
+    ) -> str:
+        """The full report: plan, age, rationale, structure, scoreboard.
 
         The structural section reuses the engine's EXPLAIN rendering
         (:func:`repro.core.explain.format_explanation`); the scoreboard
         lists every candidate the planner scored, ranked, with the
         winner marked — the Ex.-B.6 point made visible: the best GAO is
         data-dependent, so the planner *measured* instead of guessing.
+        When a structural rule picked the engine only the winner was
+        scored; ``comparison`` is the Minesweeper board the caller
+        scored on demand (:meth:`Planner.comparison_board`), listed
+        beneath it.
+
+        Everything the plan carries describes the data *as of plan
+        time*, and plans outlive writes — so the report says when that
+        was: the generation planned at and each relation's row count
+        then, beside the catalog's current ``generation`` and ``sizes``
+        when the caller has them.
 
         ``rename`` maps the plan's canonical variable names (``v0``,
         ``v1``, ...) back to a statement's own variables; the serving
@@ -129,17 +174,42 @@ class Plan:
         wrote (the substitution is single-pass, so swaps like
         v0→v1, v1→v0 are safe).
         """
-        text = self._render()
+        lines = self._render(comparison)
         if rename:
             import re
 
-            text = re.sub(
-                r"\bv\d+\b", lambda m: rename.get(m.group(), m.group()),
-                text,
-            )
-        return text
+            lines = [
+                re.sub(
+                    r"\bv\d+\b",
+                    lambda m: rename.get(m.group(), m.group()),
+                    line,
+                )
+                for line in lines
+            ]
+        # Spliced in after renaming: relation names are not variables.
+        lines[1:1] = self._age(generation, sizes)
+        return "\n".join(lines)
 
-    def _render(self) -> str:
+    def _age(
+        self,
+        generation: Optional[int],
+        sizes: Optional[Mapping[str, int]],
+    ) -> List[str]:
+        """When the plan was built, and how far the data has moved."""
+        now = "" if generation is None else f" (now {generation})"
+        lines = [f"planned at       : generation {self.generation}{now}"]
+        for name, then in self.cardinalities.items():
+            if sizes is None:
+                lines.append(f"cardinality      : {name} {then}")
+                continue
+            current = sizes[name]
+            ratio = f"×{current / then:.2f}" if then else "was empty"
+            lines.append(
+                f"cardinality      : {name} {then} → {current} ({ratio})"
+            )
+        return lines
+
+    def _render(self, comparison: Sequence[CandidatePlan]) -> List[str]:
         lines = [f"plan             : {self.knobs()}"]
         lines.append(f"rationale        : {self.rationale}")
         if self.sampled:
@@ -154,17 +224,27 @@ class Plan:
         if self.scoreboard:
             lines.append("candidates       :")
             width = max(
-                len(",".join(c.gao)) for c in self.scoreboard
+                len(",".join(c.gao))
+                for c in (*self.scoreboard, *comparison)
             )
-            for i, cand in enumerate(self.scoreboard):
-                marker = "*" if i == 0 else " "
+
+            def row(marker: str, cand: CandidatePlan) -> str:
                 note = f"  {cand.note}" if cand.note else ""
-                lines.append(
+                return (
                     f"  {marker} {cand.engine:<12s} "
                     f"{','.join(cand.gao):<{width}s}  "
                     f"{cand.estimate:>8d} {cand.metric}{note}"
                 )
-        return "\n".join(lines)
+
+            for i, cand in enumerate(self.scoreboard):
+                lines.append(row("*" if i == 0 else " ", cand))
+            if comparison:
+                lines.append(
+                    "  for comparison, scored on demand against the "
+                    "current data:"
+                )
+                lines.extend(row(" ", cand) for cand in comparison)
+        return lines
 
     def __repr__(self) -> str:
         return f"Plan({self.knobs()}, generation={self.generation})"

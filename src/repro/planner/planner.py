@@ -15,11 +15,14 @@ Given a lowered query (or a bare core ``Query``), the planner
    engine on a sample and reads the certificate estimate (FindGap
    count) off the counters;
 4. **emits** an executable :class:`~repro.planner.plan.Plan` carrying
-   the winner plus the full scoreboard for ``explain()``.
+   the winner plus everything it scored for ``explain()``.
 
 Engine choice is structural-first (triangle > Yannakakis >
 Minesweeper) because those dominances are theorems, not data accidents;
 *within* the Minesweeper regime the GAO choice is purely cost-based.
+A structural pick therefore scores one candidate — the winner — and
+the Minesweeper board it would have been compared against is built on
+demand (:meth:`Planner.comparison_board`, called by ``EXPLAIN``).
 Everything is deterministic: sampling is stride-based, random GAO
 candidates come from a seeded generator, and ties break
 lexicographically.
@@ -81,11 +84,6 @@ class PlannerConfig:
     #: The CDS-op multiple of ``score_budget`` allowed per candidate
     #: (op tallies run far above probe counts even on good GAOs).
     score_ops_factor: int = 8
-    #: When a *structural* rule already decided the engine (triangle /
-    #: alpha-acyclic), the Minesweeper board is comparison material for
-    #: ``explain()`` rather than the decision input — score at most
-    #: this many GAO candidates there instead of the full set.
-    structural_scoreboard_limit: int = 4
     #: Forced storage / CDS backends (None = engine defaults).
     backend: Optional[str] = None
     cds_backend: Optional[str] = None
@@ -185,7 +183,8 @@ class Planner:
 
     def __init__(self, config: Optional[PlannerConfig] = None) -> None:
         self.config = config if config is not None else PlannerConfig()
-        #: Number of plans actually constructed (cache misses).
+        #: Number of plans actually constructed (one per cache miss;
+        #: lookups that coalesce onto another reader's build add none).
         self.plans_built = 0
         #: Number of candidate-scoring engine runs performed.
         self.estimate_runs = 0
@@ -203,72 +202,62 @@ class Planner:
         signature: str = "",
         generation: int = 0,
     ) -> Plan:
-        """Build a plan for a :class:`LoweredQuery` or core ``Query``."""
-        query = target.query if isinstance(target, LoweredQuery) else target
-        if not signature and isinstance(target, LoweredQuery):
-            signature = target.statement.signature()
+        """Build a plan for a :class:`LoweredQuery` or core ``Query``.
+
+        ``generation`` is recorded on the plan as "planned at"; it is
+        not part of any key.
+        """
+        if isinstance(target, LoweredQuery):
+            query, alias_of = target.query, target.alias_of
+            signature = signature or target.statement.signature()
+        else:
+            query, alias_of = target, {}
         config = self.config
         mapping = detect_triangle(query)
-        alpha = query.is_alpha_acyclic()
         sample, sampled = sample_query(query, config.sample_limit)
 
-        scoreboard: List[CandidatePlan] = []
-        best_gao: Optional[Tuple[str, ...]] = None
-        # With a structural winner the Minesweeper board only feeds the
-        # explain() comparison — don't pay a full candidate sweep for
-        # it.
-        structural = mapping is not None or alpha
-        minesweeper_board = self._score_minesweeper(
-            sample,
-            query,
-            limit=(
-                config.structural_scoreboard_limit if structural else None
-            ),
-        )
-        if minesweeper_board:
-            best_gao = minesweeper_board[0].gao
-
         if mapping is not None:
-            estimate = self._score_triangle(sample, mapping)
             gao = mapping.vars
             engine = ENGINE_TRIANGLE
             rationale = (
                 "triangle-shaped query: the specialized dyadic-tree CDS "
                 "avoids the generic CDS's Θ(|C|²) revisits (Theorem 5.4)"
             )
-            scoreboard.append(
+            scoreboard = [
                 CandidatePlan(
-                    ENGINE_TRIANGLE, gao, estimate, "findgap",
+                    ENGINE_TRIANGLE, gao,
+                    self._score_triangle(sample, mapping), "findgap",
                     "winner: structural rule",
                 )
-            )
-            scoreboard.extend(minesweeper_board)
-        elif alpha:
-            estimate = self._score_yannakakis(sample, best_gao)
-            gao = best_gao
+            ]
+        elif query.is_alpha_acyclic():
+            # Yannakakis' work does not depend on the GAO (it only
+            # orders the output), so any candidate serves: take the
+            # first, which is deterministic.
+            gao = self._candidates(query)[0]
             engine = ENGINE_YANNAKAKIS
             rationale = (
                 "alpha-acyclic query: Yannakakis' full reducer runs in "
                 "O(N + Z) with no cyclic residue to probe around "
                 "(Section 4.4)"
             )
-            scoreboard.append(
+            scoreboard = [
                 CandidatePlan(
-                    ENGINE_YANNAKAKIS, gao, estimate, "comparisons",
+                    ENGINE_YANNAKAKIS, gao,
+                    self._score_yannakakis(sample, gao), "comparisons",
                     "winner: structural rule",
                 )
-            )
-            scoreboard.extend(minesweeper_board)
+            ]
         else:
             engine = ENGINE_MINESWEEPER
-            gao = best_gao
             rationale = (
                 "cyclic non-triangle query: Minesweeper under the "
                 "cheapest measured GAO (certificate estimates are "
                 "data-dependent — Ex. B.6 — so candidates were run, "
                 "not guessed)"
             )
-            scoreboard.extend(minesweeper_board)
+            scoreboard = self._score_minesweeper(sample, query)
+            gao = scoreboard[0].gao
 
         shards, workers = self._resources(engine, query)
         plan = Plan(
@@ -285,18 +274,42 @@ class Planner:
             scoreboard=scoreboard,
             explanation=explain_structure(query, gao=list(gao)),
             generation=generation,
+            cardinalities={
+                alias_of.get(r.name, r.name): len(r)
+                for r in query.relations
+            },
             sampled=sampled,
             sample_limit=config.sample_limit,
         )
         self.plans_built += 1
         return plan
 
+    def comparison_board(self, target) -> List[CandidatePlan]:
+        """The ranked Minesweeper board for ``target``, scored now.
+
+        What ``EXPLAIN`` shows beneath a structural winner: the
+        decision never read it, so :meth:`plan` does not pay for it.
+        """
+        query = target.query if isinstance(target, LoweredQuery) else target
+        sample, _ = sample_query(query, self.config.sample_limit)
+        return self._score_minesweeper(sample, query)
+
     # ------------------------------------------------------------------
     # Candidate scoring (always on the sample, never on live indexes)
     # ------------------------------------------------------------------
 
+    def _candidates(self, query: Query) -> List[Tuple[str, ...]]:
+        config = self.config
+        return candidate_gaos(
+            query,
+            exhaustive_below=config.exhaustive_below,
+            samples=config.random_candidates,
+            neo_limit=config.neo_limit,
+            seed=config.seed,
+        )
+
     def _score_minesweeper(
-        self, sample: Query, full: Query, limit: Optional[int] = None
+        self, sample: Query, full: Query
     ) -> List[CandidatePlan]:
         """Score GAO candidates; ranked, ties broken lexicographically.
 
@@ -304,9 +317,7 @@ class Planner:
         a GAO that blows it is abandoned mid-run (its partial FindGap
         tally is a lower bound) and ranked after every fully-scored
         candidate, so one pathological order cannot make planning cost
-        what the pathological order itself would.  ``limit`` caps how
-        many candidates are scored at all (generation order, which is
-        deterministic) — used when the board is display-only.
+        what the pathological order itself would.
         """
         import itertools as _it
 
@@ -314,17 +325,8 @@ class Planner:
 
         config = self.config
         budget = config.score_budget
-        candidates = candidate_gaos(
-            full,
-            exhaustive_below=config.exhaustive_below,
-            samples=config.random_candidates,
-            neo_limit=config.neo_limit,
-            seed=config.seed,
-        )
-        if limit is not None:
-            candidates = candidates[:limit]
         board: List[CandidatePlan] = []
-        for gao in candidates:
+        for gao in self._candidates(full):
             counters = OpCounters()
             engine = Minesweeper(
                 sample.with_gao(list(gao), counters=counters),
@@ -377,7 +379,9 @@ class Planner:
         from repro.baselines.yannakakis import yannakakis_join
 
         counters = OpCounters()
-        yannakakis_join(sample, list(gao), counters)
+        with self.tracer.span("score", engine=ENGINE_YANNAKAKIS) as span:
+            yannakakis_join(sample, list(gao), counters)
+            span.set("estimate", counters.comparisons)
         self.estimate_runs += 1
         return counters.comparisons
 

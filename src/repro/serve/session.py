@@ -6,9 +6,10 @@ text in (:mod:`repro.lang`), plan resolution through the
 execution against the catalog's live relations.  The session owns
 
 * the plan cache — a second execution of the same query text (or any
-  renaming of it) skips planning entirely, until a catalog mutation
-  bumps the generation and lazily invalidates the entry;
-* per-session stats — queries served, cache hit/miss/invalidation
+  renaming of it) skips planning entirely, and keeps skipping it
+  across writes: every GAO is a correct plan, so an entry is rebuilt
+  only when its data has drifted (see :mod:`repro.planner.cache`);
+* per-session stats — queries served, cache hit/miss/coalesced/drift
   counts, planner call counters, and cumulative engine op counters;
 * aggregate evaluation that avoids materializing the full join output
   where the plan allows: ``COUNT`` tallies the Minesweeper row stream
@@ -38,8 +39,15 @@ from repro.lang.ast import Aggregate, QueryStatement
 from repro.lang.lower import LoweredQuery, lower, validate
 from repro.lang.parser import parse
 from repro.obs import NULL_OBS, unified_stats
-from repro.planner.cache import PlanCache
+from repro.planner.cache import (
+    BUILT_ORIGINS,
+    ORIGIN_CACHED,
+    ORIGIN_PLANNED,
+    ORIGIN_REFRESHED,
+    PlanCache,
+)
 from repro.planner.plan import (
+    ENGINE_MINESWEEPER,
     ENGINE_TRIANGLE,
     ENGINE_YANNAKAKIS,
     Plan,
@@ -64,8 +72,9 @@ class ExecResult:
     rows: List[Row] = field(default_factory=list)
     #: The aggregate value, when the head is an aggregate.
     value: Optional[int] = None
-    #: True when the plan came from the cache (planning skipped).
-    cached_plan: bool = False
+    #: How the plan was come by — one of the ``ORIGIN_*`` strings of
+    #: :mod:`repro.planner.cache`.
+    plan_origin: str = ORIGIN_PLANNED
     #: Op-counter snapshot for this execution only.
     ops: Dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
@@ -73,6 +82,13 @@ class ExecResult:
     #: the session was tracing, else ``None`` (render with
     #: :func:`repro.obs.render_tree` — the ``--trace`` stage tree).
     trace: Optional[object] = None
+
+    @property
+    def cached_plan(self) -> bool:
+        """True when this execution skipped planning: the plan came
+        from the cache, or from another reader's build it coalesced
+        onto."""
+        return self.plan_origin not in BUILT_ORIGINS
 
     def __iter__(self):
         return iter(self.rows)
@@ -110,16 +126,36 @@ class PreparedStatement:
         )
 
     def plan(self) -> Tuple[Plan, bool]:
-        """(plan, was_cached) against the catalog's current generation."""
-        return self.session._plan_for(self.statement, self.signature)
+        """(plan, planning_skipped) against the catalog's current data."""
+        plan, origin = self.session._plan_for(self.statement, self.signature)
+        return plan, origin not in BUILT_ORIGINS
 
     def explain(self) -> str:
-        plan, cached = self.plan()
-        origin = "cached" if cached else "planned now"
+        """The plan report, its age, and where the plan came from.
+
+        A surviving plan's evidence describes the data as of plan
+        time, so the report carries the generation and cardinalities
+        then and now; the Minesweeper board a structural pick never
+        scored is scored here, against the current data.
+        """
+        session, statement = self.session, self.statement
+        plan, origin = session._plan_for(statement, self.signature)
+        comparison = (
+            session.planner.comparison_board(
+                lower(statement.canonicalize(), session.catalog)
+            )
+            if plan.engine != ENGINE_MINESWEEPER
+            else ()
+        )
         # Render in the statement's own variable names, not the
         # canonical v0/v1/... the cached plan is stored in.
-        rename = self.statement.canonical_rename()
-        return f"{plan.explain(rename)}\nplan origin      : {origin}"
+        report = plan.explain(
+            statement.canonical_rename(),
+            comparison=comparison,
+            generation=session.catalog.generation,
+            sizes=session._sizes(statement),
+        )
+        return f"{report}\nplan origin      : {origin}"
 
     def __repr__(self) -> str:
         return f"PreparedStatement({self.statement.unparse()!r})"
@@ -276,7 +312,7 @@ class Session:
 
     def prepare(self, text: str) -> PreparedStatement:
         """Parse and schema-validate; planning is deferred to execute
-        time (the catalog generation may move in between)."""
+        time (the data may drift in between)."""
         statement = parse(text)
         validate(statement, self.catalog)
         self.statements_prepared += 1
@@ -300,24 +336,55 @@ class Session:
     # Plan resolution
     # ------------------------------------------------------------------
 
+    def _sizes(self, statement: QueryStatement) -> Dict[str, int]:
+        """Current row count of each stored relation in the body."""
+        catalog = self.catalog
+        return {
+            atom.relation: len(catalog.relation(atom.relation))
+            for atom in statement.body
+        }
+
     def _plan_for(
         self, statement: QueryStatement, signature: str
-    ) -> Tuple[Plan, bool]:
-        generation = self.catalog.generation
-        plan = self.cache.get(signature, generation)
-        if plan is not None:
-            return plan, True
-        # Plan in *canonical* variable space (the signature's v0, v1,
-        # ...): the cached plan is shared by every renaming of the
-        # statement, so its GAO must not be spelled in any one
-        # renaming's variable names.  Execution localizes it back
-        # (see _localize).
-        lowered = lower(statement.canonicalize(), self.catalog)
-        plan = self.planner.plan(
-            lowered, signature=signature, generation=generation
+    ) -> Tuple[Plan, str]:
+        """(plan, origin) — built here only if the cache elects us."""
+
+        def build() -> Plan:
+            # Plan in *canonical* variable space (the signature's v0,
+            # v1, ...): the cached plan is shared by every renaming of
+            # the statement, so its GAO must not be spelled in any one
+            # renaming's variable names.  Execution localizes it back
+            # (see _localize).
+            return self.planner.plan(
+                lower(statement.canonicalize(), self.catalog),
+                signature=signature,
+                generation=self.catalog.generation,
+            )
+
+        plan, origin = self.cache.resolve(
+            signature, self._sizes(statement), build
         )
-        self.cache.put(plan)
-        return plan, False
+        if origin != ORIGIN_CACHED and self.obs.enabled:
+            self._observe_plan(origin)
+        return plan, origin
+
+    def _observe_plan(self, origin: str) -> None:
+        """Count a lookup the cache could not serve from an entry."""
+        metrics = self.obs.metrics
+        if origin in BUILT_ORIGINS:
+            metrics.counter(
+                "planner_plans_built_total",
+                "Plans built, by what made the cache ask for one.",
+                labels={
+                    "reason": "drift" if origin == ORIGIN_REFRESHED
+                    else "cold"
+                },
+            ).inc()
+        else:
+            metrics.counter(
+                "planner_plan_coalesced_total",
+                "Lookups served by another reader's in-flight plan.",
+            ).inc()
 
     @staticmethod
     def _localize(
@@ -353,8 +420,10 @@ class Session:
         t0 = time.perf_counter()  # lint: disable=determinism -- reporting-only timing; never feeds results
         with tracer.span("query", text=statement.unparse()) as qspan:
             with tracer.span("plan", signature=signature) as pspan:
-                plan, cached = self._plan_for(statement, signature)
+                plan, origin = self._plan_for(statement, signature)
+                cached = origin not in BUILT_ORIGINS
                 pspan.set("cache", "hit" if cached else "miss")
+                pspan.set("origin", origin)
                 pspan.set("engine", plan.engine)
                 pspan.set("gao", ",".join(plan.gao))
             gao, triangle = self._localize(statement, plan)
@@ -387,7 +456,7 @@ class Session:
                 espan.set_ops(counters.snapshot())
             qspan.set("cached_plan", cached)
             qspan.set_ops(counters.snapshot())
-        result.cached_plan = cached
+        result.plan_origin = origin
         result.ops = counters.snapshot()
         result.seconds = time.perf_counter() - t0  # lint: disable=determinism -- reporting-only timing; never feeds results
         # NULL_SPAN (tracing off) has an empty name; a real query span

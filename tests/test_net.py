@@ -5,8 +5,10 @@ import http.client
 import json
 import socket
 import statistics
+import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +36,8 @@ from repro.net import (
     serve_http,
 )
 from repro.net.server import MAX_BODY_BYTES, error_payload
+from repro.obs import MetricsRegistry, Observability
+from repro.planner import Plan, Planner
 from repro.planner.cache import PlanCache
 from repro.serve import Session
 
@@ -55,6 +59,18 @@ def plan():
     return built
 
 
+def never():
+    raise AssertionError("a cache hit must not build")
+
+
+def seed(cache, plan, key=None):
+    """Land ``plan`` in ``cache`` the only way there is: a cold miss."""
+    got, origin = cache.resolve(
+        key or plan.signature, plan.cardinalities, lambda: plan
+    )
+    assert got is plan and origin == "planned now"
+
+
 class TestPlanCacheThreadSafety:
     """Satellite: the shared cache under a multi-threaded hammer."""
 
@@ -63,20 +79,27 @@ class TestPlanCacheThreadSafety:
         threads, iterations, keyspace = 8, 300, 24
         barrier = threading.Barrier(threads)
         failures = []
+        sizes = dict(plan.cardinalities)
+        # A cost-based twin of the fixture's plan, so that the drifted
+        # lookups below really do exercise refresh-inside-resolve.
+        drifting = replace(plan, engine="minesweeper")
+        far = {name: 4 * rows for name, rows in sizes.items()}
+        builds = []
+
+        def build():
+            builds.append(1)
+            return drifting
 
         def worker(seed):
             barrier.wait()
             try:
                 for i in range(iterations):
                     key = f"k{(seed * 7 + i) % keyspace}"
-                    if i % 10 == 9:
-                        # Stale-generation lookups exercise the
-                        # eviction-inside-get path concurrently.
-                        got = cache.get(key, plan.generation + 1)
-                        assert got is None
-                        continue
-                    if cache.get(key, plan.generation) is None:
-                        cache.put(plan, key=key)
+                    # Every tenth lookup sees drifted data: a present
+                    # entry is rebuilt by exactly one of its readers.
+                    now = far if i % 10 == 9 else sizes
+                    got, _ = cache.resolve(key, now, build)
+                    assert got is drifting
             except BaseException as exc:  # pragma: no cover - failure path
                 failures.append(repr(exc))
 
@@ -84,33 +107,46 @@ class TestPlanCacheThreadSafety:
             threading.Thread(target=worker, args=(n,))
             for n in range(threads)
         ]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
         assert not failures, failures
 
         stats = cache.stats()
-        # Every get() increments exactly one of hits/misses — torn
-        # counter updates would break this total.
-        assert stats["hits"] + stats["misses"] == threads * iterations
+        gets = threads * iterations
+        # Every resolve() increments exactly one of hits / misses /
+        # coalesced — torn counter updates would break this total —
+        # and a miss is exactly one plan built.
+        assert stats["hits"] + stats["misses"] + stats["coalesced"] == gets
+        assert stats["misses"] == len(builds)
+        assert stats["drift_replans"] == stats["invalidated"]
+        assert stats["in_flight"] == 0
         assert len(cache) <= cache.capacity
         assert stats["entries"] == len(cache)
         for counter in stats.values():
             assert counter >= 0
-        # Deterministic stale-generation eviction after the hammer
-        # (concurrently the LRU usually evicts stale keys first).
-        cache.put(plan, key="stale-probe")
-        assert cache.get("stale-probe", plan.generation + 1) is None
+        # Deterministic drift refresh after the hammer (concurrently
+        # the LRU usually evicts a key before its data "drifts").
+        seed(cache, drifting, key="stale-probe")
+        _, origin = cache.resolve("stale-probe", far, build)
+        assert origin == "refreshed (drift)"
         after = cache.stats()
-        assert after["invalidated"] >= 1
-        assert after["hits"] + after["misses"] == threads * iterations + 1
+        assert after["invalidated"] == stats["invalidated"] + 1
+        assert (
+            after["hits"] + after["misses"] + after["coalesced"] == gets + 2
+        )
 
-    def test_put_with_explicit_key_and_lru_eviction(self, plan):
+    def test_lru_eviction_is_oldest_first(self, plan):
         cache = PlanCache(capacity=2)
-        cache.put(plan, key="a")
-        cache.put(plan, key="b")
-        cache.put(plan, key="c")
+        for key in ("a", "b", "c"):
+            seed(cache, plan, key=key)
         assert len(cache) == 2
         assert cache.stats()["evicted"] == 1
         assert "a" not in cache  # oldest out first
@@ -122,33 +158,224 @@ class TestScopedPlanCache:
         shared = PlanCache(capacity=32)
         alpha = ScopedPlanCache(shared, "alpha")
         beta = ScopedPlanCache(shared, "beta")
+        sizes = dict(plan.cardinalities)
+        other = replace(plan)
 
-        alpha.put(plan)
-        assert alpha.get(plan.signature, plan.generation) is plan
-        assert beta.get(plan.signature, plan.generation) is None
-        assert plan.signature in alpha
-        assert plan.signature not in beta
-        assert len(alpha) == 1 and len(beta) == 0 and len(shared) == 1
-
-        beta.put(plan)
-        assert len(shared) == 2
+        seed(alpha, plan)
+        assert alpha.resolve(plan.signature, sizes, never)[0] is plan
+        # beta holds nothing under that signature: it builds its own.
+        assert beta.resolve(plan.signature, sizes, lambda: other) == (
+            other, "planned now",
+        )
+        assert alpha.resolve(plan.signature, sizes, never)[0] is plan
+        assert plan.signature in alpha and plan.signature in beta
+        assert len(alpha) == 1 and len(beta) == 1 and len(shared) == 2
         assert beta.stats()["entries"] == 1
         assert beta.stats()["shared_entries"] == 2
 
         alpha.clear()
-        assert len(alpha) == 0
-        assert beta.get(plan.signature, plan.generation) is plan
+        assert len(alpha) == 0 and plan.signature not in alpha
+        assert beta.resolve(plan.signature, sizes, never)[0] is other
 
     def test_scoped_capacity_is_the_shared_capacity(self, plan):
         shared = PlanCache(capacity=3)
         alpha = ScopedPlanCache(shared, "alpha")
         beta = ScopedPlanCache(shared, "beta")
         for key in ("q1", "q2"):
-            alpha.put(plan, key=key)
-            beta.put(plan, key=key)
-        # One LRU, one capacity knob: four puts into capacity 3.
+            seed(alpha, plan, key=key)
+            seed(beta, plan, key=key)
+        # One LRU, one capacity knob: four plans into capacity 3.
         assert len(shared) == 3
         assert shared.stats()["evicted"] == 1
+
+
+class _GatedPlanner(Planner):
+    """A planner whose ``plan`` parks until the test releases it, so a
+    test decides what overlaps a build instead of hoping for a race."""
+
+    def __init__(self, error=None):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.error = error
+
+    def plan(self, target, signature="", generation=0):
+        self.entered.set()
+        assert self.release.wait(timeout=30)
+        if self.error is not None:
+            raise self.error
+        return super().plan(target, signature=signature, generation=generation)
+
+
+class TestSingleFlightPlanning:
+    """N readers of one cold (tenant, signature) build one plan."""
+
+    READERS = 6
+
+    def pools(self, tenants=("alpha",), error=None):
+        """One SessionPool per tenant over one shared PlanCache; every
+        session plans through the same gated planner."""
+        shared = PlanCache(capacity=32)
+        gate = _GatedPlanner(error)
+        self.metrics = MetricsRegistry(namespace="repro")
+
+        def factory(tenant, catalog):
+            def make():
+                obs = Observability()
+                obs.metrics = self.metrics  # one registry, as in Tenant
+                session = Session(
+                    catalog,
+                    obs=obs,
+                    plan_cache=ScopedPlanCache(shared, tenant),
+                    owns_wal=False,
+                )
+                session.planner = gate
+                return session
+            return make
+
+        pools = {
+            tenant: SessionPool(
+                factory(tenant, small_catalog()), self.READERS, name=tenant
+            )
+            for tenant in tenants
+        }
+        return shared, gate, pools
+
+    @staticmethod
+    def run(pool, count, outcomes):
+        def reader():
+            try:
+                with pool.lease() as session:
+                    outcomes.append(session.execute(TEXT))
+            except BaseException as exc:
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(count)]
+        for t in threads:
+            t.start()
+        return threads
+
+    @staticmethod
+    def settle(shared, key, value):
+        """Wait (bounded) until the cache counter ``key`` reads ``value``."""
+        deadline = time.monotonic() + 30
+        while shared.stats()[key] != value:
+            assert time.monotonic() < deadline, shared.stats()
+            time.sleep(0.002)
+
+    @staticmethod
+    def join(threads):
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_concurrent_cold_readers_build_exactly_one_plan(self):
+        shared, gate, pools = self.pools()
+        outcomes = []
+        threads = self.run(pools["alpha"], self.READERS, outcomes)
+        assert gate.entered.wait(timeout=30)
+        # Everyone else is parked on the leader's flight, not planning.
+        self.settle(shared, "coalesced", self.READERS - 1)
+        assert shared.stats()["in_flight"] == 1
+        gate.release.set()
+        self.join(threads)
+
+        assert gate.plans_built == 1
+        origins = sorted(r.plan_origin for r in outcomes)
+        assert origins == ["coalesced"] * (self.READERS - 1) + ["planned now"]
+        assert [r.cached_plan for r in outcomes].count(False) == 1
+        payloads = {
+            json.dumps([r.columns, r.rows], sort_keys=True) for r in outcomes
+        }
+        assert len(payloads) == 1  # byte-identical rows
+        assert len({id(r.plan) for r in outcomes}) == 1
+        stats = shared.stats()
+        assert (stats["misses"], stats["coalesced"], stats["hits"]) == (
+            1, self.READERS - 1, 0,
+        )
+        assert stats["in_flight"] == 0
+        # The exposition tells the same story as the cache counters.
+        snap = self.metrics.snapshot()
+        assert snap["repro_planner_plans_built_total"]["reason=cold"] == 1
+        assert (
+            snap["repro_planner_plan_coalesced_total"]["value"]
+            == self.READERS - 1
+        )
+        assert snap["repro_queries_total"]["cache=miss"] == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            RuntimeError("injected planner failure"),
+            BudgetExceeded("ops", 1, 2),
+        ],
+        ids=["planner-failure", "budget-exceeded"],
+    )
+    def test_leader_failure_reaches_every_waiter_and_unwedges(self, error):
+        shared, gate, pools = self.pools(error=error)
+        pool = pools["alpha"]
+        outcomes = []
+        threads = self.run(pool, 3, outcomes)
+        assert gate.entered.wait(timeout=30)
+        self.settle(shared, "coalesced", 2)
+        gate.release.set()
+        self.join(threads)
+        assert outcomes == [error] * 3  # the typed error itself
+        stats = shared.stats()
+        assert stats["in_flight"] == 0 and stats["entries"] == 0
+        # Nothing is wedged: the next call plans normally.
+        gate.error = None
+        with pool.lease() as session:
+            result = session.execute(TEXT)
+        assert result.plan_origin == "planned now"
+        assert result.rows == [(1, 10), (2, 20)]
+        assert gate.plans_built == 1
+
+    def test_two_tenants_with_one_signature_do_not_coalesce(self):
+        shared, gate, pools = self.pools(tenants=("alpha", "beta"))
+        outcomes = []
+        threads = self.run(pools["alpha"], 1, outcomes)
+        assert gate.entered.wait(timeout=30)
+        threads += self.run(pools["beta"], 1, outcomes)
+        self.settle(shared, "misses", 2)  # both lead; neither waits
+        assert shared.stats()["in_flight"] == 2
+        gate.release.set()
+        self.join(threads)
+        assert [r.plan_origin for r in outcomes] == ["planned now"] * 2
+        assert outcomes[0].plan is not outcomes[1].plan
+        assert shared.stats()["coalesced"] == 0
+        assert gate.plans_built == 2
+
+    def test_reader_during_drift_refresh_is_served_the_old_plan(self):
+        shared = PlanCache()
+        cache = ScopedPlanCache(shared, "alpha")
+        old = Plan("sig", "minesweeper", ("v0",), cardinalities={"R": 10})
+        new = Plan("sig", "minesweeper", ("v0",), cardinalities={"R": 40})
+        seed(cache, old)
+        refreshing, release = threading.Event(), threading.Event()
+        outcomes = []
+
+        def build():
+            refreshing.set()
+            assert release.wait(timeout=30)
+            return new
+
+        leader = threading.Thread(
+            target=lambda: outcomes.append(
+                cache.resolve("sig", {"R": 40}, build)
+            )
+        )
+        leader.start()
+        assert refreshing.wait(timeout=30)
+        # The refresh is parked mid-build; this reader must not wait
+        # for it (the test would hang at the gate if it did).
+        assert cache.resolve("sig", {"R": 40}, never) == (old, "cached")
+        release.set()
+        self.join([leader])
+        assert outcomes == [(new, "refreshed (drift)")]
+        assert cache.resolve("sig", {"R": 40}, never) == (new, "cached")
+        stats = shared.stats()
+        assert stats["coalesced"] == 0 and stats["drift_replans"] == 1
 
 
 class TestSessionPool:
@@ -496,6 +723,23 @@ class TestGateway:
             gateway, "/v1/query", {"tenant": "alpha", "query": PAIRS}
         )
         assert status == 200 and body["cached_plan"]
+
+    def test_write_keeps_the_cached_plan_and_is_visible(self, gateway):
+        self.load(gateway, "alpha", [(1, 2), (2, 3)])
+        query = {"tenant": "alpha", "query": PAIRS}
+        assert not self.post(gateway, "/v1/query", query)[1]["cached_plan"]
+        before = gateway.registry.stats()["plan_cache"]
+        status, _ = self.post(
+            gateway, "/v1/update",
+            {"tenant": "alpha", "updates": ["+E 3,4"], "sync": True},
+        )
+        assert status == 200
+        status, body = self.post(gateway, "/v1/query", query)
+        assert status == 200 and body["cached_plan"]
+        assert body["rows"] == [[1, 3], [2, 4]]
+        after = gateway.registry.stats()["plan_cache"]
+        assert after["misses"] == before["misses"]
+        assert after["invalidated"] == 0
 
     def test_budget_override_maps_to_429(self, gateway):
         self.load(gateway, "alpha", [(1, 2), (2, 3)])

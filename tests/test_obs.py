@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.dynamic import Catalog
+from repro.dynamic import Catalog, Update
 from repro.obs import (
     DEFAULT_OP_BUCKETS,
     NULL_OBS,
@@ -456,6 +456,25 @@ class TestSessionTracing:
         assert totals["cache=miss"] == 1
         assert totals["cache=hit"] == 1
         assert snap["repro_query_seconds"]["value"]["count"] == 2
+
+    def test_plans_built_metric_names_its_reason(self):
+        cat = Catalog()
+        ring = [(i, (i + 1) % 6) for i in range(6)]
+        for name in ("R", "S", "T", "U"):
+            cat.create_relation(name, ["A", "B"], ring)
+        session = Session(cat, obs=Observability())
+        cycle = "Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)"
+        session.execute(cycle)
+        session.execute(cycle)
+        cat.apply_batch([Update("R", "+", (10 + i, i)) for i in range(6)])
+        session.execute(cycle)  # R doubled: the cost-based plan drifted
+        built = session.obs.metrics.snapshot()[
+            "repro_planner_plans_built_total"
+        ]
+        assert built["reason=cold"] == 1 and built["reason=drift"] == 1
+        assert session.planner.plans_built == 2
+        text = session.obs.metrics.render_prometheus()
+        assert 'repro_planner_plans_built_total{reason="drift"} 1\n' in text
 
     def test_slow_query_log_threshold(self):
         session = traced_session(slow_query_ms=0.0)

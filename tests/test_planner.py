@@ -20,6 +20,12 @@ from repro.core.query import Query
 from repro.dynamic import Catalog, Update
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.lang import lower, parse
+from repro.planner.cache import (
+    ORIGIN_CACHED,
+    ORIGIN_PLANNED,
+    ORIGIN_REFRESHED,
+)
+from repro.planner.plan import DRIFT_FACTOR
 from repro.planner import (
     ENGINE_MINESWEEPER,
     ENGINE_TRIANGLE,
@@ -197,18 +203,57 @@ class TestEngineSelection:
         assert plan.shards == 2
 
     def test_explain_contains_scoreboard_and_rationale(self):
-        plan = plan_query(
-            lower(
-                parse("Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"),
-                triangle_relations(),
-            )
+        lowered = lower(
+            parse("Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"),
+            triangle_relations(),
         )
+        planner = Planner()
+        plan = planner.plan(lowered)
         report = plan.explain()
         assert "candidates" in report
         assert "rationale" in report
         assert "findgap" in report
-        assert "minesweeper" in report  # losers listed too
         assert "runtime regime" in report  # core explain reused
+        # A structural pick scores the winner alone ...
+        assert planner.estimate_runs == 1
+        assert [c.engine for c in plan.scoreboard] == [ENGINE_TRIANGLE]
+        assert "minesweeper" not in report
+        # ... and the losers are scored on demand, at explain time.
+        board = planner.comparison_board(lowered)
+        assert planner.estimate_runs == 1 + len(board) == 1 + 6
+        assert all(c.engine == ENGINE_MINESWEEPER for c in board)
+        report = plan.explain(comparison=board)
+        assert "minesweeper" in report
+        assert "scored on demand" in report
+
+    def test_structural_picks_score_only_the_winner(self):
+        source = {
+            "R": Relation("R", ["A", "B"], [(1, 2), (2, 3)]),
+            "S": Relation("S", ["B", "C"], [(2, 4), (3, 5)]),
+        }
+        lowered = lower(parse("Q(x, z) :- R(x, y), S(y, z)"), source)
+        planner = Planner()
+        plan = planner.plan(lowered)
+        assert plan.engine == ENGINE_YANNAKAKIS
+        assert planner.estimate_runs == 1
+        # Yannakakis' work is GAO-independent: the order is the first
+        # structural candidate, not a measured one.
+        assert plan.gao == candidate_gaos(
+            lowered.query, exhaustive_below=5
+        )[0]
+
+    def test_plan_records_when_and_on_what_it_was_built(self):
+        lowered = lower(
+            parse("Q(x, z) :- E(x, y), E(y, z)"),
+            {"E": Relation("E", ["A", "B"], [(1, 2), (2, 3), (3, 4)])},
+        )
+        plan = Planner().plan(lowered, generation=7)
+        assert plan.generation == 7
+        # keyed by stored relation, not by self-join alias
+        assert plan.cardinalities == {"E": 3}
+        report = plan.explain(generation=9, sizes={"E": 6})
+        assert "planned at       : generation 7 (now 9)" in report
+        assert "cardinality      : E 3 → 6 (×2.00)" in report
 
 
 # ----------------------------------------------------------------------
@@ -395,44 +440,115 @@ class TestRowIdentity:
 # ----------------------------------------------------------------------
 
 
-def make_plan(signature="sig", generation=0):
+def make_plan(
+    signature="sig", generation=0, engine=ENGINE_MINESWEEPER, rows=100
+):
     return Plan(
         signature=signature,
-        engine=ENGINE_MINESWEEPER,
+        engine=engine,
         gao=("v0",),
         generation=generation,
+        cardinalities={"R": rows},
     )
+
+
+def never():
+    raise AssertionError("a cache hit must not build")
+
+
+def seed(cache, plan, key=None):
+    """Land ``plan`` in ``cache`` the only way there is: a cold miss."""
+    got, origin = cache.resolve(
+        key or plan.signature, plan.cardinalities, lambda: plan
+    )
+    assert got is plan and origin == ORIGIN_PLANNED
 
 
 class TestPlanCache:
     def test_hit_and_miss(self):
         cache = PlanCache()
-        assert cache.get("sig", 0) is None
-        cache.put(make_plan())
-        assert cache.get("sig", 0) is not None
+        plan = make_plan()
+        assert cache.resolve("sig", {"R": 100}, lambda: plan) == (
+            plan, ORIGIN_PLANNED,
+        )
+        assert cache.resolve("sig", {"R": 100}, never) == (
+            plan, ORIGIN_CACHED,
+        )
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 
-    def test_generation_mismatch_invalidates(self):
+    def test_generation_is_not_a_key(self):
+        # Replaces the old generation-mismatch contract: a plan built
+        # at generation 3 answers a lookup however far the catalog's
+        # counter has moved, as long as the data has not drifted.
         cache = PlanCache()
-        cache.put(make_plan(generation=3))
-        assert cache.get("sig", 4) is None
-        assert cache.stats()["invalidated"] == 1
-        assert "sig" not in cache
+        plan = make_plan(generation=3)
+        seed(cache, plan)
+        assert cache.resolve("sig", {"R": 101}, never)[0] is plan
+        assert cache.stats()["invalidated"] == 0
+        assert "sig" in cache
+
+    @pytest.mark.parametrize(
+        "then, now, stale",
+        [
+            (100, 199, False), (100, 200, True), (100, 51, False),
+            (100, 50, True), (100, 0, True), (0, 1, True), (0, 0, False),
+            (1, 1, False), (1, 2, True),
+        ],
+    )
+    def test_drift_threshold(self, then, now, stale):
+        assert DRIFT_FACTOR == 2
+        assert make_plan(rows=then).drifted({"R": now}) is stale
+
+    @pytest.mark.parametrize("engine", [ENGINE_TRIANGLE, ENGINE_YANNAKAKIS])
+    def test_structural_plans_never_drift(self, engine):
+        plan = make_plan(engine=engine)
+        assert not plan.drifted({"R": 0})
+        assert not plan.drifted({"R": 10**9})
+
+    def test_drift_replans_once_and_counts_it(self):
+        cache = PlanCache()
+        old, new = make_plan(rows=100), make_plan(rows=400)
+        seed(cache, old)
+        assert cache.resolve("sig", {"R": 400}, lambda: new) == (
+            new, ORIGIN_REFRESHED,
+        )
+        assert cache.resolve("sig", {"R": 400}, never) == (
+            new, ORIGIN_CACHED,
+        )
+        stats = cache.stats()
+        assert stats["invalidated"] == stats["drift_replans"] == 1
+        assert stats["misses"] == 2 and stats["hits"] == 1
+
+    def test_failed_build_leaves_nothing_in_flight(self):
+        cache = PlanCache()
+
+        def boom():
+            raise RuntimeError("planner down")
+
+        with pytest.raises(RuntimeError, match="planner down"):
+            cache.resolve("sig", {"R": 1}, boom)
+        assert cache.stats()["in_flight"] == 0 and "sig" not in cache
+        plan = make_plan()
+        assert cache.resolve("sig", {"R": 100}, lambda: plan) == (
+            plan, ORIGIN_PLANNED,
+        )
+        # A failed drift refresh keeps serving nothing worse than the
+        # old plan, and the next reader tries again.
+        with pytest.raises(RuntimeError):
+            cache.resolve("sig", {"R": 900}, boom)
+        assert "sig" in cache and cache.stats()["in_flight"] == 0
+        assert cache.stats()["drift_replans"] == 0
 
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
-        cache.put(make_plan("a"))
-        cache.put(make_plan("b"))
-        assert cache.get("a", 0) is not None  # refresh a
-        cache.put(make_plan("c"))  # evicts b
+        seed(cache, make_plan("a"))
+        seed(cache, make_plan("b"))
+        assert cache.resolve("a", {"R": 100}, never)  # refresh a
+        seed(cache, make_plan("c"))  # evicts b
         assert "b" not in cache
         assert "a" in cache and "c" in cache
         assert cache.stats()["evicted"] == 1
-
-    def test_empty_signature_rejected(self):
-        with pytest.raises(ValueError):
-            PlanCache().put(make_plan(signature=""))
 
 
 # ----------------------------------------------------------------------

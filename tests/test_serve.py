@@ -60,8 +60,23 @@ class TestSessionBasics:
 
     def test_explain_mentions_origin(self, session):
         report = session.explain(TEXT)
-        assert "plan origin" in report
+        assert "plan origin      : planned now" in report
         assert "candidates" in report
+        # the structural winner alone was scored at plan time; the
+        # Minesweeper board is built by explain() itself
+        assert "scored on demand" in report and "minesweeper" in report
+        assert "plan origin      : cached" in session.explain(TEXT)
+
+    def test_explain_reports_the_plans_age_after_a_write(self, session):
+        session.execute(TEXT)
+        session.catalog.apply_batch(
+            [Update("R", "+", (9, 2)), Update("R", "+", (8, 3))]
+        )
+        report = session.explain(TEXT)
+        assert "plan origin      : cached" in report
+        assert "planned at       : generation 2 (now 3)" in report
+        assert "cardinality      : R 3 → 5 (×1.67)" in report
+        assert "cardinality      : S 2 → 2 (×1.00)" in report
 
 
 class TestPlanCacheBehavior:
@@ -84,22 +99,102 @@ class TestPlanCacheBehavior:
         assert session.planner.plans_built == 1
 
     @pytest.mark.parametrize("mutation", ["apply_batch", "flush", "compact"])
-    def test_catalog_mutation_invalidates(self, session, mutation):
+    def test_plan_survives_catalog_mutation(self, session, mutation):
+        # Replaces test_catalog_mutation_invalidates: the generation
+        # moves, the plan stays, nothing is planned or scored.
         session.execute(TEXT)
         built = session.planner.plans_built
+        estimates = session.planner.estimate_runs
+        generation = session.catalog.generation
         if mutation == "apply_batch":
             session.catalog.apply_batch([Update("R", "+", (9, 2))])
         else:
             getattr(session.catalog, mutation)()
+        assert session.catalog.generation == generation + 1
         result = session.execute(TEXT)
-        assert not result.cached_plan
-        assert session.planner.plans_built == built + 1
-        assert session.cache.stats()["invalidated"] == 1
+        assert result.cached_plan and result.plan_origin == "cached"
+        assert result.plan.generation == generation
+        assert session.planner.plans_built == built
+        assert session.planner.estimate_runs == estimates
+        assert session.cache.stats()["invalidated"] == 0
 
-    def test_update_visible_after_invalidation(self, session):
+    def test_update_visible_under_surviving_plan(self, session):
         session.execute(TEXT)
         session.catalog.apply_batch([Update("R", "+", (9, 2))])
-        assert (9, 10) in session.execute(TEXT).rows
+        result = session.execute(TEXT)
+        assert result.cached_plan
+        assert (9, 10) in result.rows
+
+
+CYCLE4 = "Q(a, b, c, d) :- R4(a, b), S4(b, c), T4(c, d), U4(d, a)"
+TRIANGLE = "Q(x, y, z) :- R4(x, y), S4(y, z), T4(x, z)"
+PATH = "Q(a, c) :- R4(a, b), S4(b, c)"
+
+
+class TestDriftReplanning:
+    """Only data drift re-plans, and only a cost-based plan."""
+
+    @pytest.fixture()
+    def session(self):
+        n = 12
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        catalog = Catalog()
+        for name in ("R4", "S4", "T4"):
+            catalog.create_relation(name, ["A", "B"], ring)
+        # U4(d, a) closes the cycle: one row (i, i+1, i+2, i+3) per i.
+        catalog.create_relation(
+            "U4", ["A", "B"], [((i + 3) % n, i) for i in range(n)]
+        )
+        return Session(catalog)
+
+    @staticmethod
+    def grow(session, name, lo, hi):
+        session.catalog.apply_batch(
+            [Update(name, "+", (100 + i, 200 + i)) for i in range(lo, hi)]
+        )
+
+    def test_growth_past_2x_replans_cycle4_exactly_once(self, session):
+        first = session.execute(CYCLE4)
+        assert first.plan.engine == "minesweeper"
+        session.execute(TRIANGLE)
+        session.execute(PATH)
+        built = session.planner.plans_built
+
+        self.grow(session, "R4", 0, 11)  # 12 -> 23 rows: under 2x
+        assert session.execute(CYCLE4).plan_origin == "cached"
+        assert session.planner.plans_built == built
+
+        self.grow(session, "R4", 11, 12)  # 24 rows: 2x
+        refreshed = session.execute(CYCLE4)
+        assert refreshed.plan_origin == "refreshed (drift)"
+        assert not refreshed.cached_plan
+        assert refreshed.plan.cardinalities["R4"] == 24
+        assert session.execute(CYCLE4).plan_origin == "cached"
+        assert session.planner.plans_built == built + 1
+        stats = session.cache.stats()
+        assert stats["invalidated"] == stats["drift_replans"] == 1
+
+        # The same growth never re-plans the structural picks.
+        for text in (TRIANGLE, PATH):
+            result = session.execute(text)
+            assert result.plan_origin == "cached"
+            assert result.plan.cardinalities["R4"] == 12
+        assert session.planner.plans_built == built + 1
+
+    def test_shrink_to_empty_and_back(self, session):
+        rows = session.execute(CYCLE4).rows
+        assert rows
+        ring = [tuple(row) for row in session.catalog.relation("U4").tuples()]
+        session.catalog.apply_batch([Update("U4", "-", r) for r in ring])
+        emptied = session.execute(CYCLE4)
+        assert emptied.plan_origin == "refreshed (drift)"
+        assert emptied.rows == []
+        assert session.execute(CYCLE4).plan_origin == "cached"
+        session.catalog.apply_batch([Update("U4", "+", r) for r in ring])
+        restored = session.execute(CYCLE4)
+        assert restored.plan_origin == "refreshed (drift)"
+        assert restored.rows == rows
+        assert session.cache.stats()["drift_replans"] == 2
 
 
 class TestAggregates:
