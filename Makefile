@@ -5,7 +5,7 @@ PY := python
 SRC := src
 export PYTHONPATH := $(SRC)
 
-.PHONY: test lint bench bench-smoke check-ops ledger-smoke perf-report query-smoke recover-smoke trace-smoke chaos-smoke http-smoke
+.PHONY: test lint check-ops ledger-smoke query-smoke recover-smoke trace-smoke chaos-smoke http-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -22,17 +22,8 @@ lint:
 	  echo "mypy not installed; skipped (CI runs it — see mypy.ini)"; \
 	fi
 
-# Full benchmark suite (wall-clock measured; ~minutes).
-bench:
-	$(PY) -m repro.cli bench
-
-# CI entry: every benchmark once with tiny inputs — exercises the perf
-# plumbing (recording, extra_info, summary.csv) without timing noise.
-bench-smoke:
-	$(PY) -m repro.cli bench --smoke
-
 # Query-serving smoke: parse -> plan -> execute over the committed demo
-# script, plus a one-shot `repro query` (CI runs this next to bench-smoke).
+# script, plus a one-shot `repro query` (CI runs this next to check-ops).
 # The demo ends with a write followed by EXPLAIN of an already-planned
 # query: the plan must have survived the write, and the comparison
 # board must be scored on demand.
@@ -55,7 +46,7 @@ query-smoke:
 # Durability smoke: crash the serving demo at a registered crashpoint
 # (the CLI exits 3 on an injected crash — asserted, not ignored), then
 # recover the directory into a fresh snapshot and verify every Merkle
-# root offline.  CI runs this next to bench-smoke / query-smoke.
+# root offline.  CI runs this next to query-smoke.
 recover-smoke:
 	rm -rf /tmp/repro-recover-smoke
 	REPRO_CRASH_POINT=catalog.apply.mutate $(PY) -m repro.cli serve \
@@ -129,20 +120,18 @@ http-smoke:
 	$(PY) -m repro.cli verify-state --data-dir /tmp/repro-http-smoke/beta
 	git diff --exit-code -- benchmarks/baselines/smoke_ops.json
 
-# Op-count drift gate: every smoke workload's instrumented tallies must
-# match benchmarks/baselines/smoke_ops.json, and each cds/* shape must
-# tally identically under both CDS backends (refresh intentionally
-# with --update).
+# Op-count drift gate: every smoke workload's tallies must match
+# benchmarks/baselines/smoke_ops.json, each cds/* shape must tally
+# identically under both CDS backends (refresh intentionally with
+# --update), and the paper experiments' tables must equal
+# benchmarks/baselines/experiments.md byte for byte (refresh with
+# `python -m repro experiments > benchmarks/baselines/experiments.md`).
 check-ops:
 	$(PY) benchmarks/check_smoke_ops.py
+	$(PY) -m repro experiments | diff benchmarks/baselines/experiments.md -
 
 # The layered perf ledger (BENCHMARK.json's command) on tiny instances:
 # all five workloads, every answer checked, artifacts under
 # benchmarks/results/ledger/<run-id>/.  See benchmarks/ledger/README.md.
 ledger-smoke:
 	python3 benchmarks/ledger/run.py --smoke
-
-# Refresh the repo-root BENCH_<date>.json against the last committed one
-# (see benchmarks/perf_report.py --help for baselining against a git ref).
-perf-report:
-	$(PY) benchmarks/perf_report.py --baseline-json $(shell ls BENCH_*.json | sort | tail -1)

@@ -1,14 +1,13 @@
 """Fail CI on operation-count drift against a committed baseline.
 
-Runs every smoke workload's instrumented form and compares the op
-snapshots against ``benchmarks/baselines/smoke_ops.json``.  The paper's
-evaluation currency is operation counts, and the arena CDS's contract
-is *exact* count equality with the pointer tree — so the registry's
-``cds/*`` family runs every shape under both backends (selected by
-keyword, ``cds/<shape>/pointer`` and ``cds/<shape>/arena``) and this
-check also compares each pair; any drift (between backends, or against
-history) fails loudly instead of silently shifting the perf-trajectory
-baselines.
+Runs every smoke workload (``_workloads.SMOKE_WORKLOADS``) and compares
+the op snapshots against ``benchmarks/baselines/smoke_ops.json``.  The
+paper's evaluation currency is operation counts, and the arena CDS's
+contract is *exact* count equality with the pointer tree — so the
+registry's ``cds/*`` family runs every shape under both backends
+(``cds/<shape>/pointer`` and ``cds/<shape>/arena``) and this check also
+compares each pair; any drift (between backends, or against history)
+fails loudly.
 
 Refresh intentionally after an algorithmic change::
 
@@ -16,8 +15,8 @@ Refresh intentionally after an algorithmic change::
 
 The baseline stores one snapshot per workload; it is backend-invariant
 by construction (that invariance is exactly what the check enforces).
-Timing-dependent keys (none today) must not be added to instrumented
-snapshots — only deterministic op tallies belong here.
+Timing-dependent keys (none today) must not be added to snapshots —
+only deterministic op tallies belong here.
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ def collect() -> dict:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from _workloads import SMOKE_WORKLOADS
 
-    out = {}
-    for name in sorted(SMOKE_WORKLOADS):
-        _, instrumented = SMOKE_WORKLOADS[name]()
-        out[name] = instrumented()
-    return out
+    return {name: SMOKE_WORKLOADS[name]() for name in sorted(SMOKE_WORKLOADS)}
 
 
 def main(argv=None) -> int:

@@ -60,9 +60,9 @@ def main() -> None:
     assert sorted(fast.rows) == sorted(result.rows)
     print(f"fast path  : {len(fast.rows)} rows (no counting overhead)")
 
-    # Perf trajectory: `make bench-smoke` exercises the benchmark plumbing;
-    # `python benchmarks/perf_report.py --baseline-json BENCH_<date>.json`
-    # refreshes the repo-root BENCH report and prints per-case speedups.
+    # Evidence: `python -m repro experiments` reruns the paper's
+    # operation-count tables (and checks their claims); wall-clock is
+    # the perf ledger's business (`make ledger-smoke`, EXPERIMENTS.md).
 
 
 if __name__ == "__main__":

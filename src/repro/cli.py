@@ -3,8 +3,9 @@
 Commands
 --------
 ``experiments [names...]``
-    Rerun the paper's experiments and print their tables (see
-    EXPERIMENTS.md; default: all).
+    Rerun the paper's experiments (default: all) and print their
+    operation-count tables as markdown; exits 1 when a table no longer
+    shows its claim (see EXPERIMENTS.md).
 
 ``join --relation NAME=ATTRS:FILE [...]``
     Evaluate a natural join over integer-CSV relations with Minesweeper
@@ -59,19 +60,12 @@ Commands
     SHA-256 hashes, Merkle relation roots and catalog root, WAL
     integrity.  Exit 1 if any check fails (tampered or corrupt state).
 
-``bench [--smoke]``
-    Run the benchmark suite under pytest.  ``--smoke`` runs every
-    benchmark once with tiny inputs (sets ``REPRO_BENCH_SMOKE=1``) so CI
-    exercises the perf plumbing without timing noise; ``make bench-smoke``
-    is the same entry point.
-
 Relation files are headerless CSVs of integers, one tuple per line.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 from typing import Sequence
@@ -118,17 +112,18 @@ def _build_query(specs: Sequence[str]) -> Query:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runners import RUNNERS, format_table
+    from repro.experiments.runners import EXPERIMENTS, report
 
-    names = args.names or sorted(RUNNERS)
-    unknown = [n for n in names if n not in RUNNERS]
+    unknown = [n for n in args.names if n not in EXPERIMENTS]
     if unknown:
         raise SystemExit(
-            f"unknown experiments {unknown}; available: {sorted(RUNNERS)}"
+            f"unknown experiments {unknown}; available: {list(EXPERIMENTS)}"
         )
-    for name in names:
-        print(format_table(RUNNERS[name]()))
-        print()
+    text, failed = report(args.names)
+    sys.stdout.write(text)
+    if failed:
+        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -952,83 +947,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def _find_benchmarks_dir() -> str:
-    """Locate the repo's ``benchmarks/`` directory (cwd, then checkout)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    candidates = [
-        os.getcwd(),
-        os.path.abspath(os.path.join(here, "..", "..")),  # <repo>/src/repro
-    ]
-    for root in candidates:
-        bench_dir = os.path.join(root, "benchmarks")
-        if os.path.isdir(bench_dir) and glob.glob(
-            os.path.join(bench_dir, "bench_*.py")
-        ):
-            return bench_dir
-    raise SystemExit(
-        "cannot locate the benchmarks/ directory; run from the repo root"
-    )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import subprocess
-
-    bench_dir = _find_benchmarks_dir()
-    root = os.path.dirname(bench_dir)
-    if args.profile:
-        # cProfile the workload registry in a fresh interpreter (the
-        # driver owns the registry; see benchmarks/_workloads.py), so
-        # hot-path claims in reviews are reproducible from the CLI.
-        env = dict(os.environ)
-        src_dir = os.path.join(root, "src")
-        env["PYTHONPATH"] = (
-            src_dir + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH")
-            else src_dir
-        )
-        cmd = [
-            sys.executable,
-            os.path.join(bench_dir, "_workloads.py"),
-            "--profile",
-            "--top",
-            str(args.top),
-        ]
-        if args.smoke:
-            cmd.append("--smoke")
-        if args.keyword:
-            raise SystemExit(
-                "--profile profiles workload-registry cases; select them "
-                "by name (positional args), not -k"
-            )
-        cmd.extend(args.names)
-        return subprocess.call(cmd, cwd=root, env=env)
-    if args.names:
-        raise SystemExit(
-            "positional workload names apply to --profile only; select "
-            "pytest benchmark files with -k"
-        )
-    files = sorted(glob.glob(os.path.join(bench_dir, "bench_*.py")))
-    if args.keyword:
-        files = [f for f in files if args.keyword in os.path.basename(f)]
-        if not files:
-            raise SystemExit(f"no benchmark file matches {args.keyword!r}")
-    env = dict(os.environ)
-    src = os.path.join(root, "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH")
-        else src
-    )
-    if args.smoke:
-        env["REPRO_BENCH_SMOKE"] = "1"
-    cmd = [sys.executable, "-m", "pytest", "-q", *files]
-    if args.benchmark_json:
-        cmd.append(f"--benchmark-json={args.benchmark_json}")
-    else:
-        cmd.append("--benchmark-disable")
-    return subprocess.call(cmd, cwd=root, env=env)
-
-
 def _add_cds_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cds-backend",
@@ -1370,35 +1288,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.set_defaults(func=_cmd_lint)
 
-    p_bench = sub.add_parser("bench", help="run the benchmark suite")
-    p_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny inputs, one round each: exercise the perf plumbing only",
-    )
-    p_bench.add_argument(
-        "-k", dest="keyword", help="only benchmark files whose name contains this"
-    )
-    p_bench.add_argument(
-        "--benchmark-json",
-        help="write pytest-benchmark JSON here (disables --benchmark-disable)",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile the workload registry instead of running pytest: "
-        "top-N hot functions per workload (see --top), so perf claims "
-        "are reproducible from the CLI",
-    )
-    p_bench.add_argument(
-        "--top", type=int, default=15,
-        help="rows of cProfile output per workload (with --profile)",
-    )
-    p_bench.add_argument(
-        "names", nargs="*",
-        help="workload-registry names for --profile (default: all)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

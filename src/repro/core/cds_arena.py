@@ -36,8 +36,9 @@ Counting follows the ``OpCounters`` / ``NullCounters`` protocol: the
 ``enabled`` flag is read once per engine and every tally is skipped
 wholesale when nobody will read the numbers.  Under an enabled counter
 the arena tallies exactly what the pointer tree tallies — the property
-suite and ``benchmarks/bench_cds_backends.py`` assert byte-identical
-rows and exact op-count equality across the whole workload registry.
+suite asserts byte-identical rows and exact op-count equality, and
+``benchmarks/check_smoke_ops.py`` holds every ``cds/*`` smoke workload
+to it.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ replaced by the (tiny) delta tuple set, so the very first FindGap probes
 collapse the CDS around the changed tuples and the search never leaves
 their neighborhood — per-batch maintenance cost tracks the *delta*
 certificate, not the input size.  Full recompute pays the whole-instance
-certificate every batch; ``benchmarks/bench_dynamic.py`` measures the
-gap and ``tests/test_incremental.py`` asserts it at fixed sizes.
+certificate every batch; ``tests/test_incremental.py`` asserts the gap
+at fixed sizes.
 
 Protocol (what :class:`repro.dynamic.catalog.Catalog` drives): process
 the batch one relation at a time, in a fixed order; for each relation

@@ -145,8 +145,8 @@ def replay_with_recompute(
 ):
     """Replay a stream incrementally with a per-batch recompute comparator.
 
-    The canonical measurement loop shared by ``bench_dynamic.py`` and the
-    workload registry: apply every batch through the catalog, recompute
+    The canonical measurement loop (the smoke-workload registry uses
+    it): apply every batch through the catalog, recompute
     the view from scratch after each one (raising if the maintained rows
     diverge), and accumulate both sides' op counts.  Returns
     ``(catalog, live_view, inc_ops, rec_ops)`` where the op dicts map

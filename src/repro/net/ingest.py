@@ -3,7 +3,8 @@
 One :class:`IngestQueue` per tenant.  HTTP update requests enqueue a
 parsed batch and return a ticket immediately (202); a single writer
 thread drains the queue in submission order, applying each batch under
-the tenant's exclusive write lock via ``catalog.apply_batch`` — so the
+the tenant's exclusive write lock via ``catalog.apply_batch``
+(:meth:`IngestQueue.apply`, which synchronous writes call too) — so the
 WAL-before-mutate ordering, crashpoint placement, and generation bump
 are exactly the ones the durable path already tests.  After each batch the writer eagerly
 rebuilds every relation's merged view *while still holding the write
@@ -28,7 +29,7 @@ from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.resilience import ExecutionError
-from repro.dynamic.catalog import Catalog
+from repro.dynamic.catalog import BatchReport, Catalog
 from repro.dynamic.log import Update
 
 if TYPE_CHECKING:
@@ -125,6 +126,23 @@ class IngestQueue:
         with self._cond:
             return self._errors.get(ticket)
 
+    # -- the write body ------------------------------------------------
+
+    def apply(self, updates: Sequence[Update]) -> BatchReport:
+        """Apply one batch now, on the calling thread, under the
+        tenant's exclusive write lock — the body of every tenant
+        write, queued (the writer thread) or synchronous
+        (``Tenant.apply_sync``)."""
+        with self._rwlock.write():
+            report = self._catalog.apply_batch(updates)
+            # Eager merged-view refresh while writers still exclude
+            # readers: DeltaRelation rebuilds its view lazily on first
+            # read after a mutation, and that rebuild must not happen
+            # under concurrent readers.
+            for name in self._catalog.relation_names():
+                len(self._catalog.relation(name))
+            return report
+
     # -- the writer thread ---------------------------------------------
 
     def _run(self) -> None:
@@ -138,15 +156,7 @@ class IngestQueue:
             failure: Optional[str] = None
             applied_count = 0
             try:
-                with self._rwlock.write():
-                    report = self._catalog.apply_batch(batch)
-                    applied_count = report.updates_applied
-                    # Eager merged-view refresh while writers still
-                    # exclude readers: DeltaRelation rebuilds its view
-                    # lazily on first read after a mutation, and that
-                    # rebuild must not happen under concurrent readers.
-                    for name in self._catalog.relation_names():
-                        len(self._catalog.relation(name))
+                applied_count = self.apply(batch).updates_applied
             except Exception as exc:  # noqa: BLE001 — writer must survive
                 failure = f"{type(exc).__name__}: {exc}"
             with self._cond:

@@ -253,10 +253,9 @@ class Tenant:
             )
         else:
             self.catalog = Catalog()
-        #: Writer-side bundle: catalog spans stay off (mutations run on
-        #: whichever thread holds the write lock), metrics shared.
-        self._catalog_obs = self._make_obs(trace=False)
-        self.catalog.bind_obs(self._catalog_obs)
+        # Writer-side bundle: catalog spans stay off (mutations run on
+        # whichever thread holds the write lock), metrics shared.
+        self.catalog.bind_obs(self._make_obs(trace=False))
         self.pool = SessionPool(
             self._make_session,
             spec.pool_size,
@@ -280,7 +279,10 @@ class Tenant:
         return obs
 
     def _make_session(self) -> Session:
-        session = Session(
+        # owns_wal=False: the catalog stays bound to the writer-side
+        # bundle, so catalog spans never land on a session tracer owned
+        # by some other thread.
+        return Session(
             catalog=self.catalog,
             config=self._config,
             obs=self._make_obs(trace=self._trace),
@@ -291,22 +293,13 @@ class Tenant:
             ),
             owns_wal=False,
         )
-        # Session.attach_obs rebinds the catalog to the session bundle;
-        # restore the writer-side bundle so catalog spans never land on
-        # a session tracer owned by some other thread.
-        self.catalog.bind_obs(self._catalog_obs)
-        return session
 
     # -- mutation ------------------------------------------------------
 
     def apply_sync(self, updates: Sequence[Update]) -> BatchReport:
-        """Apply a batch on the caller's thread (exclusive write lock,
-        eager view refresh — same contract as the ingest writer)."""
-        with self.lock.write():
-            report = self.catalog.apply_batch(list(updates))
-            for name in self.catalog.relation_names():
-                len(self.catalog.relation(name))
-            return report
+        """Apply a batch on the caller's thread (the ingest writer's
+        write body: exclusive lock, eager view refresh)."""
+        return self.ingest.apply(updates)
 
     def validate_updates(self, updates: Sequence[Update]) -> None:
         """Admission-time schema check so bad async batches fail the

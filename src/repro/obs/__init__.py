@@ -17,8 +17,8 @@ visible with the same two-implementation discipline.  An
 to: its tracer and registry are the shared Null implementations, so an
 un-instrumented run pays a handful of no-op method calls and nothing
 else — op-count parity with the pre-observability code is CI-gated by
-``make check-ops`` and the disabled-path timing by
-``benchmarks/bench_observability.py``.
+``make check-ops``, and the ledger reports what tracing costs
+(``obs.trace_overhead_pct``).
 """
 
 from __future__ import annotations

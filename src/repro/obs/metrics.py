@@ -197,7 +197,7 @@ class Histogram:
                 self.max = value
 
     def summary(self) -> Dict[str, object]:
-        """Compact dict for reports (BENCH_*.json, metrics.json)."""
+        """Compact dict for reports (metrics.json)."""
         with self._lock:
             return {
                 "count": self.count,

@@ -28,7 +28,7 @@ Note the merged tally is the cost of the *plan*, not of the unsharded
 run: each shard pays a couple of boundary probes, and gaps discovered
 in relations that do not contain the leading attribute (shared across
 the whole domain in a single sequential run) are rediscovered once per
-shard.  ``benchmarks/bench_parallel.py`` tracks both numbers.
+shard.
 
 Admission control (:class:`~repro.core.resilience.QueryBudget`)
 threads through here: the driver checks ops/rows/deadline after every

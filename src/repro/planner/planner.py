@@ -51,6 +51,17 @@ from repro.util.counters import OpCounters
 
 Row = Tuple[int, ...]
 
+#: The candidate sweep (see :func:`candidate_gaos`): below this
+#: attribute count every GAO permutation is scored; at or above it, up
+#: to ``NEO_LIMIT`` distinct nested-elimination orders, the min-fill
+#: order and ``RANDOM_CANDIDATES`` seeded random permutations.
+EXHAUSTIVE_BELOW = 5
+NEO_LIMIT = 8
+RANDOM_CANDIDATES = 4
+#: The CDS-op multiple of ``PlannerConfig.score_budget`` allowed per
+#: candidate (op tallies run far above probe counts even on good GAOs).
+SCORE_OPS_FACTOR = 8
+
 
 @dataclass
 class PlannerConfig:
@@ -58,12 +69,6 @@ class PlannerConfig:
 
     #: Per-relation row cap for the scoring sample (stride-sampled).
     sample_limit: int = 256
-    #: Below this attribute count, score every GAO permutation.
-    exhaustive_below: int = 5
-    #: Cap on distinct NEO candidates (see all_nested_elimination_orders).
-    neo_limit: int = 8
-    #: Seeded random GAO permutations to score in addition.
-    random_candidates: int = 4
     #: Seed for the random GAO sample (reproducible planning).
     seed: int = 0
     #: Worker-pool size available to plans (0 = serial only).
@@ -74,16 +79,13 @@ class PlannerConfig:
     #: parallel; below it, pool overhead dominates.
     shard_threshold: int = 50_000
     #: Per-candidate scoring budget: a candidate GAO whose sample run
-    #: exceeds this many probes, output rows, or CDS ops
-    #: (interval_ops + constraints, the dominant cost term) is
-    #: abandoned — its partial estimate is kept as a lower bound and
-    #: it ranks after every fully-scored candidate.  Bad GAOs are
-    #: exactly the ones that blow up (Ex. B.6); without a cap,
-    #: *measuring* them would cost what they were meant to avoid.
+    #: exceeds this many probes or output rows, or ``SCORE_OPS_FACTOR``
+    #: times as many CDS ops (interval_ops + constraints, the dominant
+    #: cost term), is abandoned — its partial estimate is kept as a
+    #: lower bound and it ranks after every fully-scored candidate.
+    #: Bad GAOs are exactly the ones that blow up (Ex. B.6); without a
+    #: cap, *measuring* them would cost what they were meant to avoid.
     score_budget: int = 20_000
-    #: The CDS-op multiple of ``score_budget`` allowed per candidate
-    #: (op tallies run far above probe counts even on good GAOs).
-    score_ops_factor: int = 8
     #: Forced storage / CDS backends (None = engine defaults).
     backend: Optional[str] = None
     cds_backend: Optional[str] = None
@@ -299,13 +301,12 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _candidates(self, query: Query) -> List[Tuple[str, ...]]:
-        config = self.config
         return candidate_gaos(
             query,
-            exhaustive_below=config.exhaustive_below,
-            samples=config.random_candidates,
-            neo_limit=config.neo_limit,
-            seed=config.seed,
+            exhaustive_below=EXHAUSTIVE_BELOW,
+            samples=RANDOM_CANDIDATES,
+            neo_limit=NEO_LIMIT,
+            seed=self.config.seed,
         )
 
     def _score_minesweeper(
@@ -323,15 +324,14 @@ class Planner:
 
         from repro.core.minesweeper import Minesweeper, MinesweeperError
 
-        config = self.config
-        budget = config.score_budget
+        budget = self.config.score_budget
         board: List[CandidatePlan] = []
         for gao in self._candidates(full):
             counters = OpCounters()
             engine = Minesweeper(
                 sample.with_gao(list(gao), counters=counters),
                 max_probes=budget,
-                max_ops=budget * config.score_ops_factor,
+                max_ops=budget * SCORE_OPS_FACTOR,
             )
             capped = False
             with self.tracer.span("score", gao=",".join(gao)) as span:

@@ -212,7 +212,8 @@ class Session:
         #: when un-instrumented — the free path).
         self.obs = NULL_OBS
         #: False for pooled sessions over a tenant-owned catalog: the
-        #: tenant (not any one session) closes the shared WAL.
+        #: tenant (not any one session) instruments the catalog and
+        #: closes the shared WAL.
         self._owns_wal = owns_wal
         self._closed = False
         self.attach_obs(obs if obs is not None else NULL_OBS)
@@ -221,10 +222,14 @@ class Session:
         """Attach an observability bundle to every layer the session
         owns: the planner (candidate-scoring spans), the catalog
         (batch/flush/compact/snapshot spans and histograms), and the
-        catalog's WAL when durable (append/fsync timings)."""
+        catalog's WAL when durable (append/fsync timings).  A session
+        over someone else's catalog (``owns_wal=False``) leaves the
+        catalog and WAL bound to their owner's bundle: mutations run
+        on the owner's threads, not on this session's tracer."""
         self.obs = obs
         self.planner.tracer = obs.tracer
-        self.catalog.bind_obs(obs)
+        if self._owns_wal:
+            self.catalog.bind_obs(obs)
 
     @classmethod
     def durable(

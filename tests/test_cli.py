@@ -276,6 +276,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_bench_subcommand_is_gone(self):
+        # wall-clock lives in benchmarks/ledger/, paper tables in
+        # `experiments`; there is no third entry point
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["bench"])
+        assert exc_info.value.code == 2
+
 
 class TestParallelFlags:
     """--workers/--shards on join, certificate, and stream."""

@@ -443,9 +443,31 @@ class TestSessionTracing:
 
     def test_rows_invariant_under_tracing(self):
         plain = Session(make_catalog()).execute(TEXT)
-        traced = traced_session().execute(TEXT)
-        assert plain.rows == traced.rows
-        assert plain.ops == traced.ops
+        # metrics only (the TRACE OFF runtime state), then fully traced
+        for trace in (False, True):
+            observed = traced_session(trace=trace).execute(TEXT)
+            assert plain.rows == observed.rows
+            assert plain.ops == observed.ops
+
+    def test_view_maintenance_ops_invariant_under_a_bound_catalog(self):
+        """Instrumenting the write path never touches the op currency:
+        the live view tallies the same counts un-bound, metrics-only
+        and traced."""
+        from repro.dynamic import build_catalog, triangle_stream
+
+        schemas, initial, batches = triangle_stream(
+            n_nodes=10, n_edges=20, n_batches=3, batch_size=4,
+            insert_fraction=0.5, seed=12,
+        )
+        outcomes = []
+        for obs in (None, Observability(trace=False), Observability(trace=True)):
+            catalog, view = build_catalog(schemas, initial)
+            if obs is not None:
+                catalog.bind_obs(obs)
+            for batch in batches:
+                catalog.apply_batch(batch)
+            outcomes.append((view.rows(), view.counters.snapshot()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_query_metrics_recorded(self):
         session = traced_session()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.engine import ExecSpec, join
 from repro.core.incremental import LiveJoin
 from repro.core.query import Query, naive_join
+from repro.datasets.instances import triangle_with_output
 from repro.parallel.certify import certify_sharded
 from repro.parallel.planner import Shard, plan_shards, shard_relations
 from repro.storage.delta import DeltaRelation
@@ -148,7 +149,13 @@ class TestShardInvariance:
         r = [(i, j) for i in range(8) for j in range(3)]
         s = [(j, (i + j) % 5) for j in range(3) for i in range(4)]
         t = [(i, k) for i in range(8) for k in range(5)]
-        for shards in (2, 4):
+        # ... and the planted instance whose in-process 2x2 tally
+        # benchmarks/baselines/smoke_ops.json pins
+        # (parallel/triangle/planted/n=40/w=2x2).
+        planted = triangle_with_output(40, 10, seed=5)
+        for (r, s, t), shards in (
+            ((r, s, t), 2), ((r, s, t), 4), (planted, 2),
+        ):
             inproc = join(
                 triangle_query(r, s, t),
                 gao=["A", "B", "C"],

@@ -1,20 +1,14 @@
-"""Tests for the perf plumbing added with the array-backed storage engine:
+"""Tests for the engine fast paths added with the array-backed storage engine:
 
 * ``_check_sorted_sets`` empty-set short-circuit (intersection semantics);
 * the counting-free intersection fast path vs the instrumented loop;
 * NullCounters protocol;
-* the Relation/PreparedQuery backend flag;
-* benchmarks/_util.record header atomicity / malformed-header repair;
-* the galloping search helpers;
-* the CLI smoke-bench entry point (CI plumbing check).
+* the Relation/PreparedQuery backend flag, and trie-vs-flat parity of
+  rows *and* op counts through ``join`` and ``triangle_join``;
+* the galloping search helpers.
 """
 
-import csv
-import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -27,14 +21,17 @@ from repro.core.intersection import (
     partition_certificate,
 )
 from repro.core.query import Query
-from repro.datasets.instances import intersection_with_overlap, triangle_hard
+from repro.core.triangle import triangle_join
+from repro.datasets.instances import (
+    intersection_with_overlap,
+    triangle_hard,
+    triangle_with_output,
+)
 from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.relation import Relation
 from repro.storage.trie import TrieRelation
 from repro.util.counters import NullCounters, OpCounters
 from repro.util.search import gallop_left, gallop_right
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestEmptySetShortCircuit:
@@ -150,51 +147,35 @@ class TestBackendFlag:
             )
             res = join(query, gao=["A", "B", "C"], strategy="general")
             results[backend] = (res.rows, res.stats())
+            # the counting-free run of the same query agrees on rows
+            fast = join(
+                query, gao=["A", "B", "C"], strategy="general",
+                counters=NullCounters(),
+            )
+            assert fast.rows == res.rows
         assert results["flat"] == results["trie"] == results["btree"]
 
-
-class TestRecordGuard:
-    def _fields(self):
-        from benchmarks import _util
-
-        return _util
-
-    def test_header_created_atomically(self, tmp_path, monkeypatch):
-        util = self._fields()
-        path = tmp_path / "summary.csv"
-        monkeypatch.setattr(util, "SUMMARY_PATH", str(path))
-        util._ensure_header(str(path))
-        assert path.read_text() == "experiment,case,metric,value\n"
-        # Idempotent.
-        util._ensure_header(str(path))
-        assert path.read_text() == "experiment,case,metric,value\n"
-
-    def test_malformed_header_repaired(self, tmp_path):
-        util = self._fields()
-        path = tmp_path / "summary.csv"
-        path.write_text("E1,case,metric,3\nE2,case,metric,4\n")
-        util._ensure_header(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "experiment,case,metric,value"
-        assert lines[1:] == ["E1,case,metric,3", "E2,case,metric,4"]
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows[0]["experiment"] == "E1"
-
-    def test_record_appends_rows(self, tmp_path, monkeypatch):
-        util = self._fields()
-        path = tmp_path / "summary.csv"
-        monkeypatch.setattr(util, "SUMMARY_PATH", str(path))
-
-        class FakeBenchmark:
-            extra_info = {}
-
-        util.record(FakeBenchmark(), "EX", "case", {"m1": 1, "m2": 2.5})
-        util.record(FakeBenchmark(), "EX", "case", {"m1": 3})
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert [r["value"] for r in rows] == ["1", "2.5", "3"]
-        assert FakeBenchmark.extra_info == {"m1": 3, "m2": 2.5}
+    @pytest.mark.parametrize("make,planted", [
+        (lambda: triangle_hard(32)[:3], 0),
+        (lambda: triangle_hard(48)[:3], 0),
+        (lambda: triangle_with_output(100, 25, seed=5), 25),
+        (lambda: triangle_with_output(300, 75, seed=5), 75),
+    ], ids=["hard-32", "hard-48", "planted-100", "planted-300"])
+    def test_triangle_join_backends_agree(self, make, planted):
+        """The dyadic engine over the pointer trie and over the flat
+        (CSR) trie: same rows, same op snapshot; and the counting-free
+        run returns those rows too."""
+        r, s, t = make()
+        outcomes = {}
+        for backend in ("trie", "flat"):
+            counters = OpCounters()
+            rows = triangle_join(r, s, t, counters, backend=backend)
+            outcomes[backend] = (rows, counters.snapshot())
+        assert outcomes["trie"] == outcomes["flat"]
+        rows, snapshot = outcomes["flat"]
+        assert snapshot["findgap"] > 0
+        assert len(rows) >= planted
+        assert triangle_join(r, s, t, NullCounters()) == rows
 
 
 class TestGallop:
@@ -214,47 +195,3 @@ class TestGallop:
             assert gallop_right(data, x, lo) == bisect.bisect_right(
                 data, x, lo
             )
-
-
-def test_cli_bench_smoke():
-    """`python -m repro.cli bench --smoke -k regression` exercises the
-    perf plumbing end to end (tiny sizes; a few seconds)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "repro.cli", "bench", "--smoke",
-            "-k", "regression",
-        ],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert " passed" in proc.stdout
-
-
-def test_workloads_driver_smoke():
-    """The perf_report workload driver emits valid JSON with op counts."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            os.path.join(REPO_ROOT, "benchmarks", "_workloads.py"),
-            "--json", "--smoke", "--repeat", "1",
-        ],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload, "driver produced no workloads"
-    for row in payload.values():
-        assert row["median_s"] >= 0
-        assert row["ops"]["findgap"] > 0

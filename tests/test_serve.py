@@ -403,6 +403,39 @@ class TestDurableSession:
         run_script(["CREATE R(A)", "+R 1", "commit"], owner)
         owner.close()
 
+    @pytest.mark.parametrize("pooled_obs", ["null", "traced"])
+    def test_disowned_catalog_keeps_its_owners_observability(
+        self, tmp_path, pooled_obs
+    ):
+        """A second session over a shared catalog must not re-bind the
+        catalog (or re-point the WAL's cached instruments) to its own
+        bundle: the owner's write path stays on the owner's books."""
+        from repro.obs import Observability
+
+        bundle = Observability(trace=True)
+        owner = Session.durable(
+            str(tmp_path / "state"), fsync="off", obs=bundle
+        )
+        wal = owner.catalog.wal
+        append_hist = wal._append_hist
+        assert owner.catalog.obs is bundle and append_hist is not None
+        pooled = Session(
+            owner.catalog,
+            obs=Observability(trace=True) if pooled_obs == "traced" else None,
+            owns_wal=False,
+        )
+        assert owner.catalog.obs is bundle
+        assert wal._append_hist is append_hist
+        # ... and the owner's writes are still measured on its bundle.
+        before = append_hist.count
+        run_script(["CREATE R(A)", "+R 1", "commit"], owner)
+        assert append_hist.count > before
+        assert any(
+            span.name == "apply_batch" for span in bundle.tracer.finished
+        )
+        pooled.close()
+        owner.close()
+
     def test_script_snapshot_statement(self, tmp_path):
         data_dir = str(tmp_path / "state")
         session = Session.durable(data_dir, fsync="off")
