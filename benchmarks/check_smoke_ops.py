@@ -9,7 +9,9 @@ registry's ``cds/*`` family runs every shape under both backends
 compares each pair; any drift (between backends, or against history)
 fails loudly.
 
-Refresh intentionally after an algorithmic change::
+Refresh intentionally after an algorithmic change (prints the same
+per-row ``field: (old, new)`` drift report a failing check prints —
+review it, and paste it into the PR)::
 
     PYTHONPATH=src python benchmarks/check_smoke_ops.py --update
 
@@ -38,6 +40,30 @@ def collect() -> dict:
     return {name: SMOKE_WORKLOADS[name]() for name in sorted(SMOKE_WORKLOADS)}
 
 
+def load_baseline() -> dict:
+    with open(BASELINE) as handle:
+        return json.load(handle)
+
+
+def drift_report(baseline: dict, current: dict) -> list:
+    """One line per workload whose snapshot differs: the moved fields as
+    ``field: (baseline, current)``."""
+    lines = []
+    for name in sorted(set(baseline) | set(current)):
+        if name not in current:
+            lines.append(f"{name}: missing from this checkout")
+        elif name not in baseline:
+            lines.append(f"{name}: not in baseline")
+        elif baseline[name] != current[name]:
+            drift = {
+                key: (baseline[name].get(key), current[name].get(key))
+                for key in sorted(set(baseline[name]) | set(current[name]))
+                if baseline[name].get(key) != current[name].get(key)
+            }
+            lines.append(f"{name}: {drift}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -47,33 +73,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     current = collect()
     if args.update:
+        # Print what the rewrite changes, so the refresh is a reviewed
+        # diff (paste it into the PR) and not a rubber stamp.
+        try:
+            previous = load_baseline()
+        except OSError:
+            previous = {}
+        moved = drift_report(previous, current)
         os.makedirs(os.path.dirname(BASELINE), exist_ok=True)
         with open(BASELINE, "w") as handle:
             json.dump(current, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote {BASELINE} ({len(current)} workloads)")
+        for line in moved:
+            print(f"  {line}")
+        print(
+            f"wrote {BASELINE} ({len(current)} workloads, "
+            f"{len(moved)} changed)"
+        )
         return 0
     try:
-        with open(BASELINE) as handle:
-            baseline = json.load(handle)
+        baseline = load_baseline()
     except OSError as exc:
         print(f"cannot read baseline {BASELINE}: {exc}", file=sys.stderr)
         return 2
-    failures = []
-    for name in sorted(set(baseline) | set(current)):
-        if name not in current:
-            failures.append(f"{name}: missing from this checkout")
-            continue
-        if name not in baseline:
-            failures.append(f"{name}: not in baseline (run --update)")
-            continue
-        if baseline[name] != current[name]:
-            drift = {
-                key: (baseline[name].get(key), current[name].get(key))
-                for key in set(baseline[name]) | set(current[name])
-                if baseline[name].get(key) != current[name].get(key)
-            }
-            failures.append(f"{name}: {drift}")
+    failures = drift_report(baseline, current)
     shapes = sorted(
         name[: -len("/pointer")]
         for name in current
@@ -91,6 +114,7 @@ def main(argv=None) -> int:
         )
         for line in failures:
             print(f"  {line}", file=sys.stderr)
+        print("intended? refresh with --update", file=sys.stderr)
         return 1
     print(
         f"op counts match baseline for {len(current)} smoke workloads "

@@ -21,7 +21,15 @@ Implementation notes (documented deviations, all behaviour-preserving):
   (i) when line 9 finds no viable b it loops to i=0 without ruling out
   ``a`` — we insert ⟨(a-1, a+1), *, *⟩ (sound: every b is dead for this a);
   (ii) the pre-order walk can land on a leaf b covered by I(=a) ∪ I(*) —
-  we hop to the next sibling instead of returning an inactive probe.
+  such a leaf is skipped instead of returned as an inactive probe;
+  (iii) B-gap-guided walk: re-entering at the root per probe, a literal
+  pre-order walk re-crosses every dead block and covered leaf before the
+  live position.  ``_descend`` instead carries ``b_next``, the first b
+  not covered by I(*) ∪ I(=a), and only visits nodes whose block holds
+  it.  Everything skipped is state-free for the answer (a re-crossed
+  dead block re-derives the same cache value and re-inserts a B-gap
+  already present), so the probe sequence is that of the pre-order walk
+  — ``tests/test_triangle_walk.py`` keeps that walk as the reference.
 * Output suppression uses the accompanying ``Cache(a, b, c+1)`` call the
   paper prescribes (leaf caches only; bumping internal caches on output
   would be unsound for sibling leaves).
@@ -96,15 +104,6 @@ class DyadicTree:
             self._heap[heap] = lst
         return lst
 
-    def items(self) -> List[Tuple[Tuple[int, int], IntervalList]]:
-        """All materialized ((level, index), list) pairs (tests/debug)."""
-        out = []
-        for heap, lst in enumerate(self._heap):
-            if lst is not None:
-                level = heap.bit_length() - 1
-                out.append(((level, heap - (1 << level)), lst))
-        return out
-
     def insert_leaf(
         self, leaf: int, low: ExtendedValue, high: ExtendedValue
     ) -> None:
@@ -137,37 +136,48 @@ class DyadicTree:
             heap >>= 1
 
     def check_invariant(self) -> None:
-        """Assert I(*, x) = I(*, x0) ∩ I(*, x1) on the materialized tree.
+        """Assert invariant (7) on the materialized tree (tests)."""
+        check_dyadic_invariant(
+            [None if lst is None else lst.intervals() for lst in self._heap]
+        )
 
-        Used by tests.  Verified pointwise over the integer hull of the
-        finite endpoints.
-        """
-        materialized = self.items()
-        points = set()
-        for _, lst in materialized:
-            for lo, hi in lst.intervals():
-                for v in (lo, hi):
-                    if v is not NEG_INF and v is not POS_INF:
-                        points.add(v)
-        probe_points = sorted(points | {p + 1 for p in points} | {-1, 0})
-        for (level, index), lst in materialized:
-            if level == self.depth:
-                continue
-            heap = (1 << level) + index
-            left = self._heap[2 * heap]
-            right = self._heap[2 * heap + 1]
-            for v in probe_points:
-                parent_covers = lst.covers(v)
-                child_covers = (
-                    left is not None
-                    and right is not None
-                    and left.covers(v)
-                    and right.covers(v)
+
+def check_dyadic_invariant(
+    nodes: Sequence[Optional[Sequence[Tuple[ExtendedValue, ExtendedValue]]]],
+) -> None:
+    """Assert I(*, x) = I(*, x0) ∩ I(*, x1) on a heap-numbered tree.
+
+    ``nodes[heap]`` is the decoded interval list of that slot (``None``
+    where never materialized) — the one form both CDS backends can
+    produce.  Used by tests.  Verified pointwise over the integer hull
+    of the finite endpoints.
+    """
+
+    def covers(intervals, v: int) -> bool:
+        return intervals is not None and any(
+            lo < v < hi for lo, hi in intervals
+        )
+
+    points = {
+        v
+        for intervals in nodes
+        for interval in intervals or ()
+        for v in interval
+        if v is not NEG_INF and v is not POS_INF
+    }
+    probe_points = sorted(points | {p + 1 for p in points} | {-1, 0})
+    for heap in range(1, len(nodes) // 2):
+        if nodes[heap] is None:
+            continue
+        for v in probe_points:
+            if covers(nodes[heap], v) and not (
+                covers(nodes[2 * heap], v) and covers(nodes[2 * heap + 1], v)
+            ):
+                level = heap.bit_length() - 1
+                raise AssertionError(
+                    f"I(*,{(level, heap - (1 << level))}) covers {v} "
+                    "but children do not"
                 )
-                if parent_covers and not child_covers:
-                    raise AssertionError(
-                        f"I(*,{(level, index)}) covers {v} but children do not"
-                    )
 
 
 def _next_union(
@@ -391,7 +401,7 @@ class TriangleMinesweeper:
                 if first_free_c is POS_INF or first_free_c >= n_c:
                     self.i_root.insert(a - 1, a + 1)
                     continue
-            found = self._descend(a, n_b, n_c)
+            found = self._descend(a, b_probe, n_b, n_c)
             if found is None:
                 # Dyadic walk exhausted every b for this a.
                 self.i_root.insert(a - 1, a + 1)
@@ -399,28 +409,24 @@ class TriangleMinesweeper:
             return found
 
     def _descend(
-        self, a: int, n_b: int, n_c: int
+        self, a: int, b_next: int, n_b: int, n_c: int
     ) -> Optional[Tuple[int, int, int]]:
-        """Walk the dyadic tree in pre-order; return (a, b, c) or None.
+        """Walk the dyadic tree towards ``b_next``; return (a, b, c) or None.
+
+        ``b_next`` is the smallest b at or after the walk's position that
+        I(*) ∪ I(=a) does not cover, and every visited node's block
+        contains it: a live internal node steps to the child holding
+        ``b_next``, a live leaf *is* ``b_next``, and a dead block advances
+        ``b_next`` past itself and jumps below the lowest common ancestor.
 
         The loop body is the engine's hottest path: the per-(a, node)
-        cache, the dyadic node lists, and the sibling hop are all inlined
-        on locals (operation counts are unchanged; cache-hit/miss tallies
-        are skipped entirely under disabled counters).
+        cache and the dyadic node lists are inlined on locals
+        (cache-hit/miss tallies are skipped entirely under disabled
+        counters).
         """
         counters = self.counters
         counting = counters.enabled
         eq_a_star = self.i_eq_a_star.get(a)
-        eq_a = self.i_eq_a.get(a)
-        # The covers() checks are inlined on the lists' encoded arrays
-        # (i_star_b is never mutated inside the walk; eq_a's lists mutate
-        # in place, so the bindings stay live — and matching the original
-        # formulation, an eq_a list *created* mid-walk is not consulted).
-        star_lows, star_highs = self.i_star_b._lows, self.i_star_b._highs
-        if eq_a is not None:
-            eq_lows, eq_highs = eq_a._lows, eq_a._highs
-        else:
-            eq_lows = eq_highs = None
         depth = self.dyadic.depth
         cache = self._cache
         cache_get = cache.get
@@ -435,32 +441,10 @@ class TriangleMinesweeper:
         else:
             eq_a_star_next = None
         a_key = a << self._key_shift
+        target = leaf_base + b_next  # heap id of leaf b_next
         heap = 1  # root of the heap-numbered dyadic tree
+        below = depth  # tree levels under ``heap``
         while True:
-            at_leaf = heap >= leaf_base
-            if at_leaf:
-                b_leaf = heap - leaf_base
-                if b_leaf >= n_b:
-                    covered = True
-                else:
-                    covered = False
-                    if eq_lows is not None:
-                        i = bisect_left(eq_lows, b_leaf)
-                        covered = bool(i) and eq_highs[i - 1] > b_leaf
-                    if not covered:
-                        i = bisect_left(star_lows, b_leaf)
-                        covered = bool(i) and star_highs[i - 1] > b_leaf
-                if covered:
-                    # Inactive leaf (padding or covered b): hop to the
-                    # sibling (flip the last 0 bit, drop the tail).
-                    while heap > 1:
-                        if not heap & 1:
-                            heap += 1
-                            break
-                        heap >>= 1
-                    else:
-                        return None
-                    continue
             key = a_key | heap
             z = cache_get(key)
             if z is None:
@@ -545,26 +529,26 @@ class TriangleMinesweeper:
                 counters.interval_ops += ops
             if c is not POS_INF and c < n_c:
                 cache[key] = c
-                if at_leaf:
-                    return (a, heap - leaf_base, c)  # type: ignore[return-value]
-                heap <<= 1
+                if not below:
+                    return (a, b_next, c)  # type: ignore[return-value]
+                below -= 1
+                heap = target >> below
                 continue
             # Every c is dead for all b in this dyadic block: record the
-            # block as a B-gap for this a and hop to the next sibling.
+            # block as a B-gap for this a, move b_next past it, and jump
+            # to the child towards b_next of their lowest common ancestor.
             cache[key] = n_c
-            level = heap.bit_length() - 1
-            block = 1 << (depth - level)
-            index = heap - (1 << level)
-            lo, hi = index * block - 1, (index + 1) * block
-            self._eq_a_list(a).insert(lo, hi)
+            hi = ((heap + 1) << below) - leaf_base
+            eq_a = self._eq_a_list(a)
+            eq_a.insert(hi - (1 << below) - 1, hi)
             counters.interval_ops += 1
-            while heap > 1:
-                if not heap & 1:
-                    heap += 1
-                    break
-                heap >>= 1
-            else:
+            # Two real lists: _next_union returns an int (maybe encoded +inf).
+            b_next = _next_union(self.i_star_b, eq_a, hi, counters)
+            if b_next >= n_b:  # type: ignore[operator]
                 return None
+            target = leaf_base + b_next
+            below = ((leaf_base + hi - 1) ^ target).bit_length() - 1
+            heap = target >> below
 
     # ------------------------------------------------------------------
     # Outer loop

@@ -8,7 +8,7 @@ heap-numbered dyadic tree — stored as slices of one shared
 ``IntervalList`` objects.  Endpoints stay in the :mod:`interval_list`
 int encoding end to end, so the invariant-(7) float-up
 (``insert_leaf``) no longer decodes and re-encodes every part it lifts,
-and the probe walk's covers/Next loops index two flat buffers.
+and the probe walk's Next loops index two flat buffers.
 
 Counting follows the ``OpCounters`` / ``NullCounters`` protocol: the
 ``enabled`` flag is read once and all tallying is skipped under
@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.triangle import TriangleMinesweeper
+from repro.core.triangle import TriangleMinesweeper, check_dyadic_invariant
 from repro.storage.interval_list import ENC_NEG, ENC_POS
 from repro.storage.interval_pool import IntervalPool
 
@@ -35,12 +35,19 @@ from repro.storage.interval_pool import IntervalPool
 class _PooledDyadic:
     """Heap-numbered dyadic tree as lazily-allocated pool handles."""
 
-    __slots__ = ("depth", "n_leaves", "handles")
+    __slots__ = ("depth", "n_leaves", "handles", "pool")
 
-    def __init__(self, n_leaves: int) -> None:
+    def __init__(self, n_leaves: int, pool: IntervalPool) -> None:
         self.depth = max(1, (max(n_leaves, 1) - 1).bit_length())
         self.n_leaves = n_leaves
         self.handles: List[int] = [-1] * (1 << (self.depth + 1))
+        self.pool = pool
+
+    def check_invariant(self) -> None:
+        """Assert invariant (7) on the materialized tree (tests)."""
+        check_dyadic_invariant(
+            [None if h < 0 else self.pool.intervals(h) for h in self.handles]
+        )
 
 
 class ArenaTriangleMinesweeper(TriangleMinesweeper):
@@ -58,7 +65,7 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
         self.h_star_b = pool.new()  # ⟨*, (b1,b2), *⟩
         self.h_eq_a: Dict[int, int] = {}  # ⟨a, (b1,b2), *⟩
         self.h_eq_a_star: Dict[int, int] = {}  # ⟨a, *, (c1,c2)⟩
-        self.dyadic = _PooledDyadic(len(self.b_dict))
+        self.dyadic = _PooledDyadic(len(self.b_dict), pool)
         # Padding leaves (the B domain rounded up to a power of two) carry
         # no real b value; mark them fully covered so invariant (7) can
         # propagate real coverage all the way to the root.
@@ -186,66 +193,7 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
                     counters.interval_ops += 1
                 b_probe = pool.next_encoded(h_star, 0)
             else:
-                # _next_union(star, eq_a, 0) inlined, same op arithmetic.
-                f_s = pstart[h_star]
-                f_e = f_s + plength[h_star]
-                s_s = pstart[h_eq]
-                s_e = s_s + plength[h_eq]
-                fi = f_s
-                si = s_s
-                value = 0
-                ops = 0
-                while True:
-                    ops += 1
-                    i = fi
-                    if i < f_e and plows[i] < value:
-                        i += 1
-                    if i < f_e and plows[i] < value:
-                        prev = i
-                        step = 1
-                        while i + step < f_e and plows[i + step] < value:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, value, prev + 1, top if top < f_e else f_e
-                        )
-                    fi = i
-                    if i > f_s:
-                        high = phighs[i - 1]
-                        step_one = high if high > value else value
-                    else:
-                        step_one = value
-                    if step_one >= ENC_POS:
-                        b_probe = step_one
-                        break
-                    ops += 1
-                    i = si
-                    if i < s_e and plows[i] < step_one:
-                        i += 1
-                    if i < s_e and plows[i] < step_one:
-                        prev = i
-                        step = 1
-                        while i + step < s_e and plows[i + step] < step_one:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, step_one, prev + 1,
-                            top if top < s_e else s_e,
-                        )
-                    si = i
-                    if i > s_s:
-                        high = phighs[i - 1]
-                        step_two = high if high > step_one else step_one
-                    else:
-                        step_two = step_one
-                    if step_two >= ENC_POS or step_two == step_one:
-                        b_probe = step_two
-                        break
-                    value = step_two
-                if counting:
-                    counters.interval_ops += ops
+                b_probe = self._next_b(h_eq, 0)
             if b_probe >= n_b:
                 # No b is viable for this a: rule the a out (sound; see
                 # the pointer module docstring) and retry.
@@ -259,23 +207,90 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
                 if first_free_c >= n_c:
                     pool.insert_encoded(h_root, a - 1, a + 1)
                     continue
-            found = self._descend(a, n_b, n_c)
+            found = self._descend(a, b_probe, n_b, n_c)
             if found is None:
                 # Dyadic walk exhausted every b for this a.
                 pool.insert_encoded(h_root, a - 1, a + 1)
                 continue
             return found
 
-    def _descend(
-        self, a: int, n_b: int, n_c: int
-    ) -> Optional[Tuple[int, int, int]]:
-        """Pre-order dyadic walk; the pointer `_descend` over pool slices.
+    def _next_b(self, h_eq: int, start: int) -> int:
+        """Smallest b >= start outside I(*) ∪ I(=a), encoded.
 
-        Slice bounds of the star and ⟨a,*,C⟩ lists are hoisted (neither
-        mutates inside the walk); the ⟨a,B⟩ list's bounds are re-read
-        after each dead-block insert (its slab can relocate).  Matching
-        the pointer formulation, an ⟨a,B⟩ list *created* mid-walk is not
-        consulted.
+        The pointer engine's ``_next_union(i_star_b, eq_a, start)`` over
+        pool slices: identical alternation, identical operation tallies.
+        """
+        pool = self.pool
+        plows = pool.lows
+        phighs = pool.highs
+        f_s = pool.start[self.h_star_b]
+        f_e = f_s + pool.length[self.h_star_b]
+        s_s = pool.start[h_eq]
+        s_e = s_s + pool.length[h_eq]
+        fi = f_s
+        si = s_s
+        value = start
+        ops = 0
+        while True:
+            ops += 1
+            i = fi
+            if i < f_e and plows[i] < value:
+                i += 1
+            if i < f_e and plows[i] < value:
+                prev = i
+                step = 1
+                while i + step < f_e and plows[i + step] < value:
+                    prev = i + step
+                    step <<= 1
+                top = i + step
+                i = bisect_left(
+                    plows, value, prev + 1, top if top < f_e else f_e
+                )
+            fi = i
+            if i > f_s:
+                high = phighs[i - 1]
+                step_one = high if high > value else value
+            else:
+                step_one = value
+            if step_one >= ENC_POS:
+                b_next = step_one
+                break
+            ops += 1
+            i = si
+            if i < s_e and plows[i] < step_one:
+                i += 1
+            if i < s_e and plows[i] < step_one:
+                prev = i
+                step = 1
+                while i + step < s_e and plows[i + step] < step_one:
+                    prev = i + step
+                    step <<= 1
+                top = i + step
+                i = bisect_left(
+                    plows, step_one, prev + 1, top if top < s_e else s_e
+                )
+            si = i
+            if i > s_s:
+                high = phighs[i - 1]
+                step_two = high if high > step_one else step_one
+            else:
+                step_two = step_one
+            if step_two >= ENC_POS or step_two == step_one:
+                b_next = step_two
+                break
+            value = step_two
+        if self._counting:
+            self.counters.interval_ops += ops
+        return b_next
+
+    def _descend(
+        self, a: int, b_next: int, n_b: int, n_c: int
+    ) -> Optional[Tuple[int, int, int]]:
+        """B-gap-guided dyadic walk; the pointer `_descend` over pool slices.
+
+        Slice bounds of the ⟨a,*,C⟩ list are hoisted (it does not mutate
+        inside the walk); the B-lists are only read by :meth:`_next_b`,
+        after each dead-block insert.
         """
         counters = self.counters
         counting = self._counting
@@ -285,14 +300,6 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
         pstart = pool.start
         plength = pool.length
         h_eq_star = self.h_eq_a_star.get(a)
-        h_eq = self.h_eq_a.get(a)
-        s_s = pstart[self.h_star_b]
-        s_e = s_s + plength[self.h_star_b]
-        if h_eq is not None:
-            eq_s = pstart[h_eq]
-            eq_e = eq_s + plength[h_eq]
-        else:
-            eq_s = eq_e = 0
         if h_eq_star is not None:
             es_s = pstart[h_eq_star]
             es_e = es_s + plength[h_eq_star]
@@ -302,32 +309,10 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
         handles = self.dyadic.handles
         leaf_base = 1 << depth
         a_key = a << self._key_shift
+        target = leaf_base + b_next  # heap id of leaf b_next
         heap = 1  # root of the heap-numbered dyadic tree
+        below = depth  # tree levels under ``heap``
         while True:
-            at_leaf = heap >= leaf_base
-            if at_leaf:
-                b_leaf = heap - leaf_base
-                if b_leaf >= n_b:
-                    covered = True
-                else:
-                    covered = False
-                    if h_eq is not None and eq_e > eq_s:
-                        i = bisect_left(plows, b_leaf, eq_s, eq_e)
-                        covered = i > eq_s and phighs[i - 1] > b_leaf
-                    if not covered and s_e > s_s:
-                        i = bisect_left(plows, b_leaf, s_s, s_e)
-                        covered = i > s_s and phighs[i - 1] > b_leaf
-                if covered:
-                    # Inactive leaf (padding or covered b): hop to the
-                    # sibling (flip the last 0 bit, drop the tail).
-                    while heap > 1:
-                        if not heap & 1:
-                            heap += 1
-                            break
-                        heap >>= 1
-                    else:
-                        return None
-                    continue
             key = a_key | heap
             z = cache_get(key)
             if z is None:
@@ -418,35 +403,26 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
                     counters.interval_ops += ops
             if c < n_c:
                 cache[key] = c
-                if at_leaf:
-                    return (a, heap - leaf_base, c)
-                heap <<= 1
+                if not below:
+                    return (a, b_next, c)
+                below -= 1
+                heap = target >> below
                 continue
             # Every c is dead for all b in this dyadic block: record the
-            # block as a B-gap for this a and hop to the next sibling.
+            # block as a B-gap for this a, move b_next past it, and jump
+            # to the child towards b_next of their lowest common ancestor.
             cache[key] = n_c
-            level = heap.bit_length() - 1
-            block = 1 << (depth - level)
-            index = heap - (1 << level)
-            lo, hi = index * block - 1, (index + 1) * block
-            if h_eq is None:
-                h_eq = self._eq_a_handle(a)
-                # Matching the pointer walk: a list created mid-walk is
-                # not consulted for leaf cover checks (bounds stay 0,0).
-                self.pool.insert_encoded(h_eq, lo, hi)
-            else:
-                self.pool.insert_encoded(h_eq, lo, hi)
-                eq_s = pstart[h_eq]
-                eq_e = eq_s + plength[h_eq]
+            hi = ((heap + 1) << below) - leaf_base
+            h_eq = self._eq_a_handle(a)
+            pool.insert_encoded(h_eq, hi - (1 << below) - 1, hi)
             if counting:
                 counters.interval_ops += 1
-            while heap > 1:
-                if not heap & 1:
-                    heap += 1
-                    break
-                heap >>= 1
-            else:
+            b_next = self._next_b(h_eq, hi)
+            if b_next >= n_b:
                 return None
+            target = leaf_base + b_next
+            below = ((leaf_base + hi - 1) ^ target).bit_length() - 1
+            heap = target >> below
 
     # ------------------------------------------------------------------
     # Exploration (flat CSR arrays -> pool inserts, encoded rank space)

@@ -36,6 +36,7 @@ from repro.core.intersection import (
 from repro.core.probe_acyclic import ChainProbeStrategy
 from repro.core.query import Query
 from repro.core.triangle import triangle_join
+from repro.core.triangle_arena import ArenaTriangleMinesweeper
 from repro.datasets.graphs import power_law_graph, uniform_graph
 from repro.datasets.instances import (
     appendix_j_path,
@@ -49,6 +50,7 @@ from repro.datasets.instances import (
     intersection_with_overlap,
     prop_5_3,
     triangle_hard,
+    triangle_with_output,
 )
 from repro.datasets.workloads import (
     input_size,
@@ -393,6 +395,16 @@ def check_treewidth(result: ExperimentResult) -> None:
 # ----------------------------------------------------------------------
 
 
+def _triangle_query(r: Sequence, s: Sequence, t: Sequence) -> Query:
+    return Query(
+        [
+            Relation("R", ["A", "B"], r),
+            Relation("S", ["B", "C"], s),
+            Relation("T", ["A", "C"], t),
+        ]
+    )
+
+
 def run_triangle(sizes: Sequence[int] = (8, 16, 32)) -> ExperimentResult:
     """Theorem 5.4: the dyadic-tree CDS against the generic shadow-chain
     CDS (and LFTJ) on the adversarial parity triangles, |C| = Θ(n²)."""
@@ -402,13 +414,7 @@ def run_triangle(sizes: Sequence[int] = (8, 16, 32)) -> ExperimentResult:
     )
     for n in sizes:
         r, s, t, cert = triangle_hard(n)
-        query = Query(
-            [
-                Relation("R", ["A", "B"], r),
-                Relation("S", ["B", "C"], s),
-                Relation("T", ["A", "C"], t),
-            ]
-        )
+        query = _triangle_query(r, s, t)
         generic = join(query, gao=["A", "B", "C"], strategy="general")
         assert generic.rows == []
         result.add(
@@ -431,6 +437,44 @@ def check_triangle(result: ExperimentResult) -> None:
         fit_exponent(cert, result.column("dyadic"))
         < fit_exponent(cert, result.column("generic")) - 0.1
     )
+
+
+def run_triangle_planted(
+    sizes: Sequence[int] = (40, 80, 160, 320),
+) -> ExperimentResult:
+    """Appendix L: what one probe search costs in the dyadic-tree CDS as
+    the B domain grows — dyadic nodes visited (cache lookups) and
+    interval operations, on sparse instances over n values with n/4
+    planted triangles."""
+    result = ExperimentResult(
+        "Appendix L — the dyadic walk per probe, planted triangles",
+        ["n", "depth", "probes", "interval_ops", "visits", "visits_per_probe"],
+    )
+    for n in sizes:
+        r, s, t = triangle_with_output(n, n // 4, seed=5)
+        counters = OpCounters()
+        engine = ArenaTriangleMinesweeper(r, s, t, counters)
+        assert engine.run() == leapfrog_triejoin(
+            _triangle_query(r, s, t).with_gao(["A", "B", "C"]), OpCounters()
+        )
+        visits = counters.cache_hits + counters.cache_misses
+        result.add(
+            n, engine.dyadic.depth, counters.probes, counters.interval_ops,
+            visits, round(visits / counters.probes, 2),
+        )
+    return result
+
+
+def check_triangle_planted(result: ExperimentResult) -> None:
+    """A probe visits at most 2·(depth + 1) dyadic nodes at every n, and
+    interval operations per probe grow with a log-log slope below 0.3
+    against n — the O(log n) the dyadic tree promises; a walk that
+    re-crosses dead blocks from the root on every probe reads 0.81."""
+    for row in result.rows:
+        assert row["visits"] <= 2 * (row["depth"] + 1) * row["probes"], row
+    per_probe = [row["interval_ops"] / row["probes"] for row in result.rows]
+    slope = fit_exponent(result.column("n"), per_probe)
+    assert slope < 0.3, slope
 
 
 # ----------------------------------------------------------------------
@@ -873,6 +917,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "treewidth", "Proposition 5.3", run_treewidth, check_treewidth
         ),
         Experiment("triangle", "Theorem 5.4", run_triangle, check_triangle),
+        Experiment(
+            "triangle-planted", "Appendix L (Algorithm 10)",
+            run_triangle_planted, check_triangle_planted,
+        ),
         Experiment(
             "intersection", "Appendix H (Theorem H.4)",
             run_intersection, check_intersection,

@@ -551,10 +551,9 @@ class Session:
             from repro.core.triangle import triangle_join
 
             r, s, t = triangle_edges(lowered.query, triangle)
-            rows = sorted(
-                triangle_join(
-                    r, s, t, counters, cds_backend=plan.cds_backend
-                )
+            # Already ascending: the engine sorts its output in this order.
+            rows = triangle_join(
+                r, s, t, counters, cds_backend=plan.cds_backend
             )
             self._post_check(admission, counters, len(rows), "triangle")
             return iter(rows)

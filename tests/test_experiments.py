@@ -65,6 +65,7 @@ class TestRunners:
             "gao",
             "treewidth",
             "triangle",
+            "triangle-planted",
             "intersection",
             "bowtie",
             "beta-cyclic",

@@ -7,6 +7,7 @@ import pytest
 from repro.core.engine import JoinResult, join
 from repro.core.query import Query, naive_join
 from repro.core.triangle import TriangleMinesweeper
+from repro.core.triangle_arena import ArenaTriangleMinesweeper
 from repro.datasets.instances import triangle_with_output
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
@@ -46,9 +47,10 @@ class TestDyadicInvariantAfterRealRuns:
     @pytest.mark.parametrize("seed", range(3))
     def test_invariant_post_run(self, seed):
         r, s, t = triangle_with_output(15, 5, seed=seed)
-        engine = TriangleMinesweeper(r, s, t)
-        engine.run()
-        engine.dyadic.check_invariant()
+        for engine_cls in (TriangleMinesweeper, ArenaTriangleMinesweeper):
+            engine = engine_cls(r, s, t)
+            engine.run()
+            engine.dyadic.check_invariant()
 
 
 class TestJoinResultApi:
