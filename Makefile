@@ -5,7 +5,7 @@ PY := python
 SRC := src
 export PYTHONPATH := $(SRC)
 
-.PHONY: test lint check-ops ledger-smoke query-smoke recover-smoke trace-smoke chaos-smoke http-smoke
+.PHONY: test lint check-ops ledger-smoke query-smoke recover-smoke view-smoke trace-smoke chaos-smoke http-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -54,6 +54,25 @@ recover-smoke:
 	  --data-dir /tmp/repro-recover-smoke; test $$? -eq 3
 	$(PY) -m repro.cli recover --data-dir /tmp/repro-recover-smoke --snapshot
 	$(PY) -m repro.cli verify-state --data-dir /tmp/repro-recover-smoke
+
+# Live-view smoke: replay the committed triangle update log through
+# `repro stream`, which recomputes the view after every batch (exit 1
+# on any mismatch).  Every view line must say how its delta terms were
+# answered, and the log's delete-only batch (batch 2) must have run no
+# engine evaluation and no probe: deletes are read from the view's
+# projection index.  CI runs this next to recover-smoke.
+view-smoke:
+	$(PY) -m repro.cli stream \
+	  --relation R=A,B:examples/triangle_view/R.csv \
+	  --relation S=B,C:examples/triangle_view/S.csv \
+	  --relation T=A,C:examples/triangle_view/T.csv \
+	  --view tri=R,S,T --log examples/triangle_view/updates.log \
+	  > /tmp/repro-view-smoke.out
+	cat /tmp/repro-view-smoke.out
+	! grep -q MISMATCH /tmp/repro-view-smoke.out
+	! grep '^  tri: ' /tmp/repro-view-smoke.out | grep -qv ' engine_runs='
+	grep -A1 '^batch 2: ' /tmp/repro-view-smoke.out \
+	  | grep -q 'inc findgap=0 probes=0 engine_runs=0 indexed_deletes=2 '
 
 # Observability smoke: replay the serving demo traced + durable, dump
 # the metrics artifacts, then schema-check them — span JSONL must

@@ -404,7 +404,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 f"  {view_name}: {entry['rows']} rows "
                 f"(+{entry['rows_added']}/-{entry['rows_removed']})  "
                 f"inc findgap={entry['ops'].get('findgap', 0)} "
-                f"probes={entry['ops'].get('probes', 0)}"
+                f"probes={entry['ops'].get('probes', 0)} "
+                f"engine_runs={entry['engine_runs']} "
+                f"indexed_deletes={entry['indexed_deletes']}"
             )
             if not args.no_recompute:
                 view = catalog.view(view_name)

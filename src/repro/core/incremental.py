@@ -1,27 +1,51 @@
-"""Incremental join-view maintenance: the delta rule, probed by Minesweeper.
+"""Incremental join-view maintenance: inserts join, deletes look up.
 
-:class:`LiveJoin` materializes a natural join Q = R₁ ⋈ … ⋈ R_m with
-per-row multiplicity counts and keeps it fresh under updates via the
-classical delta rule
+:class:`LiveJoin` materializes a natural join Q = R₁ ⋈ … ⋈ R_m and
+keeps it fresh under updates via the classical delta rule
 
     ΔQ = Σᵢ  ΔRᵢ ⋈ R₁ⁿᵉʷ ⋈ … ⋈ R_{i-1}ⁿᵉʷ ⋈ R_{i+1}ᵒˡᵈ ⋈ … ⋈ R_mᵒˡᵈ
 
-evaluated with signed multiplicities (+1 for inserts, −1 for deletes).
-Each delta term is computed by *Minesweeper itself*: relation i is
-replaced by the (tiny) delta tuple set, so the very first FindGap probes
-collapse the CDS around the changed tuples and the search never leaves
-their neighborhood — per-batch maintenance cost tracks the *delta*
-certificate, not the input size.  Full recompute pays the whole-instance
-certificate every batch; ``tests/test_incremental.py`` asserts the gap
-at fixed sizes.
+whose two signs are evaluated differently:
+
+* **+1 (inserts) — one Minesweeper run per relation.**  Relation i is
+  replaced by its (tiny) inserted tuple set, so the very first FindGap
+  probes collapse the CDS around the changed tuples and the search
+  never leaves their neighborhood — the cost tracks the *delta*
+  certificate, not the input size.  Full recompute pays the
+  whole-instance certificate every batch; ``tests/test_incremental.py``
+  asserts the gap at fixed sizes.
+* **−1 (deletes) — no join at all.**  The view keeps, per atom, a
+  projection index ``projected key → rows`` over its materialized rows,
+  and the −1 term of a deleted tuple t is read out of it: exactly the
+  bucket of t.  Minesweeper's cost is the certificate of the instance
+  it is handed (Thm 3.2); the rows a delete takes away are already
+  materialized, so the cheapest certificate is the view itself and a
+  delete-only batch performs zero probes.
+
+Why the lookup is exact.  Inputs are sets, so every view row has
+multiplicity 1 and is derived from exactly one tuple per atom.  When
+relation i's delta is folded in, the view equals the join of the
+*current* mixed state (relations before i in the batch order already
+new, i and later still old) — the same state the delta rule's term i
+reads.  Deleting t from Rᵢ therefore removes {t} ⋈ (the other atoms'
+current state), which is precisely the materialized rows whose
+projection onto atom i is t.  Inserts and deletes of one relation never
+interact: an intra-batch pair is netted out first, so an inserted tuple
+is not a deleted one and no row is both removed and added.
+
+Cost of the index: one entry per view row per atom (m·|Q| entries
+beside the |Q| rows), maintained at the single place a row enters or
+leaves the view.  :meth:`LiveJoin.recompute` / :meth:`LiveJoin.verify`
+stay the small independent checker beside the fast path, and
+:meth:`LiveJoin.check_invariant` audits the index against the rows.
 
 Protocol (what :class:`repro.dynamic.catalog.Catalog` drives): process
 the batch one relation at a time, in a fixed order; for each relation
 first call :meth:`LiveJoin.apply_delta` with the *effective* delta (the
 sub-batch that actually changes the stored relation), **then** apply the
-delta to storage.  That sequencing realizes the mixed old/new state the
-delta rule needs, and guarantees every output row is derived exactly
-once per batch (multiplicities stay 0/1 for set-semantics inputs).
+delta to storage.  That sequencing realizes the mixed old/new state
+above, and guarantees every output row is derived exactly once per
+batch (multiplicities stay 0/1 for set-semantics inputs).
 """
 
 from __future__ import annotations
@@ -29,7 +53,17 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.engine import ExecSpec, run_join
 from repro.core.query import PreparedQuery, Query
@@ -75,6 +109,14 @@ def _netted_delta(
         ins = [t for t in ins if t not in paired]
         dels = [t for t in dels if t not in paired]
     return ins, dels
+
+
+def _projector(positions: Sequence[int]) -> "Callable[[Row], Row]":
+    """Row -> its projection onto ``positions``, always as a tuple."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    return itemgetter(*positions)
 
 
 def consistent_gao(relations: Sequence[Relation]) -> Optional[List[str]]:
@@ -126,7 +168,7 @@ class LiveJoin:
         live.  Column orders must be consistent with the view's GAO
         (they are never re-indexed: a rebuilt copy would go stale).
     spec:
-        How every evaluation this view performs — the seed, each delta
+        How every evaluation this view performs — the seed, each insert
         term of a maintenance batch, and recomputes — runs (see
         :class:`~repro.core.engine.ExecSpec`; ``backend`` and ``limit``
         do not apply to a live view).  With no ``gao`` the paper's
@@ -140,6 +182,9 @@ class LiveJoin:
         when individual delta terms are heavy (large batches over big
         views, seeds, recomputes) and a loss for trickle updates, where
         the default ``shards=1`` keeps maintenance delta-bound.
+    seed:
+        Materialize immediately (the default).  WAL replay passes
+        ``False`` and calls :meth:`seed` once after the last record.
     """
 
     def __init__(
@@ -147,6 +192,7 @@ class LiveJoin:
         name: str,
         relations: Sequence[Relation],
         spec: ExecSpec = ExecSpec(),
+        seed: bool = True,
     ) -> None:
         self.name = name
         query = Query(list(relations))
@@ -189,8 +235,27 @@ class LiveJoin:
         self.gao = self.spec.gao
         #: Cumulative maintenance ops (delta terms only, not the seed).
         self.counters = OpCounters()
+        #: Cumulative delta terms by how they were answered: +1 terms
+        #: run through the engine, deleted tuples read from the index.
+        self.engine_runs = 0
+        self.indexed_deletes = 0
         self._counts: Dict[Row, int] = {}
-        self.initial_ops = self._seed()
+        #: Per atom, a view row -> the atom's tuple it was derived from
+        #: (rows are GAO-ordered, tuples in the atom's column order).
+        self._atom_key = [
+            _projector([self.gao.index(a) for a in r.attributes])
+            for r in self.relations
+        ]
+        #: The projection index: per atom, tuple -> the rows derived
+        #: from it (insertion-ordered, so iteration is deterministic).
+        self._index: List[Dict[Row, Dict[Row, None]]] = [
+            {} for _ in self.relations
+        ]
+        #: Ops of the seeding evaluation; empty until :meth:`seed` runs.
+        self.initial_ops: Dict[str, int] = {}
+        self.seeded = False
+        if seed:
+            self.seed()
 
     # ------------------------------------------------------------------
 
@@ -208,11 +273,35 @@ class LiveJoin:
             self._prepared(relations, counters), self._run_spec
         ).rows
 
-    def _seed(self) -> Dict[str, int]:
+    def seed(self) -> None:
+        """Materialize the view from the current relation state.
+
+        Runs at construction unless deferred (``seed=False``: WAL replay
+        registers views first and seeds each once, after the last
+        record, instead of maintaining them record by record).
+        """
         counters = OpCounters()
         rows = self._evaluate(self.relations, counters)
-        self._counts = {row: 1 for row in rows}
-        return counters.snapshot()
+        self._counts = {}
+        self._index = [{} for _ in self.relations]
+        for row in rows:
+            self._add_row(row)
+        self.initial_ops = counters.snapshot()
+        self.seeded = True
+
+    def _add_row(self, row: Row) -> None:
+        self._counts[row] = 1
+        for index, key in zip(self._index, self._atom_key):
+            index.setdefault(key(row), {})[row] = None
+
+    def _remove_row(self, row: Row) -> None:
+        del self._counts[row]
+        for index, key in zip(self._index, self._atom_key):
+            tuple_ = key(row)
+            bucket = index[tuple_]
+            del bucket[row]
+            if not bucket:
+                del index[tuple_]
 
     # ------------------------------------------------------------------
     # Serving
@@ -260,30 +349,35 @@ class LiveJoin:
         The delta is canonicalized first: a tuple appearing on *both*
         sides of the batch is an intra-batch insert/delete pair, which
         annihilates — order-insensitively — before any delta term is
-        evaluated, so view multiplicities are untouched by it.  (The
-        previous behavior evaluated the -1 term before the +1 term,
-        which only balanced by accident and double-counted maintenance
-        work.)
+        evaluated, so view multiplicities are untouched by it.
+
+        Deletes are answered from the projection index (no engine run,
+        no ops); the inserts are one engine run with the delta
+        substituted for the relation.  All-or-nothing: both row sets
+        are computed and every multiplicity checked before the view is
+        touched, so a protocol violation raises with the view unchanged.
         """
         base = self._by_name.get(name)
         if base is None:
             return (0, 0)
         inserts, deletes = _netted_delta(inserts, deletes, base.arity, name)
+        buckets = self._index[self.relations.index(base)]
+        removed = [row for t in deletes for row in buckets.get(t, ())]
         # Tally into a fresh local object, then merge it outward —
         # folding a caller-shared counters object into the cumulative
         # tally would recount its earlier contents once per call.
         local = OpCounters()
-        added = removed = 0
-        for delta_rows, sign in ((deletes, -1), (inserts, +1)):
-            if not delta_rows:
-                continue
+        added: List[Row] = []
+        if inserts:
             delta_rel = Relation(
-                name, base.attributes, delta_rows, counters=local
+                name, base.attributes, inserts, counters=local
             )
-            atoms = [
-                delta_rel if r.name == name else r for r in self.relations
-            ]
-            for row in self._evaluate(atoms, local):
+            added = self._evaluate(
+                [delta_rel if r.name == name else r for r in self.relations],
+                local,
+            )
+        for rows, sign in ((removed, -1), (added, +1)):
+            for row in rows:
                 multiplicity = self._counts.get(row, 0) + sign
                 if multiplicity not in (0, 1):
                     raise RuntimeError(
@@ -292,16 +386,16 @@ class LiveJoin:
                         "pre-update relation state (effective deltas, "
                         "storage applied afterwards)"
                     )
-                if multiplicity == 0:
-                    del self._counts[row]
-                    removed += 1
-                else:
-                    self._counts[row] = multiplicity
-                    added += 1
+        for row in removed:
+            self._remove_row(row)
+        for row in added:
+            self._add_row(row)
+        self.indexed_deletes += len(deletes)
+        self.engine_runs += 1 if inserts else 0
         self.counters.merge(local)
         if counters is not None:
             counters.merge(local)
-        return added, removed
+        return len(added), len(removed)
 
     def apply_batch(
         self,
@@ -366,3 +460,25 @@ class LiveJoin:
         """True iff the maintained view equals a full recompute."""
         rows, _, _ = self.recompute()
         return rows == self.rows()
+
+    def check_invariant(self) -> None:
+        """Audit the projection index against the materialized rows.
+
+        Raises ``AssertionError`` unless, for every atom, the index is
+        exactly the rows grouped by their projection onto that atom (no
+        stale, missing or empty bucket) and every multiplicity is 1.
+        """
+        if any(count != 1 for count in self._counts.values()):
+            raise AssertionError(f"view {self.name}: multiplicity != 1")
+        for relation, index, key in zip(
+            self.relations, self._index, self._atom_key
+        ):
+            expected: Dict[Row, set] = {}
+            for row in self._counts:
+                expected.setdefault(key(row), set()).add(row)
+            actual = {t: set(bucket) for t, bucket in index.items()}
+            if actual != expected:
+                raise AssertionError(
+                    f"view {self.name}: projection index of "
+                    f"{relation.name} diverged from the view's rows"
+                )

@@ -66,7 +66,10 @@ class BatchReport:
     batch: int
     #: relation -> (effective inserts, effective deletes)
     applied: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: view -> {"rows_added", "rows_removed", "rows", "ops": snapshot}
+    #: view -> {"rows_added", "rows_removed", "rows", "ops": snapshot,
+    #: "seconds", "engine_runs", "indexed_deletes"} — the last two say
+    #: how the batch's delta terms were answered: insert terms run
+    #: through the engine, deleted tuples read from the view's index.
     views: Dict[str, dict] = field(default_factory=dict)
     seconds: float = 0.0
 
@@ -228,7 +231,12 @@ class Catalog:
         """Register (and immediately materialize) a live join view.
 
         ``spec`` configures every evaluation the view performs (see
-        :class:`~repro.core.incremental.LiveJoin`).
+        :class:`~repro.core.incremental.LiveJoin`).  During WAL replay
+        the view is registered unseeded and skipped by
+        :meth:`apply_batch`; recovery calls :meth:`seed_views` once
+        after the last record (view contents are a function of relation
+        state, so the rows are the ones record-by-record maintenance
+        would have left).
         """
         if name in self._views:
             raise ValueError(f"view {name!r} already registered")
@@ -236,7 +244,10 @@ class Catalog:
         if missing:
             raise KeyError(f"unknown relations {missing} in view {name!r}")
         view = LiveJoin(
-            name, [self._relations[n] for n in relation_names], spec
+            name,
+            [self._relations[n] for n in relation_names],
+            spec,
+            seed=not self._replaying,
         )
         # Log the *resolved* configuration (gao / cds_backend picked by
         # the view), so replaying the record reconstructs this exact
@@ -251,6 +262,12 @@ class Catalog:
         )
         self._views[name] = view
         return view
+
+    def seed_views(self) -> None:
+        """Materialize every view whose seeding replay deferred."""
+        for view in self._views.values():
+            if not view.seeded:
+                view.seed()
 
     def view(self, name: str) -> LiveJoin:
         try:
@@ -324,42 +341,52 @@ class Catalog:
             self.batches_applied += 1
             self.generation += 1
             report = BatchReport(batch=self.batches_applied)
-            view_counters = {name: OpCounters() for name in self._views}
-            view_added = dict.fromkeys(self._views, 0)
-            view_removed = dict.fromkeys(self._views, 0)
-            view_seconds = dict.fromkeys(self._views, 0.0)
+            # Unseeded views (registered during replay) are not
+            # maintained: seed_views() materializes them afterwards.
+            live = {n: v for n, v in self._views.items() if v.seeded}
+            view_counters = {name: OpCounters() for name in live}
+            report.views = {
+                name: {
+                    "rows_added": 0, "rows_removed": 0, "seconds": 0.0,
+                    "engine_runs": 0, "indexed_deletes": 0,
+                }
+                for name in live
+            }
             for name, (eff_ins, eff_del) in effective.items():
                 relation = self._relations[name]
-                for view_name, view in self._views.items():
+                for view_name, view in live.items():
                     with obs.tracer.span(
                         "view.maintain", view=view_name, relation=name
                     ) as vspan:
+                        runs, lookups = view.engine_runs, view.indexed_deletes
                         v0 = time.perf_counter()  # lint: disable=determinism -- reporting-only timing; never feeds results
                         added, removed = view.apply_delta(
                             name, eff_ins, eff_del,
                             counters=view_counters[view_name],
                         )
-                        view_seconds[view_name] += (
-                            time.perf_counter() - v0  # lint: disable=determinism -- reporting-only timing; never feeds results
-                        )
-                        vspan.set("rows_added", added)
-                        vspan.set("rows_removed", removed)
-                    view_added[view_name] += added
-                    view_removed[view_name] += removed
+                        entry = report.views[view_name]
+                        entry["seconds"] += time.perf_counter() - v0  # lint: disable=determinism -- reporting-only timing; never feeds results
+                        for key, value in (
+                            ("rows_added", added),
+                            ("rows_removed", removed),
+                            ("engine_runs", view.engine_runs - runs),
+                            (
+                                "indexed_deletes",
+                                view.indexed_deletes - lookups,
+                            ),
+                        ):
+                            entry[key] += value
+                            vspan.set(key, value)
                 with obs.tracer.span(
                     "storage.apply", relation=name,
                     inserts=len(eff_ins), deletes=len(eff_del),
                 ):
                     relation.index.apply_effective(eff_ins, eff_del)
                 report.applied[name] = (len(eff_ins), len(eff_del))
-            for view_name, view in self._views.items():
-                report.views[view_name] = {
-                    "rows_added": view_added[view_name],
-                    "rows_removed": view_removed[view_name],
-                    "rows": len(view),
-                    "ops": view_counters[view_name].snapshot(),
-                    "seconds": view_seconds[view_name],
-                }
+            for view_name, view in live.items():
+                report.views[view_name].update(
+                    rows=len(view), ops=view_counters[view_name].snapshot()
+                )
             report.seconds = time.perf_counter() - t0  # lint: disable=determinism -- reporting-only timing; never feeds results
             bspan.set("updates", report.updates_applied)
         if obs.enabled:
@@ -373,6 +400,16 @@ class Catalog:
                     "Per-batch live-view maintenance wall time.",
                     labels={"view": view_name},
                 ).observe(entry["seconds"])
+                for kind, key in (
+                    ("engine", "engine_runs"), ("indexed", "indexed_deletes")
+                ):
+                    obs.metrics.counter(
+                        "view_delta_terms_total",
+                        "Live-view delta terms by how they were answered: "
+                        "insert terms run through the engine, deleted "
+                        "tuples read from the projection index.",
+                        labels={"view": view_name, "kind": kind},
+                    ).inc(entry[key])
         return report
 
     # ------------------------------------------------------------------

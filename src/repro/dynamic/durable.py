@@ -15,10 +15,13 @@ roots, then re-attaches the WAL so subsequent mutations keep being
 logged.  An empty directory is simply a fresh durable catalog.
 
 Recovery replays records through the catalog's ordinary mutation
-methods with logging suppressed, so view maintenance, memtable
-auto-flush, and report bookkeeping behave exactly as they did before
-the crash — which is what makes the fault suite's "pre-batch or
-post-batch, never between" assertion provable.
+methods with logging suppressed, so memtable auto-flush and report
+bookkeeping behave exactly as they did before the crash — which is
+what makes the fault suite's "pre-batch or post-batch, never between"
+assertion provable.  Live views are the one exception: their contents
+are a function of relation state, so replay registers them unseeded,
+skips their maintenance, and materializes each once after the last
+record instead of once at registration plus one round per record.
 
 :func:`verify_state` is the audit path (CLI ``repro verify-state``):
 it re-derives every hash the manifest claims — the manifest checksum,
@@ -214,6 +217,9 @@ def recover_catalog(
                 report.records_replayed += 1
                 if record.kind == KIND_BATCH:
                     report.batches_replayed += 1
+            # Views were registered unseeded and skipped by every
+            # replayed batch; one evaluation each on the final state.
+            catalog.seed_views()
         finally:
             catalog._replaying = False
         report.last_lsn = wal.last_lsn

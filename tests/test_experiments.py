@@ -73,6 +73,7 @@ class TestRunners:
             "memoization",
             "interval-merge",
             "planner",
+            "view-maintenance",
         }
         exported = set(repro.experiments.__all__)
         assert {exp.run.__name__ for exp in EXPERIMENTS.values()} <= exported
