@@ -5,7 +5,7 @@ PY := python
 SRC := src
 export PYTHONPATH := $(SRC)
 
-.PHONY: test lint check-ops ledger-smoke query-smoke recover-smoke view-smoke trace-smoke chaos-smoke http-smoke
+.PHONY: test lint census check-ops ledger-smoke query-smoke recover-smoke view-smoke trace-smoke chaos-smoke http-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -21,6 +21,12 @@ lint:
 	else \
 	  echo "mypy not installed; skipped (CI runs it — see mypy.ini)"; \
 	fi
+
+# Line census: code lines of src/repro (no blanks, comments or
+# docstrings), per package and total — the figure simplicity PRs quote
+# before/after in CHANGES.md.
+census:
+	$(PY) benchmarks/census.py
 
 # Query-serving smoke: parse -> plan -> execute over the committed demo
 # script, plus a one-shot `repro query` (CI runs this next to check-ops).

@@ -64,7 +64,7 @@ def generic_join(
                 trie = tries[name]
                 keys = key_lists[name]
                 position = bisect.bisect_left(keys, value) + 1
-                child = trie.node_child(nodes[name], position)
+                child = trie.child_at(nodes[name], position)
                 if child is None:
                     next_nodes.pop(name, None)
                 else:
@@ -73,5 +73,5 @@ def generic_join(
             search(depth + 1, binding, next_nodes)
             binding.pop()
 
-    search(0, [], {r.name: tries[r.name].root_node() for r in relations})
+    search(0, [], {r.name: tries[r.name].root_handle() for r in relations})
     return sorted(output)

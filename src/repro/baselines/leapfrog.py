@@ -112,7 +112,7 @@ def leapfrog_triejoin(
                 trie = tries[name]
                 keys = trie.node_keys(nodes[name])
                 position = bisect.bisect_left(keys, value) + 1
-                child = trie.node_child(nodes[name], position)
+                child = trie.child_at(nodes[name], position)
                 if child is None:
                     # Relation fully bound; it no longer constrains.
                     next_nodes.pop(name, None)
@@ -123,5 +123,5 @@ def leapfrog_triejoin(
                 search(depth + 1, binding, next_nodes)
                 binding.pop()
 
-    search(0, [], {r.name: tries[r.name].root_node() for r in relations})
+    search(0, [], {r.name: tries[r.name].root_handle() for r in relations})
     return sorted(output)

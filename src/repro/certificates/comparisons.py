@@ -110,17 +110,17 @@ def variable_value(query: PreparedQuery, var: Variable) -> ExtendedValue:
 def enumerate_variables(index: TrieRelation) -> List[IndexTuple]:
     """All valid index tuples of a relation's trie, shallowest first.
 
-    Uses the backend-neutral node-handle API, so it works for both the
+    Uses the backend-neutral handle API, so it works for both the
     pointer trie and the flat (CSR) trie.
     """
     out: List[IndexTuple] = []
-    stack: List[Tuple[IndexTuple, object]] = [((), index.root_node())]
+    stack: List[Tuple[IndexTuple, object]] = [((), index.root_handle())]
     while stack:
         prefix, node = stack.pop()
         for i in range(1, len(index.node_keys(node)) + 1):
             tuple_here = prefix + (i,)
             out.append(tuple_here)
-            child = index.node_child(node, i)
+            child = index.child_at(node, i)
             if child is not None:
                 stack.append((tuple_here, child))
     out.sort(key=len)

@@ -691,14 +691,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tenant_specs(args: argparse.Namespace) -> list:
+    """One spec per ``--tenant``: the CLI-level QoS/pool flags are the
+    defaults, a per-tenant override string always wins."""
+    from repro.net import TenantSpec
+
+    defaults = {
+        knob: getattr(args, knob)
+        for knob in (
+            "max_ops", "deadline_ms", "max_rows", "pool_size", "queue_depth"
+        )
+    }
+    try:
+        return [
+            TenantSpec.parse(text, **defaults)
+            for text in (args.tenants or ["default"])
+        ]
+    except ValueError as exc:
+        raise SystemExit(f"bad --tenant: {exc}")
+
+
 def _cmd_serve_http(args: argparse.Namespace) -> int:
     """Host the multi-tenant HTTP server (see :mod:`repro.net`)."""
-    import dataclasses
     import json
     import signal
     import threading
 
-    from repro.net import TenantRegistry, TenantSpec, serve_http
+    from repro.net import TenantRegistry, serve_http
 
     config, retry_policy = _planner_config(args)
     if args.slow_query_ms is not None and args.slow_query_ms < 0:
@@ -710,29 +729,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             "--relation is a script-mode flag; load data over HTTP "
             "(/v1/update or /v1/script)"
         )
-    specs = []
-    try:
-        for text in (args.tenants or ["default"]):
-            spec = TenantSpec.parse(text)
-            # CLI-level QoS/pool flags fill knobs the per-tenant
-            # override string left unset; the override always wins.
-            fills = {}
-            for knob, flag in (
-                ("max_ops", args.max_ops),
-                ("deadline_ms", args.deadline_ms),
-                ("max_rows", args.max_rows),
-            ):
-                if getattr(spec, knob) is None and flag is not None:
-                    fills[knob] = flag
-            if spec.pool_size == 4 and args.pool_size != 4:
-                fills["pool_size"] = args.pool_size
-            if spec.queue_depth == 64 and args.queue_depth != 64:
-                fills["queue_depth"] = args.queue_depth
-            if fills:
-                spec = dataclasses.replace(spec, **fills)
-            specs.append(spec)
-    except ValueError as exc:
-        raise SystemExit(f"bad --tenant: {exc}")
+    specs = _tenant_specs(args)
     try:
         registry = TenantRegistry(
             specs,

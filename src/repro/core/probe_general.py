@@ -18,15 +18,18 @@ is what we implement.)
 
 When G happens to be a chain the shadows coincide with the originals and
 this strategy reduces exactly to Algorithm 3 (tested against it).
+
+This is the plain tier: the recursion is Algorithm 7 as written and
+every Next goes through ``intervals.next``, whatever the list type.
+The arena strategy in :mod:`repro.core.cds_arena` is the fast twin and
+must tally exactly what this one tallies.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.core.cds import CDSNode, ConstraintTree
-from repro.storage.interval_list import ENC_POS, IntervalList
 from repro.core.constraints import (
     Constraint,
     Pattern,
@@ -36,20 +39,8 @@ from repro.core.constraints import (
 )
 from repro.util.sentinels import POS_INF, ExtendedValue
 
-ShadowEntry = Tuple[
-    CDSNode, Pattern, CDSNode, Pattern, Optional[object],
-    Optional[list], Optional[list], Optional[list], Optional[list],
-]
-# (shadow node, shadow pattern, original node, original pattern,
-#  [4] prebound intervals.next when shadow IS the original (degenerate
-#      two-node chain), else None,
-#  [5][6] the original's encoded endpoint arrays (degenerate IntervalList
-#      case, and the non-degenerate all-IntervalList case),
-#  [7][8] the shadow's encoded endpoint arrays (non-degenerate
-#      all-IntervalList case only) — present iff the probe walk should
-#      run the fully inlined two-list alternation).
-# CDSNode.intervals is assigned once and mutated in place, so bound
-# methods and arrays stay valid for the (version-cached) chain's life.
+ShadowEntry = Tuple[CDSNode, Pattern, CDSNode, Pattern]
+# (shadow node, shadow pattern, original node, original pattern)
 
 
 class GeneralProbeStrategy:
@@ -136,285 +127,43 @@ class GeneralProbeStrategy:
                 shadow_node = node
             else:
                 shadow_node = self.cds.ensure_node(shadow_pattern)
-            o_iv = node.intervals
-            s_iv = shadow_node.intervals
-            if shadow_node is node:
-                if type(o_iv) is IntervalList:
-                    entries.append(
-                        (
-                            shadow_node, shadow_pattern, node, pattern,
-                            o_iv.next, o_iv._lows, o_iv._highs, None, None,
-                        )
-                    )
-                else:
-                    entries.append(
-                        (
-                            shadow_node, shadow_pattern, node, pattern,
-                            o_iv.next, None, None, None, None,
-                        )
-                    )
-            elif type(o_iv) is IntervalList and type(s_iv) is IntervalList:
-                entries.append(
-                    (
-                        shadow_node, shadow_pattern, node, pattern, None,
-                        o_iv._lows, o_iv._highs, s_iv._lows, s_iv._highs,
-                    )
-                )
-            else:
-                entries.append(
-                    (shadow_node, shadow_pattern, node, pattern, None,
-                     None, None, None, None)
-                )
+            entries.append((shadow_node, shadow_pattern, node, pattern))
         return entries
 
     def _next_shadow_chain_val(
         self, x: int, j: int, entries: List[ShadowEntry]
     ) -> ExtendedValue:
-        """Algorithm 7 over the shadow chain (bottom at index 0).
-
-        The recursion (each level repeatedly consults the level below it
-        until a fixpoint) is run as an explicit walk: descents copy the
-        sought value down to the leaf, unwinds apply each level's Next
-        and either finish the level (memoizing its inferred gap, exactly
-        like the recursive activation would) or re-descend.  Operation
-        and memoization tallies are those of the recursive form.
-        """
-        counters = self.counters
-        memoize = self.memoize
-        insert_interval_at = self.cds.insert_interval_at
-        last = len(entries) - 1
-        top = j
-        if top == last:
-            entry = entries[top]
-            fast_next = entry[4]
-            if fast_next is not None:  # degenerate chain {u}: one Next
-                counters.interval_ops += 1
-                return fast_next(x)
-            return self._next_two(x, entry[0], entry[2])
-        # xs[j]: the value the active level-j activation was entered with
-        # (the low end of the gap it memoizes on completion).
-        xs: List[int] = [x] * (last + 1)
-        cur: ExtendedValue = x
-        z: ExtendedValue = x
-        down = True
+        """Algorithm 7 over the shadow chain (bottom at index 0)."""
+        shadow_node, _, orig_node, _ = entries[j]
+        if j == len(entries) - 1:
+            return self._next_two(x, shadow_node, orig_node)
+        y: ExtendedValue = x
         while True:
-            # Pick the level to step and its input value: descents step
-            # the leaf with the carried-down value; unwinds step level j
-            # with the child's result (unless that result is +inf, which
-            # finishes level j immediately).
-            if down:
-                for level in range(j + 1, last + 1):
-                    xs[level] = cur  # type: ignore[assignment]
-                step_level = last
-                v: ExtendedValue = cur
-            elif z is not POS_INF:
-                step_level = j
-                v = z
-            else:
-                y: ExtendedValue = POS_INF
-                entry = entries[j]
-                if memoize:
-                    insert_interval_at(entry[0], xs[j] - 1, y)
-                if j == top:
-                    return y
-                z = y
-                j -= 1
-                continue
-            entry = entries[step_level]
-            # --- the chain step: Next over the entry's one or two lists.
-            lows = entry[5]
-            if lows is not None and entry[7] is None:
-                # Degenerate {u}: intervals.next inlined (front + gallop).
-                counters.interval_ops += 1
-                n = len(lows)
-                if not n or lows[0] >= v:
-                    out = v
-                else:
-                    if n == 1 or lows[1] >= v:
-                        high = entry[6][0]
-                    else:
-                        stride = 2
-                        prev = 1
-                        while stride < n and lows[stride] < v:
-                            prev = stride
-                            stride <<= 1
-                        i = bisect_left(
-                            lows, v, prev + 1,
-                            stride if stride < n else n,
-                        )
-                        high = entry[6][i - 1]
-                    if high <= v:
-                        out = v
-                    elif high >= ENC_POS:
-                        out = POS_INF
-                    else:
-                        out = high
-            elif lows is not None:
-                # {ū ⪯ u} with both IntervalLists: _next_two inlined.
-                o_highs = entry[6]
-                s_lows = entry[7]
-                s_highs = entry[8]
-                no = len(lows)
-                ns = len(s_lows)
-                yy = v
-                ops = 0
-                oi = si = 0
-                while True:
-                    ops += 2
-                    i = oi
-                    if i < no and lows[i] < yy:
-                        i += 1  # single-step advance: skip the gallop entirely
-                    if i < no and lows[i] < yy:
-                        prev = i
-                        stride = 1
-                        while i + stride < no and lows[i + stride] < yy:
-                            prev = i + stride
-                            stride <<= 1
-                        cap = i + stride
-                        i = bisect_left(
-                            lows, yy, prev + 1, cap if cap < no else no
-                        )
-                    oi = i
-                    if i:
-                        high = o_highs[i - 1]
-                        zz = high if high > yy else yy
-                    else:
-                        zz = yy
-                    if zz >= ENC_POS:
-                        out = POS_INF
-                        break
-                    i = si
-                    if i < ns and s_lows[i] < zz:
-                        i += 1  # single-step advance: skip the gallop entirely
-                    if i < ns and s_lows[i] < zz:
-                        prev = i
-                        stride = 1
-                        while i + stride < ns and s_lows[i + stride] < zz:
-                            prev = i + stride
-                            stride <<= 1
-                        cap = i + stride
-                        i = bisect_left(
-                            s_lows, zz, prev + 1, cap if cap < ns else ns
-                        )
-                    si = i
-                    if i:
-                        high = s_highs[i - 1]
-                        yy = high if high > zz else zz
-                    else:
-                        yy = zz
-                    if yy == zz:
-                        out = yy
-                        break
-                    if yy >= ENC_POS:
-                        out = POS_INF
-                        break
-                counters.interval_ops += ops
-            elif entry[4] is not None:
-                counters.interval_ops += 1
-                out = entry[4](v)
-            else:
-                out = self._next_two(v, entry[0], entry[2])  # type: ignore[arg-type]
-            # --- route the step result.
-            if down:
-                z = out
-                j = last - 1
-                down = False
-                continue
-            y = out
-            if y != z and y is not POS_INF:
-                cur = y  # fixpoint not reached: re-descend below j
-                down = True
-                continue
-            if memoize:
-                insert_interval_at(entry[0], xs[j] - 1, y)
-            if j == top:
-                return y
-            z = y
-            j -= 1
+            z = self._next_shadow_chain_val(y, j + 1, entries)  # type: ignore[arg-type]
+            if z is POS_INF:
+                y = POS_INF
+                break
+            y = self._next_two(z, shadow_node, orig_node)  # type: ignore[arg-type]
+            if y == z or y is POS_INF:
+                break
+        if self.memoize:
+            self.cds.insert_interval_at(shadow_node, x - 1, y)
+        return y
 
     def _next_two(
         self, x: int, shadow_node: CDSNode, orig_node: CDSNode
     ) -> ExtendedValue:
-        """nextChainVal over the two-node chain {ū ⪯ u} (Alg 7 lines 3, 9).
-
-        The alternation is inlined over the two IntervalLists' encoded
-        endpoint arrays with galloping cursors (the sought value only
-        ascends within one call and neither list mutates mid-call), so
-        each Next resumes where the previous one stopped.  Operation
-        tallies match the call-per-Next formulation exactly.
-        """
+        """nextChainVal over the two-node chain {ū ⪯ u} (Alg 7 lines 3, 9)."""
         counters = self.counters
-        o_iv = orig_node.intervals
         if shadow_node is orig_node:
             counters.interval_ops += 1
-            return o_iv.next(x)
-        s_iv = shadow_node.intervals
-        if type(o_iv) is not IntervalList or type(s_iv) is not IntervalList:
-            # NaiveIntervalList ablation (E13): generic alternation.
-            orig_next = o_iv.next
-            shadow_next = s_iv.next
-            y: ExtendedValue = x
-            ops = 0
-            while True:
-                ops += 2
-                z = orig_next(y)  # type: ignore[arg-type]
-                if z is POS_INF:
-                    counters.interval_ops += ops
-                    return POS_INF
-                y = shadow_next(z)
-                if y == z or y is POS_INF:
-                    counters.interval_ops += ops
-                    return y
-        o_lows, o_highs = o_iv._lows, o_iv._highs
-        s_lows, s_highs = s_iv._lows, s_iv._highs
-        no, ns = len(o_lows), len(s_lows)
-        y = x
-        ops = 0
-        oi = si = 0  # galloping cursors: list[:cursor] is known < value
+            return orig_node.intervals.next(x)
+        y: ExtendedValue = x
         while True:
-            ops += 2
-            # --- z = orig.next(y), resuming at cursor oi.
-            i = oi
-            if i < no and o_lows[i] < y:
-                i += 1  # single-step advance: skip the gallop entirely
-            if i < no and o_lows[i] < y:
-                prev = i
-                step = 1
-                while i + step < no and o_lows[i + step] < y:
-                    prev = i + step
-                    step <<= 1
-                top = i + step
-                i = bisect_left(o_lows, y, prev + 1, top if top < no else no)
-            oi = i
-            if i:
-                high = o_highs[i - 1]
-                z = high if high > y else y
-            else:
-                z = y
-            if z >= ENC_POS:
-                counters.interval_ops += ops
+            counters.interval_ops += 2
+            z = orig_node.intervals.next(y)  # type: ignore[arg-type]
+            if z is POS_INF:
                 return POS_INF
-            # --- y = shadow.next(z), resuming at cursor si.
-            i = si
-            if i < ns and s_lows[i] < z:
-                i += 1  # single-step advance: skip the gallop entirely
-            if i < ns and s_lows[i] < z:
-                prev = i
-                step = 1
-                while i + step < ns and s_lows[i + step] < z:
-                    prev = i + step
-                    step <<= 1
-                top = i + step
-                i = bisect_left(s_lows, z, prev + 1, top if top < ns else ns)
-            si = i
-            if i:
-                high = s_highs[i - 1]
-                y = high if high > z else z
-            else:
-                y = z
-            if y == z:
-                counters.interval_ops += ops
+            y = shadow_node.intervals.next(z)
+            if y == z or y is POS_INF:
                 return y
-            if y >= ENC_POS:
-                counters.interval_ops += ops
-                return POS_INF

@@ -33,20 +33,19 @@ Implementation notes (documented deviations, all behaviour-preserving):
 * Output suppression uses the accompanying ``Cache(a, b, c+1)`` call the
   paper prescribes (leaf caches only; bumping internal caches on output
   would be unsound for sibling leaves).
+
+This module is the plain tier: ``IntervalList`` objects reached only
+through ``next`` / ``insert`` / ``covers``, indexes only through the
+handle API.  :mod:`repro.core.triangle_arena` is the fast twin (pooled
+lists, CSR explorer) and must return the same probes, rows and tallies.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from bisect import bisect_left
-
 from repro.storage.flat_trie import FlatTrieRelation
-from repro.storage.interval_list import (
-    ENC_POS,
-    IntervalList,
-    interval_is_empty,
-)
+from repro.storage.interval_list import IntervalList, interval_is_empty
 from repro.storage.trie import TrieRelation
 from repro.util.counters import NullCounters, OpCounters
 from repro.util.sentinels import NEG_INF, POS_INF, ExtendedValue
@@ -186,77 +185,24 @@ def _next_union(
     start: int,
     counters: OpCounters,
 ) -> ExtendedValue:
-    """Smallest v >= start not covered by either list (MERGE-style).
+    """Smallest v >= start not covered by either list (paper MERGE).
 
-    The alternation (paper MERGE) is inlined over the lists' encoded
-    endpoint arrays with per-list galloping cursors: the sought value
-    only ascends within one call and neither list mutates, so each Next
-    resumes where the previous one stopped instead of re-searching from
-    scratch.  Operation tallies are exactly those of the call-per-Next
-    formulation.  May return the *encoded* +inf (an int ≥ ``ENC_POS``),
-    which every caller treats identically to ``POS_INF`` via its
-    upper-bound comparison.
+    Alternates ``next`` on the two lists until both agree; one tallied
+    interval op per ``next``.  ``second`` may be absent.
     """
     if second is None:
         counters.interval_ops += 1
         return first.next(start)
-    f_lows, f_highs = first._lows, first._highs
-    s_lows, s_highs = second._lows, second._highs
-    nf, ns = len(f_lows), len(s_lows)
-    value = start
-    ops = 0
-    fi = si = 0  # galloping cursors: list[:cursor] is known < value
+    value: ExtendedValue = start
     while True:
-        ops += 1
-        # --- step_one = first.next(value), resuming at cursor fi.
-        i = fi
-        if i < nf and f_lows[i] < value:
-            i += 1  # single-step advance: skip the gallop entirely
-        if i < nf and f_lows[i] < value:
-            prev = i
-            step = 1
-            while i + step < nf and f_lows[i + step] < value:
-                prev = i + step
-                step <<= 1
-            top = i + step
-            i = bisect_left(f_lows, value, prev + 1, top if top < nf else nf)
-        fi = i
-        if i:
-            high = f_highs[i - 1]
-            step_one = high if high > value else value
-        else:
-            step_one = value
-        if step_one >= ENC_POS:
-            counters.interval_ops += ops
-            return step_one
-        ops += 1
-        # --- step_two = second.next(step_one), resuming at cursor si.
-        i = si
-        if i < ns and s_lows[i] < step_one:
-            i += 1  # single-step advance: skip the gallop entirely
-        if i < ns and s_lows[i] < step_one:
-            prev = i
-            step = 1
-            while i + step < ns and s_lows[i + step] < step_one:
-                prev = i + step
-                step <<= 1
-            top = i + step
-            i = bisect_left(
-                s_lows, step_one, prev + 1, top if top < ns else ns
-            )
-        si = i
-        if i:
-            high = s_highs[i - 1]
-            step_two = high if high > step_one else step_one
-        else:
-            step_two = step_one
-        if step_two >= ENC_POS:
-            counters.interval_ops += ops
-            return step_two
-        if step_two == step_one:
-            counters.interval_ops += ops
-            return step_two
-        value = step_two
+        counters.interval_ops += 1
+        step_one = first.next(value)  # type: ignore[arg-type]
+        if step_one is POS_INF:
+            return POS_INF
+        counters.interval_ops += 1
+        value = second.next(step_one)  # type: ignore[arg-type]
+        if value is POS_INF or value == step_one:
+            return value
 
 
 class TriangleMinesweeper:
@@ -275,7 +221,6 @@ class TriangleMinesweeper:
         backend: str = "auto",
     ) -> None:
         self.counters = counters if counters is not None else OpCounters()
-        self._counting = self.counters.enabled
         if backend in ("auto", "flat"):
             make_index = FlatTrieRelation
         elif backend in ("trie", "btree"):
@@ -285,7 +230,6 @@ class TriangleMinesweeper:
         self.r_index = make_index(r_edges, arity=2, counters=self.counters)
         self.s_index = make_index(s_edges, arity=2, counters=self.counters)
         self.t_index = make_index(t_edges, arity=2, counters=self.counters)
-        self._flat = make_index is FlatTrieRelation
         r_rows = self.r_index.tuples()
         s_rows = self.s_index.tuples()
         t_rows = self.t_index.tuples()
@@ -298,10 +242,12 @@ class TriangleMinesweeper:
         self.c_dict = _Dict(
             [c for _, c in s_rows] + [c for _, c in t_rows]
         )
-        # Static domain sizes / rank maps, hoisted off the probe loop.
         self._n_a = len(self.a_dict)
         self._n_b = len(self.b_dict)
         self._n_c = len(self.c_dict)
+        # Read only by the arena twin (its CSR explorer and tally gate).
+        self._flat = make_index is FlatTrieRelation
+        self._counting = self.counters.enabled
         self._a_rank_of = self.a_dict.rank_of
         self._b_rank_of = self.b_dict.rank_of
         self._c_rank_of = self.c_dict.rank_of
@@ -325,10 +271,6 @@ class TriangleMinesweeper:
         # 2^level + index — so the probe walk never allocates key tuples.
         self._cache: Dict[int, int] = {}
         self._key_shift = self.dyadic.depth + 1
-        # The CDS root lists live for the engine's lifetime and mutate in
-        # place; their accessors are prebound for the outer probe loop.
-        self._i_root_next = self.i_root.next
-        self._i_star_b_next = self.i_star_b.next
 
     # ------------------------------------------------------------------
     # Cache
@@ -376,19 +318,12 @@ class TriangleMinesweeper:
         n_a, n_b, n_c = self._n_a, self._n_b, self._n_c
         if not n_a or not n_b or not n_c:
             return None
-        i_eq_a_get = self.i_eq_a.get
         while True:
             counters.interval_ops += 1
-            a = self._i_root_next(0)  # smallest free a >= 0
+            a = self.i_root.next(0)  # smallest free a >= 0
             if a is POS_INF or a >= n_a:
                 return None
-            eq_a = i_eq_a_get(a)
-            if eq_a is None:
-                # Single-list union (what _next_union degenerates to).
-                counters.interval_ops += 1
-                b_probe = self._i_star_b_next(0)
-            else:
-                b_probe = _next_union(self.i_star_b, eq_a, 0, counters)
+            b_probe = _next_union(self.i_star_b, self.i_eq_a.get(a), 0, counters)
             if b_probe is POS_INF or b_probe >= n_b:
                 # No b is viable for this a: rule the a out (sound; see
                 # module docstring) and retry.
@@ -419,116 +354,28 @@ class TriangleMinesweeper:
         ``b_next``, a live leaf *is* ``b_next``, and a dead block advances
         ``b_next`` past itself and jumps below the lowest common ancestor.
 
-        The loop body is the engine's hottest path: the per-(a, node)
-        cache and the dyadic node lists are inlined on locals
-        (cache-hit/miss tallies are skipped entirely under disabled
-        counters).
+        Each visit is one cached comparison: the per-(a, node) cache
+        gives the last viable c, and MERGE over I(=a, *) and the node's
+        I(*, x) moves it forward.
         """
         counters = self.counters
-        counting = counters.enabled
         eq_a_star = self.i_eq_a_star.get(a)
         depth = self.dyadic.depth
-        cache = self._cache
-        cache_get = cache.get
-        heap_lists = self.dyadic._heap
         leaf_base = 1 << depth
-        if eq_a_star is not None:
-            eq_a_star_next = eq_a_star.next
-            # eq_a_star is not mutated inside the walk; its endpoint
-            # arrays are hoisted for the inlined union loop below.
-            es_lows, es_highs = eq_a_star._lows, eq_a_star._highs
-            n_es = len(es_lows)
-        else:
-            eq_a_star_next = None
-        a_key = a << self._key_shift
         target = leaf_base + b_next  # heap id of leaf b_next
         heap = 1  # root of the heap-numbered dyadic tree
         below = depth  # tree levels under ``heap``
         while True:
-            key = a_key | heap
-            z = cache_get(key)
-            if z is None:
-                z = -1
-                if counting:
-                    counters.cache_misses += 1
-            elif counting:
-                counters.cache_hits += 1
-            node_list = heap_lists[heap]
-            start = z if z > 0 else 0
-            if node_list is None:
-                if eq_a_star_next is None:
-                    c: ExtendedValue = start
-                else:
-                    # Single-list union (what _next_union degenerates to).
-                    c = eq_a_star_next(start)
-                    counters.interval_ops += 1
-            elif eq_a_star is None:
-                c = node_list.next(start)
-                counters.interval_ops += 1
-            else:
-                # _next_union(eq_a_star, node_list, start) inlined on the
-                # hottest path (see _next_union for the reference form);
-                # identical alternation, identical operation tallies.
-                nl_lows, nl_highs = node_list._lows, node_list._highs
-                n_nl = len(nl_lows)
-                value = start
-                ops = 0
-                fi = si = 0
-                while True:
-                    ops += 1
-                    i = fi
-                    if i < n_es and es_lows[i] < value:
-                        i += 1  # single-step advance: skip the gallop entirely
-                    if i < n_es and es_lows[i] < value:
-                        prev = i
-                        step = 1
-                        while i + step < n_es and es_lows[i + step] < value:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            es_lows, value, prev + 1,
-                            top if top < n_es else n_es,
-                        )
-                    fi = i
-                    if i:
-                        high = es_highs[i - 1]
-                        step_one = high if high > value else value
-                    else:
-                        step_one = value
-                    if step_one >= ENC_POS:
-                        c = step_one
-                        break
-                    ops += 1
-                    i = si
-                    if i < n_nl and nl_lows[i] < step_one:
-                        i += 1  # single-step advance: skip the gallop entirely
-                    if i < n_nl and nl_lows[i] < step_one:
-                        prev = i
-                        step = 1
-                        while (
-                            i + step < n_nl and nl_lows[i + step] < step_one
-                        ):
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            nl_lows, step_one, prev + 1,
-                            top if top < n_nl else n_nl,
-                        )
-                    si = i
-                    if i:
-                        high = nl_highs[i - 1]
-                        step_two = high if high > step_one else step_one
-                    else:
-                        step_two = step_one
-                    if step_two >= ENC_POS or step_two == step_one:
-                        c = step_two
-                        break
-                    value = step_two
-                counters.interval_ops += ops
+            level = depth - below
+            index = heap - (1 << level)
+            c: ExtendedValue = max(self._get_cache(a, level, index), 0)
+            first, second = eq_a_star, self.dyadic.node_list(level, index)
+            if first is None:
+                first, second = second, None
+            if first is not None:
+                c = _next_union(first, second, c, counters)  # type: ignore[arg-type]
             if c is not POS_INF and c < n_c:
-                cache[key] = c
+                self._set_cache(a, level, index, c)  # type: ignore[arg-type]
                 if not below:
                     return (a, b_next, c)  # type: ignore[return-value]
                 below -= 1
@@ -537,14 +384,13 @@ class TriangleMinesweeper:
             # Every c is dead for all b in this dyadic block: record the
             # block as a B-gap for this a, move b_next past it, and jump
             # to the child towards b_next of their lowest common ancestor.
-            cache[key] = n_c
+            self._set_cache(a, level, index, n_c)
             hi = ((heap + 1) << below) - leaf_base
             eq_a = self._eq_a_list(a)
             eq_a.insert(hi - (1 << below) - 1, hi)
             counters.interval_ops += 1
-            # Two real lists: _next_union returns an int (maybe encoded +inf).
-            b_next = _next_union(self.i_star_b, eq_a, hi, counters)
-            if b_next >= n_b:  # type: ignore[operator]
+            b_next = _next_union(self.i_star_b, eq_a, hi, counters)  # type: ignore[assignment]
+            if b_next >= n_b:
                 return None
             target = leaf_base + b_next
             below = ((leaf_base + hi - 1) ^ target).bit_length() - 1
@@ -597,12 +443,9 @@ class TriangleMinesweeper:
 
         Returns True iff (a, b, c) is a triangle.  Constraints are inserted
         in rank space into the specialized lists.  Index access goes
-        through node handles (``gap_at`` / ``value_at`` / ``child_at``) so
-        neither backend re-walks its trie from the root per operation;
-        the flat backend gets a fully inlined CSR-array variant.
+        through node handles (``gap_at`` / ``value_at`` / ``child_at``),
+        which every index backend provides.
         """
-        if self._flat:
-            return self._explore_flat(a_rank, b_rank, c_rank, a, b, c)
         member = True
         # --- R(A, B): gaps on A and, under a match, on B.
         r_root = self.r_index.root_handle()
@@ -660,98 +503,6 @@ class TriangleMinesweeper:
         high = self.a_dict.to_rank(index.value_at(root_handle, hi))
         self.i_root.insert(low, high)
         self.counters.interval_ops += 1
-
-    def _explore_flat(
-        self, a_rank: int, b_rank: int, c_rank: int, a: int, b: int, c: int
-    ) -> bool:
-        """The _explore probe sequence inlined over the CSR arrays.
-
-        Behaviour- and count-identical to the handle formulation: one
-        FindGap per relation at the root, one more under a root match,
-        and the same constraint inserts in the same order.
-        """
-        counters = self.counters
-        counting = self._counting
-        a_rank_of = self._a_rank_of
-        b_rank_of = self._b_rank_of
-        c_rank_of = self._c_rank_of
-        member = True
-        # --- R(A, B): gaps on A and, under a match, on B.
-        vals0 = self.r_index._vals[0]
-        vals1 = self.r_index._vals[1]
-        off1 = self.r_index._offs[1]
-        if counting:
-            counters.findgap += 1
-        n = len(vals0)
-        i = bisect_left(vals0, a)
-        if i < n and vals0[i] == a:
-            span_lo, span_hi = off1[i], off1[i + 1]
-            if counting:
-                counters.findgap += 1
-            j = bisect_left(vals1, b, span_lo, span_hi)
-            if not (j < span_hi and vals1[j] == b):
-                low = b_rank_of[vals1[j - 1]] if j > span_lo else NEG_INF
-                high = b_rank_of[vals1[j]] if j < span_hi else POS_INF
-                self._eq_a_list(a_rank).insert(low, high)
-                counters.interval_ops += 1
-                member = False
-        else:
-            low = a_rank_of[vals0[i - 1]] if i > 0 else NEG_INF
-            high = a_rank_of[vals0[i]] if i < n else POS_INF
-            self.i_root.insert(low, high)
-            counters.interval_ops += 1
-            member = False
-        # --- T(A, C): gaps on A and, under a match, on C (⟨a, *, gap⟩).
-        vals0 = self.t_index._vals[0]
-        vals1 = self.t_index._vals[1]
-        off1 = self.t_index._offs[1]
-        if counting:
-            counters.findgap += 1
-        n = len(vals0)
-        i = bisect_left(vals0, a)
-        if i < n and vals0[i] == a:
-            span_lo, span_hi = off1[i], off1[i + 1]
-            if counting:
-                counters.findgap += 1
-            j = bisect_left(vals1, c, span_lo, span_hi)
-            if not (j < span_hi and vals1[j] == c):
-                low = c_rank_of[vals1[j - 1]] if j > span_lo else NEG_INF
-                high = c_rank_of[vals1[j]] if j < span_hi else POS_INF
-                self._eq_a_star_list(a_rank).insert(low, high)
-                counters.interval_ops += 1
-                member = False
-        else:
-            low = a_rank_of[vals0[i - 1]] if i > 0 else NEG_INF
-            high = a_rank_of[vals0[i]] if i < n else POS_INF
-            self.i_root.insert(low, high)
-            counters.interval_ops += 1
-            member = False
-        # --- S(B, C): gaps on B (⟨*, gap, *⟩) and under a match on C
-        #     (⟨*, b, gap⟩ -> dyadic leaf insert).
-        vals0 = self.s_index._vals[0]
-        vals1 = self.s_index._vals[1]
-        off1 = self.s_index._offs[1]
-        if counting:
-            counters.findgap += 1
-        n = len(vals0)
-        i = bisect_left(vals0, b)
-        if i < n and vals0[i] == b:
-            span_lo, span_hi = off1[i], off1[i + 1]
-            if counting:
-                counters.findgap += 1
-            j = bisect_left(vals1, c, span_lo, span_hi)
-            if not (j < span_hi and vals1[j] == c):
-                low = c_rank_of[vals1[j - 1]] if j > span_lo else NEG_INF
-                high = c_rank_of[vals1[j]] if j < span_hi else POS_INF
-                self.dyadic.insert_leaf(b_rank, low, high)
-                member = False
-        else:
-            low = b_rank_of[vals0[i - 1]] if i > 0 else NEG_INF
-            high = b_rank_of[vals0[i]] if i < n else POS_INF
-            self.i_star_b.insert(low, high)
-            counters.interval_ops += 1
-            member = False
-        return member
 
 
 def triangle_join(

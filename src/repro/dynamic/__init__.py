@@ -5,7 +5,7 @@ fresh" direction):
 
 * storage — :class:`repro.storage.delta.DeltaRelation`, an LSM-style
   writable index (memtable + immutable FlatTrie runs + tombstones)
-  exposing the unchanged trie / node-handle API;
+  exposing the unchanged index-tuple / handle API;
 * maintenance — :class:`repro.core.incremental.LiveJoin`, a
   materialized join view kept fresh by Minesweeper-evaluated delta
   terms;

@@ -36,7 +36,7 @@ import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.resilience import QueryBudget, RetryPolicy
 from repro.dynamic.catalog import BatchReport, Catalog
@@ -196,8 +196,12 @@ class TenantSpec:
         )
 
     @classmethod
-    def parse(cls, text: str) -> "TenantSpec":
-        """Parse ``name[,key=value,...]`` (the ``--tenant`` flag)."""
+    def parse(cls, text: str, **defaults: Any) -> "TenantSpec":
+        """Parse ``name[,key=value,...]`` (the ``--tenant`` flag).
+
+        ``defaults`` are field values for the knobs ``text`` leaves
+        unset (the CLI-level flags); an override in ``text`` wins.
+        """
         parts = [p.strip() for p in text.split(",")]
         tenant_id = parts[0]
         kwargs: Dict[str, int] = {}
@@ -217,7 +221,7 @@ class TenantSpec:
                 raise ValueError(
                     f"bad tenant override {part!r}: non-integer value"
                 ) from None
-        return cls(tenant_id, **kwargs)
+        return cls(tenant_id, **{**defaults, **kwargs})
 
 
 class Tenant:

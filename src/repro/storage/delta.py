@@ -1,7 +1,7 @@
 """LSM-style writable relation: sorted memtable + immutable FlatTrie runs.
 
 :class:`DeltaRelation` makes the paper's (static) index model *writable*
-without giving up the trie / node-handle interface every engine in this
+without giving up the index-tuple / handle interface every engine in this
 library is written against.  The layout is a miniature log-structured
 merge tree:
 
@@ -19,7 +19,7 @@ merge tree:
 Reads resolve through a merged **view** — itself a ``FlatTrieRelation``
 over the current live tuple set, rebuilt lazily after a mutation and
 cached until the next one — so every read-side method (``find_gap``,
-``value`` / ``child_values``, the node-handle probe API, ``tuples`` …)
+``value`` / ``child_values``, the handle API, ``tuples`` …)
 behaves byte-for-byte like the static flat backend, and Minesweeper, the
 probe strategies, and the baselines run on a ``DeltaRelation`` unchanged.
 Do not mutate the relation while an engine is iterating over it: node
@@ -46,13 +46,13 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.storage.flat_trie import FlatTrieRelation, NodeHandle
+from repro.storage.index_tuple import IndexTuple, IndexTupleAPI
 from repro.util.counters import OpCounters
 from repro.util.sentinels import ExtendedValue
 
-IndexTuple = Tuple[int, ...]
 Row = Tuple[int, ...]
 #: A DeltaRelation node handle: the inner FlatTrie handle stamped with
-#: the generation it was issued at (see the node-handle API below).
+#: the generation it was issued at (see the handle API below).
 DeltaHandle = Tuple[int, NodeHandle]
 
 
@@ -75,7 +75,7 @@ class _Run:
         return len(self.trie) + len(self.tombstones)
 
 
-class DeltaRelation:
+class DeltaRelation(IndexTupleAPI):
     """A writable ordered trie index over k-ary integer tuples.
 
     Parameters
@@ -418,24 +418,7 @@ class DeltaRelation:
         """All live tuples in lexicographic (GAO) order."""
         return self._view().tuples()
 
-    def fanout(self, index_tuple: IndexTuple = ()) -> int:
-        return self._view().fanout(index_tuple)
-
-    def value(self, index_tuple: IndexTuple) -> ExtendedValue:
-        return self._view().value(index_tuple)
-
-    def child_values(self, index_tuple: IndexTuple) -> List[int]:
-        return self._view().child_values(index_tuple)
-
-    def find_gap(self, index_tuple: IndexTuple, a: int) -> Tuple[int, int]:
-        return self._view().find_gap(index_tuple, a)
-
-    def gap_values(
-        self, index_tuple: IndexTuple, a: int
-    ) -> Tuple[ExtendedValue, ExtendedValue]:
-        return self._view().gap_values(index_tuple, a)
-
-    # Node-handle API (iterator-based engines: LFTJ, generic join)
+    # Handle API (the index-tuple API comes from IndexTupleAPI over it)
     #
     # Handles are opaque to every engine, so a DeltaRelation handle is
     # ``(generation, inner_flat_trie_handle)``: issuing stamps the
@@ -457,25 +440,18 @@ class DeltaRelation:
             raise StaleHandleError(
                 f"node handle from generation {generation} used at "
                 f"generation {self._generation}; handles do not survive "
-                "insert/delete — re-acquire from root_handle()/root_node()"
+                "insert/delete — re-acquire from root_handle()"
             )
         return inner
 
-    def root_node(self) -> DeltaHandle:
-        return (self._generation, self._view().root_node())
-
-    def node_keys(self, node: DeltaHandle) -> List[int]:
-        return self._view().node_keys(self._unwrap(node))
-
-    def node_child(
-        self, node: DeltaHandle, position: int
-    ) -> Optional[DeltaHandle]:
-        return self._wrap(self._view().node_child(self._unwrap(node), position))
-
-    # Probe fast path (Minesweeper exploration)
+    def _node_at(self, index_tuple: IndexTuple) -> DeltaHandle:
+        return (self._generation, self._view()._node_at(index_tuple))
 
     def root_handle(self) -> DeltaHandle:
         return (self._generation, self._view().root_handle())
+
+    def node_keys(self, node: DeltaHandle) -> List[int]:
+        return self._view().node_keys(self._unwrap(node))
 
     def fanout_at(self, node: DeltaHandle) -> int:
         return self._view().fanout_at(self._unwrap(node))

@@ -9,19 +9,19 @@ of its children in level j.  Built once from the sorted tuple set; never
 mutated.
 
 Why: the pointer trie allocates one Python object (plus two list objects)
-per distinct prefix, and every ``find_gap`` chases those pointers through
-attribute lookups.  Here a *node* is three integers ``(level, lo, hi)`` —
+per distinct prefix.  Here a *node* is three integers ``(level, lo, hi)`` —
 the half-open span of its child values — so navigation is integer
-arithmetic on preallocated lists and ``find_gap`` is a single bounded
-``bisect_left``.  The index semantics (1-based coordinates, 0 / fanout+1
-out-of-range conventions, ``find_gap``'s (x_minus, x_plus) contract) are
-exactly those of ``TrieRelation``; equivalence is property-checked in
-``tests/test_flat_trie.py``.
+arithmetic on preallocated lists and ``gap_at`` is a single bounded
+``bisect_left``.
 
-Both tries also expose the *handle* API (``root_handle`` / ``gap_at`` /
-``value_at`` / ``child_at`` / ``fanout_at``) that lets the Minesweeper
-exploration loop descend level by level without re-walking the index from
-the root on every probe.
+This is the fast tier's index.  Engines hold *handles* (``root_handle`` /
+``gap_at`` / ``value_at`` / ``child_at`` / ``fanout_at`` / ``node_keys``)
+and descend level by level without re-walking from the root; the paper's
+index-tuple API (``find_gap`` / ``value`` / ``fanout`` / …) comes from
+:class:`repro.storage.index_tuple.IndexTupleAPI` over those handles and
+``_node_at``, the same code ``TrieRelation`` and ``DeltaRelation`` use;
+equivalence with the pointer trie is property-checked in
+``tests/test_flat_trie.py``.
 """
 
 from __future__ import annotations
@@ -29,17 +29,16 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.storage.index_tuple import IndexTuple, IndexTupleAPI
 from repro.util.counters import OpCounters
 from repro.util.sentinels import NEG_INF, POS_INF, ExtendedValue
-
-IndexTuple = Tuple[int, ...]
 
 #: A flat-trie node handle: (level, lo, hi) — the node's sorted child
 #: values are ``values[level][lo:hi]``.
 NodeHandle = Tuple[int, int, int]
 
 
-class FlatTrieRelation:
+class FlatTrieRelation(IndexTupleAPI):
     """An ordered CSR search-trie over a set of k-ary integer tuples.
 
     Parameters mirror :class:`repro.storage.trie.TrieRelation`:
@@ -137,8 +136,8 @@ class FlatTrieRelation:
         """All tuples in lexicographic (GAO) order."""
         return list(self._tuples)
 
-    def _span(self, index_tuple: IndexTuple) -> Tuple[int, int, int]:
-        """(level, lo, hi) of the node R[index_tuple, *]; validates indices."""
+    def _node_at(self, index_tuple: IndexTuple) -> NodeHandle:
+        """Handle of the node R[index_tuple, *]; validates indices."""
         lo, hi = 0, len(self._vals[0])
         level = 0
         for depth, x in enumerate(index_tuple):
@@ -158,61 +157,18 @@ class FlatTrieRelation:
             level = depth + 1
         return level, lo, hi
 
-    def fanout(self, index_tuple: IndexTuple = ()) -> int:
-        """|R[index_tuple, *]| — number of distinct next-level values."""
-        _, lo, hi = self._span(index_tuple)
-        return hi - lo
-
-    def value(self, index_tuple: IndexTuple) -> ExtendedValue:
-        """R[index_tuple]: the value addressed by a (1-based) index tuple.
-
-        The *last* coordinate may be out of range (0 -> -inf,
-        fanout+1 -> +inf); earlier coordinates must be in range.
-        """
-        if not index_tuple:
-            raise ValueError("value() needs a non-empty index tuple")
-        level, lo, hi = self._span(index_tuple[:-1])
-        x = index_tuple[-1]
-        fan = hi - lo
-        if x == 0:
-            return NEG_INF
-        if x == fan + 1:
-            return POS_INF
-        if not 1 <= x <= fan:
-            raise IndexError(
-                f"last coordinate {x} out of range (valid 0..{fan + 1})"
-            )
-        return self._vals[level][lo + x - 1]
-
-    def child_values(self, index_tuple: IndexTuple) -> List[int]:
-        """The sorted set R[index_tuple, *]."""
-        level, lo, hi = self._span(index_tuple)
-        return self._vals[level][lo:hi]
-
     # ------------------------------------------------------------------
-    # Node-handle API (iterator-based engines: LFTJ, generic join)
+    # Handle API: engines descend level by level, no root re-walk
     # ------------------------------------------------------------------
 
-    def root_node(self) -> NodeHandle:
-        """Opaque handle to the root; pair with ``node_keys``/``node_child``."""
+    def root_handle(self) -> NodeHandle:
+        """Handle to the root node (span of the level-0 values)."""
         return (0, 0, len(self._vals[0]))
 
     def node_keys(self, node: NodeHandle) -> List[int]:
         """The node's sorted child values."""
         level, lo, hi = node
         return self._vals[level][lo:hi]
-
-    def node_child(self, node: NodeHandle, position: int) -> Optional[NodeHandle]:
-        """The child subtree at 1-based ``position`` (None at leaf level)."""
-        return self.child_at(node, position)
-
-    # ------------------------------------------------------------------
-    # Probe fast path: handles instead of index tuples
-    # ------------------------------------------------------------------
-
-    def root_handle(self) -> NodeHandle:
-        """Handle to the root node (span of the level-0 values)."""
-        return (0, 0, len(self._vals[0]))
 
     def fanout_at(self, node: NodeHandle) -> int:
         """Number of child values of the node behind ``node``."""
@@ -259,37 +215,3 @@ class FlatTrieRelation:
             return (x, x)
         x = i - lo
         return (x, x + 1)
-
-    # ------------------------------------------------------------------
-    # FindGap — the paper's single index-probe primitive
-    # ------------------------------------------------------------------
-
-    def find_gap(self, index_tuple: IndexTuple, a: int) -> Tuple[int, int]:
-        """R.FindGap(x, a) per Section 2.1 (TrieRelation-identical)."""
-        if len(index_tuple) >= self.arity:
-            raise ValueError(
-                "find_gap index tuple must be shorter than the arity"
-            )
-        level, lo, hi = self._span(index_tuple)
-        if self._count:
-            self._counters.findgap += 1
-        vals = self._vals[level]
-        i = bisect.bisect_left(vals, a, lo, hi)
-        if i < hi and vals[i] == a:
-            x = i - lo + 1
-            return (x, x)
-        x = i - lo
-        return (x, x + 1)
-
-    def gap_values(
-        self, index_tuple: IndexTuple, a: int
-    ) -> Tuple[ExtendedValue, ExtendedValue]:
-        """Like :meth:`find_gap` but returning the flanking *values*."""
-        lo_idx, hi_idx = self.find_gap(index_tuple, a)
-        level, lo, hi = self._span(index_tuple)
-        vals = self._vals[level]
-        low: ExtendedValue = NEG_INF if lo_idx == 0 else vals[lo + lo_idx - 1]
-        high: ExtendedValue = (
-            POS_INF if hi_idx == hi - lo + 1 else vals[lo + hi_idx - 1]
-        )
-        return (low, high)

@@ -5,20 +5,23 @@ A :class:`Relation` couples
 * a name (``"R"``),
 * a schema — the tuple of attribute names in index order (which must be a
   subsequence of the global attribute order when used in a query), and
-* a :class:`repro.storage.trie.TrieRelation` index over its tuples.
+* an index over its tuples.
 
-Per the paper's model, the index order *is* the storage order: all engines
-access the relation exclusively through the trie's ``find_gap`` /
-``value`` / ``child_values`` interface (plus full-tuple iteration for the
-baselines, which model scans).
+Per the paper's model, the index order *is* the storage order: engines
+reach the relation only through its index — the handle API
+(``root_handle`` / ``gap_at`` / ``value_at`` / ``child_at``) for
+level-by-level descent, or the paper's index-tuple API (``find_gap`` /
+``value`` / ``child_values``,
+:class:`repro.storage.index_tuple.IndexTupleAPI`) derived from it —
+plus full-tuple iteration for the baselines, which model scans.
 
 Backends (the ``backend`` flag; ``"auto"`` is the default):
 
 * ``"flat"`` — :class:`repro.storage.flat_trie.FlatTrieRelation`, the
-  CSR array-backed index (the fast path; what ``"auto"`` resolves to);
-* ``"trie"`` — the pointer-node :class:`repro.storage.trie.TrieRelation`
-  (the reference implementation the flat trie is property-checked
-  against);
+  CSR array-backed index of the fast tier (what ``"auto"`` resolves to);
+* ``"trie"`` — the pointer-node :class:`repro.storage.trie.TrieRelation`,
+  the plain tier's index (the reference the flat trie is
+  property-checked against);
 * ``"btree"`` — routes the tuples through a
   :class:`repro.storage.btree.BTree` before building the pointer trie,
   exercising the paper's claim that a B-tree keyed consistently with the

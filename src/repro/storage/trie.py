@@ -16,6 +16,14 @@ The paper's index interface is reproduced exactly:
   R[(x, x_minus)] <= a <= R[(x, x_plus)], x_minus maximal, x_plus minimal.
   It runs in O(log |R|) via binary search and satisfies
   x_minus == x_plus iff a occurs in R[(x, *)].
+
+This pointer trie is the plain tier's index: one node object per distinct
+prefix, nothing cached or flattened, the reference
+:class:`repro.storage.flat_trie.FlatTrieRelation` is property-checked
+against (and the index behind the ``trie`` / ``btree`` ablations).  The
+index-tuple methods above come from
+:class:`repro.storage.index_tuple.IndexTupleAPI`; this class supplies
+the handle API and ``_node_at``.
 """
 
 from __future__ import annotations
@@ -23,10 +31,9 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.storage.index_tuple import IndexTuple, IndexTupleAPI
 from repro.util.counters import OpCounters
 from repro.util.sentinels import NEG_INF, POS_INF, ExtendedValue
-
-IndexTuple = Tuple[int, ...]
 
 
 class _TrieNode:
@@ -39,7 +46,7 @@ class _TrieNode:
         self.children: List[Optional["_TrieNode"]] = []
 
 
-class TrieRelation:
+class TrieRelation(IndexTupleAPI):
     """An ordered search-trie over a set of k-ary integer tuples.
 
     Parameters
@@ -145,64 +152,19 @@ class TrieRelation:
             node = child
         return node
 
-    def fanout(self, index_tuple: IndexTuple = ()) -> int:
-        """|R[index_tuple, *]| — number of distinct next-level values."""
-        return len(self._node_at(index_tuple).keys)
-
-    def value(self, index_tuple: IndexTuple) -> ExtendedValue:
-        """R[index_tuple]: the value addressed by a (1-based) index tuple.
-
-        The *last* coordinate may be out of range (0 -> -inf,
-        fanout+1 -> +inf), per conventions (1)-(2); earlier coordinates
-        must be in range.
-        """
-        if not index_tuple:
-            raise ValueError("value() needs a non-empty index tuple")
-        node = self._node_at(index_tuple[:-1])
-        x = index_tuple[-1]
-        if x == 0:
-            return NEG_INF
-        if x == len(node.keys) + 1:
-            return POS_INF
-        if not 1 <= x <= len(node.keys):
-            raise IndexError(
-                f"last coordinate {x} out of range (valid 0..{len(node.keys) + 1})"
-            )
-        return node.keys[x - 1]
-
-    def child_values(self, index_tuple: IndexTuple) -> List[int]:
-        """The sorted set R[index_tuple, *]."""
-        return list(self._node_at(index_tuple).keys)
-
     # ------------------------------------------------------------------
-    # Node-handle API (used by iterator-based engines such as LFTJ)
+    # Handle API (the same one FlatTrieRelation offers): a handle is the
+    # node object itself.
     # ------------------------------------------------------------------
 
-    def root_node(self) -> _TrieNode:
-        """Opaque handle to the root; pair with :meth:`node_keys`/``node_child``."""
+    def root_handle(self) -> _TrieNode:
+        """Handle to the root node."""
         return self._root
 
     @staticmethod
     def node_keys(node: _TrieNode) -> List[int]:
         """The node's sorted child values.  Treat as read-only."""
         return node.keys
-
-    @staticmethod
-    def node_child(node: _TrieNode, position: int) -> Optional[_TrieNode]:
-        """The child subtree at 1-based ``position`` (None at leaf level)."""
-        return node.children[position - 1]
-
-    # ------------------------------------------------------------------
-    # Probe fast path: node handles instead of index tuples
-    #
-    # Mirrors repro.storage.flat_trie.FlatTrieRelation so engines can
-    # descend level by level without re-walking the trie from the root
-    # on every FindGap / value access.
-    # ------------------------------------------------------------------
-
-    def root_handle(self) -> _TrieNode:
-        """Handle to the root node (same object as :meth:`root_node`)."""
-        return self._root
 
     @staticmethod
     def fanout_at(node: _TrieNode) -> int:
@@ -244,42 +206,3 @@ class TrieRelation:
         if i < len(keys) and keys[i] == a:
             return (i + 1, i + 1)
         return (i, i + 1)
-
-    # ------------------------------------------------------------------
-    # FindGap — the paper's single index-probe primitive
-    # ------------------------------------------------------------------
-
-    def find_gap(self, index_tuple: IndexTuple, a: int) -> Tuple[int, int]:
-        """R.FindGap(x, a) per Section 2.1.
-
-        Returns (x_minus, x_plus), 1-based coordinates into
-        R[index_tuple, *] with the conventions that 0 means the value -inf
-        and fanout+1 means +inf, such that
-        R[(x, x_minus)] <= a <= R[(x, x_plus)] with x_minus maximal and
-        x_plus minimal.  x_minus == x_plus iff a is present.
-        """
-        if len(index_tuple) >= self.arity:
-            raise ValueError(
-                "find_gap index tuple must be shorter than the arity"
-            )
-        node = self._node_at(index_tuple)
-        if self._count:
-            self._counters.findgap += 1
-        keys = node.keys
-        i = bisect.bisect_left(keys, a)
-        if i < len(keys) and keys[i] == a:
-            return (i + 1, i + 1)
-        # keys[i-1] < a < keys[i]  (with out-of-range conventions).
-        return (i, i + 1)
-
-    def gap_values(
-        self, index_tuple: IndexTuple, a: int
-    ) -> Tuple[ExtendedValue, ExtendedValue]:
-        """Like :meth:`find_gap` but returning the flanking *values*."""
-        lo_idx, hi_idx = self.find_gap(index_tuple, a)
-        keys = self._node_at(index_tuple).keys
-        lo: ExtendedValue = NEG_INF if lo_idx == 0 else keys[lo_idx - 1]
-        hi: ExtendedValue = (
-            POS_INF if hi_idx == len(keys) + 1 else keys[hi_idx - 1]
-        )
-        return (lo, hi)

@@ -229,7 +229,6 @@ class TestStaleHandles:
             lambda: delta.value_at(node, 1),
             lambda: delta.child_at(node, 1),
             lambda: delta.node_keys(node),
-            lambda: delta.node_child(node, 1),
         ]
 
     def test_insert_invalidates_issued_handles(self):
@@ -248,7 +247,7 @@ class TestStaleHandles:
 
     def test_delete_invalidates_issued_handles(self):
         delta = DeltaRelation(PAPER_EXAMPLE)
-        root = delta.root_node()
+        root = delta.root_handle()
         delta.delete((2, 3))
         with pytest.raises(RuntimeError, match="generation"):
             delta.node_keys(root)

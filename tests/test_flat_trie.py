@@ -3,16 +3,20 @@
 The flat (CSR) trie must be a *drop-in* for the pointer trie: identical
 ``find_gap`` answers (including FindGap counting), identical value /
 fanout / child_values semantics with the 1-based and 0 / len+1
-out-of-range conventions, and an equivalent node-handle API.  These tests
+out-of-range conventions, and an equivalent handle API.  These tests
 drive both implementations with the same randomized relations and
-index-tuple schedules and demand equality everywhere.
+index-tuple schedules and demand equality everywhere — and, since the
+index-tuple API is one mixin over each index's handles, the same for a
+layered ``DeltaRelation``, errors included.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.delta import DeltaRelation
 from repro.storage.flat_trie import FlatTrieRelation
+from repro.storage.index_tuple import IndexTupleAPI
 from repro.storage.trie import TrieRelation
 from repro.util.counters import NullCounters, OpCounters
 from repro.util.sentinels import NEG_INF, POS_INF
@@ -89,11 +93,11 @@ class TestPaperExample:
         assert flat.find_gap((), 2) == TrieRelation(PAPER_EXAMPLE).find_gap((), 2)
 
     def test_node_handles(self):
-        root = self.flat.root_node()
+        root = self.flat.root_handle()
         assert self.flat.node_keys(root) == [1, 2]
-        child = self.flat.node_child(root, 2)
+        child = self.flat.child_at(root, 2)
         assert self.flat.node_keys(child) == [3, 4]
-        assert self.flat.node_child(child, 1) is None  # leaf level
+        assert self.flat.child_at(child, 1) is None  # leaf level
 
 
 class TestConstructionParity:
@@ -182,3 +186,75 @@ def test_handle_api_equivalent(rows, probe):
                 walk(flat_child, ref_child, chain + (x,))
 
     walk(flat.root_handle(), ref.root_handle(), ())
+
+
+INDEX_TUPLE_METHODS = ("fanout", "value", "child_values", "find_gap", "gap_values")
+
+coordinate = st.one_of(st.integers(0, 3), st.integers(-1, 11))
+
+
+def _layered_delta(rows, doomed, counters):
+    """``rows`` as a DeltaRelation with a memtable, three runs and
+    tombstones in both: the ``doomed`` rows (moved off ``rows``' domain)
+    are inserted, sealed, then deleted again."""
+    live = sorted(set(rows))
+    doomed = sorted({(a + 9, b, c) for a, b, c in doomed})
+    delta = DeltaRelation(live[0::3], arity=3, counters=counters)
+    delta.apply(inserts=doomed[0::2])
+    delta.flush()
+    delta.apply(inserts=live[1::3] + doomed[1::2], deletes=doomed[0::2])
+    delta.flush()
+    delta.apply(inserts=live[2::3] + [(99, 99, 99)], deletes=doomed[1::2])
+    delta.delete((99, 99, 99))
+    stats = delta.stats()
+    assert stats["runs"] == 3 and stats["tombstones"] and stats["memtable"]
+    assert delta.tuples() == live
+    return delta
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except (IndexError, ValueError) as exc:
+        return ("raised", type(exc))
+
+
+@settings(max_examples=150)
+@given(
+    rows_strategy,
+    rows_strategy,
+    st.lists(st.lists(coordinate, max_size=4).map(tuple), max_size=12),
+    st.integers(-1, 10),
+)
+def test_index_tuple_api_is_one_mixin_over_every_index(
+    rows, doomed, random_tuples, probe
+):
+    """Flat, pointer and a layered DeltaRelation answer every index-tuple
+    call identically — values, FindGap tallies and the exception type —
+    on reachable tuples, on coordinates 0 / fanout+1 / beyond at every
+    position, and on tuples that descend past the arity."""
+    tallies = [OpCounters(), OpCounters(), OpCounters()]
+    indexes = [
+        FlatTrieRelation(rows, counters=tallies[0]),
+        TrieRelation(rows, counters=tallies[1]),
+        _layered_delta(rows, doomed, tallies[2]),
+    ]
+    for index in indexes:
+        for method in INDEX_TUPLE_METHODS:
+            assert getattr(type(index), method) is getattr(IndexTupleAPI, method)
+    ref = indexes[1]
+    schedule = list(random_tuples)
+    for chain in _all_index_tuples(ref, ref.arity + 1):
+        fan = ref.fanout(chain) if len(chain) < ref.arity else 0
+        schedule.append(chain)
+        schedule.extend(chain + (x,) for x in (0, fan + 1, fan + 2, -1))
+        schedule.extend(chain[:i] + (0,) + chain[i + 1:] for i in range(len(chain)))
+    for index_tuple in schedule:
+        for method in INDEX_TUPLE_METHODS:
+            args = (index_tuple, probe) if "gap" in method else (index_tuple,)
+            flat, pointer, delta = (
+                _outcome(lambda: getattr(index, method)(*args))
+                for index in indexes
+            )
+            assert flat == pointer == delta, (method, index_tuple)
+    assert tallies[0].findgap == tallies[1].findgap == tallies[2].findgap > 0

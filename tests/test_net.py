@@ -588,6 +588,23 @@ class TestTenantSpec:
         assert spec.pool_size == 2
         assert spec.queue_depth == 8
 
+    def test_cli_flags_are_defaults_an_explicit_override_beats(self):
+        """``--pool-size`` / ``--queue-depth`` fill what ``--tenant``
+        left unset — even when the override spells the built-in default."""
+        from repro.cli import _tenant_specs, build_parser
+
+        args = build_parser().parse_args([
+            "serve", "--http",
+            "--tenant", "a,pool_size=4", "--tenant", "b,queue_depth=64",
+            "--tenant", "c,max_ops=7",
+            "--pool-size", "8", "--queue-depth", "8", "--max-ops", "100",
+        ])
+        a, b, c = _tenant_specs(args)
+        assert (a.pool_size, a.queue_depth, a.max_ops) == (4, 8, 100)
+        assert (b.pool_size, b.queue_depth, b.max_ops) == (8, 64, 100)
+        assert (c.pool_size, c.queue_depth, c.max_ops) == (8, 8, 7)
+        assert TenantSpec.parse("d", pool_size=2) == TenantSpec("d", pool_size=2)
+
     def test_parse_rejects_bad_input(self):
         with pytest.raises(ValueError):
             TenantSpec.parse("alpha,bogus=1")

@@ -126,11 +126,11 @@ class TestFindGap:
 class TestNodeHandles:
     def test_walk(self):
         t = TrieRelation(PAPER_EXAMPLE)
-        root = t.root_node()
+        root = t.root_handle()
         assert t.node_keys(root) == [1, 2]
-        child = t.node_child(root, 2)
+        child = t.child_at(root, 2)
         assert t.node_keys(child) == [3, 4]
-        assert t.node_child(child, 1) is None  # leaf level
+        assert t.child_at(child, 1) is None  # leaf level
 
 
 @settings(max_examples=150)
