@@ -380,11 +380,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         except (KeyError, ValueError) as exc:
             # unknown relation, arity mismatch, non-netted +/- pair, ...
             raise SystemExit(f"batch {i}: {exc}")
-        # The storage apply invalidated the touched relations' merged
-        # views; rebuild them now, under their own timer, so the cost
-        # is charged to the incremental side rather than silently
-        # absorbed by whichever path (comparator or next batch) reads
-        # first.
+        # The storage apply queued its writes against the touched
+        # relations' merged views; bring them current now (splice the
+        # queue in, or rebuild a view the batch outgrew), under their
+        # own timer, so the cost is charged to the incremental side
+        # rather than silently absorbed by whichever path (comparator
+        # or next batch) reads first.  A view that the view maintenance
+        # of a later relation in the same batch already read was
+        # brought current inside the apply, which this timer misses.
         t0 = time.perf_counter()  # lint: disable=determinism -- reporting-only timing; never feeds results
         for name in catalog.relation_names():
             len(catalog.relation(name))

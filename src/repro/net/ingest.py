@@ -6,10 +6,12 @@ thread drains the queue in submission order, applying each batch under
 the tenant's exclusive write lock via ``catalog.apply_batch``
 (:meth:`IngestQueue.apply`, which synchronous writes call too) — so the
 WAL-before-mutate ordering, crashpoint placement, and generation bump
-are exactly the ones the durable path already tests.  After each batch the writer eagerly
-rebuilds every relation's merged view *while still holding the write
-lock*, so concurrent readers never pay (or race) a view rebuild: the
-read path stays genuinely read-only.
+are exactly the ones the durable path already tests.  A write only
+queues against the relation's merged view; after each batch the writer
+brings every view current — splicing the queued writes in, or
+rebuilding a view whose batch outgrew its splice budget — *while still
+holding the write lock*, so concurrent readers never pay (or race) a
+view splice or build: the read path stays genuinely read-only.
 
 Backpressure is a typed error, not a blocking put: when the queue is
 at capacity, :meth:`IngestQueue.submit` raises
@@ -136,9 +138,10 @@ class IngestQueue:
         with self._rwlock.write():
             report = self._catalog.apply_batch(updates)
             # Eager merged-view refresh while writers still exclude
-            # readers: DeltaRelation rebuilds its view lazily on first
-            # read after a mutation, and that rebuild must not happen
-            # under concurrent readers.
+            # readers: DeltaRelation splices the batch's queued writes
+            # into its view (or rebuilds a view the batch outgrew, or one
+            # missing after restore) on the first read, and that must
+            # not happen under concurrent readers.
             for name in self._catalog.relation_names():
                 len(self._catalog.relation(name))
             return report

@@ -17,8 +17,9 @@ merge tree:
   tombstones.
 
 Reads resolve through a merged **view** — itself a ``FlatTrieRelation``
-over the current live tuple set, rebuilt lazily after a mutation and
-cached until the next one — so every read-side method (``find_gap``,
+over the current live tuple set, brought current at the first read after
+a write by splicing the queued writes into its arrays — so every
+read-side method (``find_gap``,
 ``value`` / ``child_values``, the handle API, ``tuples`` …)
 behaves byte-for-byte like the static flat backend, and Minesweeper, the
 probe strategies, and the baselines run on a ``DeltaRelation`` unchanged.
@@ -26,19 +27,30 @@ Do not mutate the relation while an engine is iterating over it: node
 handles are stamped with the relation's *generation* (bumped on every
 insert / delete), and reading through a handle issued before a mutation
 raises :class:`StaleHandleError` (a ``RuntimeError``) instead of
-silently returning values from a superseded view.
+silently reading arrays the mutation has since spliced.
 
-Cost model: writes are O(log memtable) and *probes* stay delta-bound
-(the subsystem's currency — FindGap / probe counts), but the first read
-after a mutation pays one O(N) view rebuild for the touched relation.
-A future read path could k-way-merge the run tries behind the handle
-API instead of materializing; until then, wall-clock per batch carries
-one rebuild per touched relation on top of the delta-sized probe work
-(still measured faster than per-batch recompute end to end).
+Cost model: a write is O(1) on top of the memtable — it appends to a
+queue of writes the view has not seen — and *probes* stay delta-bound
+(the subsystem's currency — FindGap / probe counts).  The first read
+after writes splices the queue into the view — a ``bisect`` per trie
+level, C-level list insert / del and one offset-array shift per touched
+level (:meth:`FlatTrieRelation.splice_insert` / ``splice_delete``) —
+unless the queue outgrew :meth:`FlatTrieRelation.splice_budget` (the
+splices would cost more than one rebuild), in which case the write that
+overflowed it dropped the view and the read rebuilds it from the LSM
+layout (``_merged_live``), as it does after
+:meth:`DeltaRelation.restore`.  So small batches into a large relation
+never rebuild it, and a write-only stretch (WAL replay, a large batch)
+costs at most one rebuild.  Sealed runs and a ``FlatTrieRelation``
+adopted at construction are never spliced: while the view *is* such an
+index (at construction, after :meth:`~DeltaRelation.compact`), the next
+splice first copies it once.  ``stats()["view_builds"]`` counts builds
+and copies.
 
 ``tests/test_delta_relation.py`` property-checks that after *any* random
-insert / delete / flush / compact sequence the relation is tuple- and
-handle-API-equivalent to a ``FlatTrieRelation`` built from scratch.
+insert / delete / flush / compact / restore sequence the relation is
+tuple- and handle-API-equivalent to a ``FlatTrieRelation`` built from
+scratch, and its spliced view array-for-array equal to one.
 """
 
 from __future__ import annotations
@@ -130,7 +142,16 @@ class DeltaRelation(IndexTupleAPI):
         self._runs: List[_Run] = []
         if len(base):
             self._runs.append(_Run(base, frozenset()))
+        #: The current read view; None after a write until the next read.
         self._view_cache: Optional[FlatTrieRelation] = base
+        #: The view a write left behind, and the writes it has not seen
+        #: (at most ``_splice_budget`` of them; past that it is dropped).
+        self._stale_view: Optional[FlatTrieRelation] = None
+        self._pending: List[Tuple[Row, bool]] = []
+        self._splice_budget = 0
+        #: The view is also a run or the caller's index: copy before a
+        #: splice.
+        self._view_shared = base is tuples or bool(self._runs)
         self._stats = {
             "inserts": 0,
             "deletes": 0,
@@ -170,7 +191,17 @@ class DeltaRelation(IndexTupleAPI):
 
     def _write(self, t: Row, live: bool) -> None:
         self._memtable[t] = live
-        self._view_cache = None
+        view = self._view_cache
+        if view is not None:
+            self._view_cache = None
+            self._stale_view = view
+            self._splice_budget = view.splice_budget()
+        if self._stale_view is not None:
+            self._pending.append((t, live))
+            if len(self._pending) > self._splice_budget:
+                # One rebuild at the next read is now the cheaper way.
+                self._stale_view = None
+                self._pending = []
         self._generation += 1
         self._stats["inserts" if live else "deletes"] += 1
 
@@ -288,16 +319,19 @@ class DeltaRelation(IndexTupleAPI):
     def compact(self) -> bool:
         """Merge memtable + all runs into one tombstone-free run.
 
-        The merged live tuple set becomes a single fresh
-        ``FlatTrieRelation`` (also installed as the read view).  Returns
-        True iff the run stack actually shrank or held tombstones.
+        The read view becomes the single run (the next splice copies
+        it first).  Returns True iff the run stack actually
+        shrank or held tombstones.
         """
         self.flush()
         worthwhile = len(self._runs) > 1 or any(
             run.tombstones for run in self._runs
         )
         merged = self._view()
-        self._runs = [_Run(merged, frozenset())] if len(merged) else []
+        self._runs = []
+        if len(merged):
+            self._runs.append(_Run(merged, frozenset()))
+            self._view_shared = True
         if worthwhile:
             self._stats["compactions"] += 1
         return worthwhile
@@ -374,25 +408,41 @@ class DeltaRelation(IndexTupleAPI):
         return sorted(t for t, live in decided.items() if live)
 
     def _view(self) -> FlatTrieRelation:
-        """The merged read view (rebuilt lazily after a mutation)."""
+        """The merged read view, brought current after writes."""
         view = self._view_cache
         if view is None:
-            if (
-                not self._memtable
-                and len(self._runs) == 1
-                and not self._runs[0].tombstones
-            ):
-                view = self._runs[0].trie
-                view.counters = self._counters
-            else:
-                view = FlatTrieRelation(
-                    self._merged_live(),
-                    arity=self.arity,
-                    counters=self._counters,
-                )
-                self._stats["view_builds"] += 1
-            self._view_cache = view
+            view = self._view_cache = self._refresh_view()
         return view
+
+    def _refresh_view(self) -> FlatTrieRelation:
+        """Splice the queued writes into the stale view, or build one."""
+        view = self._stale_view
+        if view is not None:
+            if self._view_shared:
+                view = view.copy()
+                self._view_shared = False
+                self._stats["view_builds"] += 1
+            for t, live in self._pending:
+                if live:
+                    view.splice_insert(t)
+                else:
+                    view.splice_delete(t)
+            self._stale_view, self._pending = None, []
+            view.counters = self._counters
+            return view
+        self._view_shared = (
+            not self._memtable
+            and len(self._runs) == 1
+            and not self._runs[0].tombstones
+        )
+        if self._view_shared:
+            view = self._runs[0].trie
+            view.counters = self._counters
+            return view
+        self._stats["view_builds"] += 1
+        return FlatTrieRelation(
+            self._merged_live(), arity=self.arity, counters=self._counters
+        )
 
     # ------------------------------------------------------------------
     # Trie API (FlatTrieRelation parity, via the view)
@@ -425,9 +475,9 @@ class DeltaRelation(IndexTupleAPI):
     # current generation, and every read through a handle checks the
     # stamp first.  A mutation (insert / delete) bumps the generation,
     # turning all previously issued handles into loud errors instead of
-    # coordinates into a superseded view.  flush() / compact() keep the
-    # logical contents AND the cached view object, so they do not
-    # invalidate handles.
+    # coordinates into arrays the write has since spliced.  flush() /
+    # compact() keep the logical contents AND the cached view object,
+    # so they do not invalidate handles.
 
     def _wrap(
         self, inner: Optional[NodeHandle]

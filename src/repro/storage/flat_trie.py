@@ -5,8 +5,11 @@ stores the paper's unbounded-fanout search tree (Section 2.1, Figure 3) in
 *compressed sparse row* form: one contiguous ``values`` array per level
 holding every distinct prefix-extension in global lexicographic order, and
 one ``offsets`` array per level mapping each level-(j-1) entry to the span
-of its children in level j.  Built once from the sorted tuple set; never
-mutated.
+of its children in level j.  Built once from the sorted tuple set.  An
+index is mutated only as a :class:`~repro.storage.delta.DeltaRelation`'s
+private read view (:meth:`FlatTrieRelation.splice_insert` /
+:meth:`~FlatTrieRelation.splice_delete` patch the arrays in place), never
+as a sealed run or a caller's index.
 
 Why: the pointer trie allocates one Python object (plus two list objects)
 per distinct prefix.  Here a *node* is three integers ``(level, lo, hi)`` —
@@ -106,6 +109,103 @@ class FlatTrieRelation(IndexTupleAPI):
             offs.append(off_d)
         self._vals = vals
         self._offs = offs
+
+    # ------------------------------------------------------------------
+    # In-place splices: the arrays a fresh build over the patched tuple
+    # set would produce, at one bisect per level plus C-level list
+    # insert / del and one offset shift per touched level.  No op is
+    # tallied.  Only a DeltaRelation's private view is ever spliced.
+    # ------------------------------------------------------------------
+
+    def splice_budget(self) -> int:
+        """How many splices cost less than one rebuild of this index.
+
+        In units of one offset entry shifted in Python (CPython 3.11,
+        EXPERIMENTS.md §2 "Splice or rebuild"): a rebuild costs about 32
+        per tuple per level; a splice shifts up to every offset entry,
+        moves the tuple and value lists in C (about 1 per 32 tuples) and
+        pays a fixed 64.  So a batch into a relation whose offset arrays
+        are short (few distinct prefixes) splices, and a large batch
+        into a high-fanout one (arity 3, about one offset entry per
+        tuple) rebuilds.
+        """
+        n = len(self._tuples)
+        cost = sum(map(len, self._offs)) + n // 32 + 64
+        return 32 * self.arity * n // cost
+
+    def copy(self) -> "FlatTrieRelation":
+        """An array-for-array copy (no re-sort, no rebuild)."""
+        clone = FlatTrieRelation.__new__(FlatTrieRelation)
+        clone.arity = self.arity
+        clone.counters = self._counters
+        clone._tuples = self._tuples[:]
+        clone._vals = [v[:] for v in self._vals]
+        clone._offs = [o[:] for o in self._offs]
+        return clone
+
+    def splice_insert(self, t: Tuple[int, ...]) -> None:
+        """Add tuple ``t`` (a no-op when present)."""
+        tuples = self._tuples
+        i = bisect.bisect_left(tuples, t)
+        if i < len(tuples) and tuples[i] == t:
+            return
+        vals, offs, arity = self._vals, self._offs, self.arity
+        if not tuples:
+            # The builder pads an empty index's offsets to [0, 0].
+            for off in offs[1:]:
+                del off[1:]
+        tuples.insert(i, t)
+        # Descend through the prefix t already shares with the index.
+        lo, hi, parent, d = 0, len(vals[0]), 0, 0
+        while True:
+            vd = vals[d]
+            j = bisect.bisect_left(vd, t[d], lo, hi)
+            if j == hi or vd[j] != t[d]:
+                break
+            lo, hi = offs[d + 1][j], offs[d + 1][j + 1]
+            parent, d = j, d + 1
+        # Levels d.. gain one entry each: at position j under ``parent``,
+        # whose span (and every later one) grows by one.
+        for e in range(d, arity):
+            vals[e].insert(j, t[e])
+            off = offs[e]
+            off[parent + 1:] = [x + 1 for x in off[parent + 1:]]
+            if e + 1 < arity:
+                below = offs[e + 1]
+                start = below[j]
+                below.insert(j + 1, start)  # the new entry: empty span
+                parent, j = j, start
+
+    def splice_delete(self, t: Tuple[int, ...]) -> None:
+        """Remove tuple ``t`` (a no-op when absent)."""
+        tuples = self._tuples
+        i = bisect.bisect_left(tuples, t)
+        if i == len(tuples) or tuples[i] != t:
+            return
+        del tuples[i]
+        vals, offs, arity = self._vals, self._offs, self.arity
+        # Per level: (parent entry, t's entry, the parent's fanout).
+        path: List[Tuple[int, int, int]] = []
+        lo, hi, parent = 0, len(vals[0]), 0
+        for d in range(arity):
+            j = bisect.bisect_left(vals[d], t[d], lo, hi)
+            path.append((parent, j, hi - lo))
+            if d + 1 < arity:
+                lo, hi = offs[d + 1][j], offs[d + 1][j + 1]
+            parent = j
+        # Drop entries leaf-up while each one was its parent's only child.
+        for e in range(arity - 1, -1, -1):
+            parent, j, fanout = path[e]
+            del vals[e][j]
+            off = offs[e]
+            off[parent + 1:] = [x - 1 for x in off[parent + 1:]]
+            if e + 1 < arity:
+                del offs[e + 1][j + 1]  # its span is empty by now
+            if fanout > 1:
+                break
+        if not tuples:
+            for off in offs[1:]:
+                off.append(0)
 
     # ------------------------------------------------------------------
     # Counters plumbing (the enabled flag is cached for the hot path)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core.engine import join
 from repro.core.query import Query
-from repro.storage.delta import DeltaRelation
+from repro.dynamic.log import parse_update
+from repro.net import TenantRegistry, TenantSpec
+from repro.storage.delta import DeltaRelation, StaleHandleError
 from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
@@ -284,3 +286,186 @@ class TestStaleHandles:
         delta.delete((2, 2))
         with pytest.raises(RuntimeError, match="re-acquire"):
             delta.gap_at(child, 2)
+
+
+def csr_arrays(index):
+    """A deep copy of a FlatTrie's CSR arrays (tuples, values, offsets)."""
+    return (
+        list(index._tuples),
+        [list(v) for v in index._vals],
+        [list(o) for o in index._offs],
+    )
+
+
+@st.composite
+def splice_programs(draw):
+    """(arity, initial rows, adopt a caller's FlatTrie?, op sequence)."""
+    arity = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 4)] * arity)
+    initial = draw(st.lists(row, max_size=40))
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["insert", "delete"]), row),
+                st.tuples(
+                    st.sampled_from(["read", "flush", "compact", "restore"])
+                ),
+            ),
+            max_size=50,
+        )
+    )
+    return arity, initial, draw(st.booleans()), ops
+
+
+class TestViewSplicing:
+    """Writes queue; the next read splices them into the view or, past
+    the splice budget, rebuilds it.  Either way it equals a fresh build."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(program=splice_programs())
+    def test_spliced_view_matches_fresh_build(self, program):
+        arity, initial, adopt, ops = program
+        counters = OpCounters()
+        caller = FlatTrieRelation(initial, arity=arity) if adopt else None
+        caller_arrays = csr_arrays(caller) if adopt else None
+        delta = DeltaRelation(
+            caller if adopt else initial, arity=arity, counters=counters
+        )
+        model = set(initial)
+        for op in ops:
+            # Handles are issued only from a current view (issuing one
+            # would refresh it, hiding the queued-write path).
+            current = delta._view_cache is not None
+            root = delta.root_handle() if current else None
+            stale, shared = delta._stale_view, delta._view_shared
+            sealed = [(run.trie, csr_arrays(run.trie)) for run in delta._runs]
+            builds = delta.stats()["view_builds"]
+            findgap = counters.findgap
+            if op[0] == "read":
+                len(delta)
+                if stale is not None:
+                    # Spliced: no rebuild, one copy if the view is shared.
+                    assert delta.stats()["view_builds"] == builds + shared
+                    assert (delta._view() is stale) == (not shared)
+            elif op[0] == "restore":
+                delta = DeltaRelation.restore(
+                    arity, delta.run_states(), delta.memtable_state(),
+                    counters=counters,
+                )
+            elif op[0] in ("flush", "compact"):
+                getattr(delta, op[0])()
+            else:
+                t = op[1]
+                if op[0] == "insert":
+                    changed = delta.insert(t)
+                    assert changed == (t not in model)
+                    model.add(t)
+                else:
+                    changed = delta.delete(t)
+                    assert changed == (t in model)
+                    model.discard(t)
+                # A write touches no view: it queues (within budget).
+                assert delta.stats()["view_builds"] == builds
+                assert len(delta._pending) <= delta._splice_budget
+                if changed:
+                    assert delta._view_cache is None
+                    if current:
+                        with pytest.raises(StaleHandleError):
+                            delta.fanout_at(root)
+            assert counters.findgap == findgap  # a splice tallies nothing
+            if delta._view_cache is not None:
+                fresh = FlatTrieRelation(sorted(model), arity=arity)
+                assert csr_arrays(delta._view_cache) == csr_arrays(fresh)
+            for trie, arrays in sealed:
+                assert csr_arrays(trie) == arrays
+            if adopt:
+                assert csr_arrays(caller) == caller_arrays
+        assert delta.tuples() == sorted(model)
+
+    def test_first_splice_after_compact_copies_the_run_once(self):
+        delta = DeltaRelation(PAPER_EXAMPLE)
+        run = delta._runs[0].trie
+        assert delta._view() is run
+        delta.insert((3, 3))
+        delta.insert((4, 4))
+        assert len(delta) == 6
+        assert run.tuples() == sorted(PAPER_EXAMPLE)
+        assert delta.stats()["view_builds"] == 1  # the one copy
+        delta.compact()
+        assert delta._view() is delta._runs[0].trie
+        delta.delete((1, 1))
+        assert len(delta) == 5
+        assert delta.stats()["view_builds"] == 2
+        assert (1, 1) in delta._runs[0].trie
+
+    def test_write_to_missing_view_defers_to_one_build(self):
+        delta = DeltaRelation.restore(2, [([(1, 1), (2, 2)], [])])
+        delta.insert((3, 3))  # no view yet: nothing to queue
+        assert delta._pending == []
+        assert delta.tuples() == [(1, 1), (2, 2), (3, 3)]
+        assert delta.stats()["view_builds"] == 1
+
+    def test_batch_past_the_splice_budget_rebuilds_once(self):
+        # Arity 3 with distinct (a, b) prefixes: about one leaf-level
+        # offset entry per tuple, so a splice costs about a rebuild / 60.
+        base = [(a, b, b) for a in range(10) for b in range(30)]
+        delta = DeltaRelation(base)
+        budget = delta._view().splice_budget()
+        assert 30 < budget < 100
+        small = [(a, 100 + a, 0) for a in range(budget)]
+        delta.apply_effective(small, [])
+        assert len(delta._pending) == budget
+        assert len(delta) == 300 + budget
+        assert delta.stats()["view_builds"] == 1  # the copy of the run
+        large = [(a, 200 + k, 0) for a in range(10) for k in range(budget)]
+        delta.apply_effective(large, [])
+        assert delta._stale_view is None and delta._pending == []
+        assert len(delta) == 300 + 11 * budget
+        assert delta.stats()["view_builds"] == 2  # one rebuild
+        fresh = FlatTrieRelation(base + small + large)
+        assert csr_arrays(delta._view()) == csr_arrays(fresh)
+
+    def test_write_only_stretch_builds_at_most_once(self):
+        delta = DeltaRelation([(v % 7, v) for v in range(500)])
+        len(delta)
+        for v in range(500, 5000):
+            delta.insert((v % 7, v))
+            assert len(delta._pending) <= delta._splice_budget
+        assert delta.tuples() == [(v % 7, v) for v in sorted(
+            range(5000), key=lambda v: (v % 7, v)
+        )]
+        assert delta.stats()["view_builds"] == 1
+
+
+class TestSyncWriteCost:
+    """A sync write splices the view: builds stay flat as writes grow."""
+
+    def test_view_builds_do_not_grow_with_writes(self):
+        registry = TenantRegistry([TenantSpec("alpha")])
+        try:
+            tenant = registry.get("alpha")
+            tenant.catalog.create_relation(
+                "L", ["A", "B"], [(v, v + 1) for v in range(50)]
+            )
+            seq = 0
+            for batch in range(300):
+                updates = []
+                for i in range(8):
+                    seq += 1
+                    a, b = (batch * 8 + i) % 97, batch * 8 + i
+                    updates.append(parse_update(f"+L {a},{b}", seq))
+                tenant.apply_sync(updates)
+                if batch % 100 == 99:
+                    with tenant.lock.write():
+                        tenant.catalog.compact("L")
+            index = tenant.catalog.relation("L").index
+            stats = index.stats()
+            assert stats["inserts"] == 2400 and len(index) == 2450
+            assert stats["view_builds"] <= stats["compactions"] + 1
+            assert index.tuples() == sorted(
+                [(v, v + 1) for v in range(50)]
+                + [(n % 97, n) for n in range(2400)]
+            )
+        finally:
+            registry.close()
+
