@@ -27,10 +27,19 @@ cannot express cheaply:
   performs no counted operations, so operation counts are unchanged.)
 * **Resumable probe cursors.**  Within one probe-point search the sought
   value only ascends, so each chain level keeps a cursor into its
-  interval slice that resumes from the previous position instead of
-  re-bisecting from the front; a per-slice epoch detects mid-walk
-  memoization inserts and resets the cursor.  Cursors change how a Next
-  result is *found*, never how many Next operations are tallied.
+  interval slice: a Next checks the cursor's next slot, then bisects
+  from there instead of from the front.  A memoization insert resets
+  the cursors of exactly the levels whose slices it can move.  Cursors
+  change how a Next result is *found*, never how many Next operations
+  are tallied.
+
+There is one probe walk.  :class:`ArenaGeneralProbeStrategy` runs
+Algorithm 7 over cached shadow chains, with one- and two-level chains
+unrolled in ``get_probe_point`` and deeper ones taking the recursion.
+:class:`ArenaChainProbeStrategy` is its all-degenerate case: on a chain
+filter every suffix meet is the level's own pattern, so Algorithm 4 is
+that walk with every level its own shadow, plus Algorithm 4's one op
+per inner call.
 
 Counting follows the ``OpCounters`` / ``NullCounters`` protocol: the
 ``enabled`` flag is read once per engine and every tally is skipped
@@ -740,49 +749,21 @@ class ArenaConstraintTree:
                 patterns[u] = patterns[parent] + (self._plabel[u],)
 
 
-class _ChainState:
-    """One cached chain of the arena chain strategy.
-
-    ``nodes`` are arena node ids bottom (most specialized) first;
-    ``handles`` their interval-pool handles.  ``base`` / ``end`` are the
-    slice bounds in the pool's shared buffers and ``cur`` the resumable
-    cursor, all held as *absolute* buffer positions.  They are refreshed
-    at each walk entry and after a memoization insert at the level (the
-    only mid-walk mutation), so the per-step path reads no pool
-    metadata at all.
-    """
-
-    __slots__ = ("nodes", "handles", "bottom", "base", "end", "cur")
-
-    def __init__(self, nodes: List[int], handles: List[int], bottom: Pattern):
-        self.nodes = nodes
-        self.handles = handles
-        self.bottom = bottom
-        k = len(nodes)
-        if k > 2:  # one- and two-level chains run on plain locals
-            self.base = [0] * k
-            self.end = [0] * k
-            self.cur = [0] * k
-
-    def refresh(self, pool: IntervalPool, j: int) -> None:
-        h = self.handles[j]
-        s = pool.start[h]
-        self.base[j] = s
-        self.end[j] = s + pool.length[h]
-        self.cur[j] = s
-
-
 class _ShadowState:
-    """One cached shadow chain (Algorithm 6) of the arena general strategy.
+    """One cached shadow chain (Algorithm 6) of the arena probe strategies.
 
     Per level: the shadow node (where inferred gaps are memoized), its
-    interval handle, the original node's handle, two resumable cursors,
-    and the slices' absolute buffer bounds.  ``deg`` marks degenerate
-    levels where the shadow *is* the original.  ``tied[j]`` lists the
-    levels whose slices a memoization insert at level ``j`` can move
-    (the level itself, plus any level sharing its shadow node — suffix
-    meets can coincide), so the walk refreshes exactly those and the
-    per-step path never re-reads pool metadata.
+    interval handle and the original node's handle.  ``deg`` marks
+    degenerate levels where the shadow *is* the original: the leaf always
+    is (the last suffix meet is its own pattern), and a chain-strategy
+    state is degenerate throughout.  Chains of more than two levels also
+    carry per level resumable cursors into the original and shadow
+    slices with their absolute buffer bounds (a degenerate level reads
+    the original side only).  ``tied[j]`` lists the levels whose
+    slices a memoization insert at level ``j`` can move (the level
+    itself, plus any level sharing its shadow node — suffix meets can
+    coincide), so the walk refreshes exactly those and the per-step path
+    never re-reads pool metadata.
     """
 
     __slots__ = (
@@ -797,7 +778,7 @@ class _ShadowState:
         self.deg = deg
         self.bottom = bottom
         k = len(nodes)
-        if k > 2 or not deg[-1]:  # shallow chains run on plain locals
+        if k > 2:  # one- and two-level chains run on plain locals
             self.obase = [0] * k
             self.oend = [0] * k
             self.ocur = [0] * k
@@ -829,305 +810,18 @@ class _ShadowState:
         self.scur[j] = s
 
 
-class ArenaChainProbeStrategy:
-    """Algorithm 3 over the arena tree (beta-acyclic / NEO GAOs).
-
-    Operation tallies mirror :class:`repro.core.probe_acyclic.
-    ChainProbeStrategy` exactly; only the chain-cache keying (per-depth
-    epochs), the Next search (pooled slices + resumable cursors), and
-    the counting gate differ — none of which are counted operations.
-    """
-
-    name = "chain"
-
-    def __init__(self, cds: ArenaConstraintTree, memoize: bool = True) -> None:
-        self.cds = cds
-        self.memoize = memoize
-        self.counters = cds.counters
-        self._counting = self.counters.enabled
-        self._chains: dict = {}  # prefix -> (depth epoch, _ChainState|None)
-
-    def _chain_for(self, prefix: Tuple[int, ...]) -> Optional[_ChainState]:
-        cds = self.cds
-        epoch = cds.depth_epoch[len(prefix)]
-        cached = self._chains.get(prefix)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        ids = cds._filter_ids(prefix)
-        if not ids:
-            state = None
-        elif len(ids) == 1:
-            # Singleton filter: trivially a chain, its own bottom.
-            u = ids[0]
-            state = _ChainState([u], [cds._ivh[u]], cds._pattern[u])
-        else:
-            # Descending equality count; reverse=True keeps the sort
-            # stable on equal keys, so frontier order is preserved
-            # exactly like the pointer strategy's -count key.
-            ids.sort(key=cds._eqc.__getitem__, reverse=True)
-            patterns = cds._pattern
-            for narrow, wide in zip(ids, ids[1:]):
-                if not specializes(patterns[narrow], patterns[wide]):
-                    raise NotAChainError(
-                        f"filter contains incomparable patterns "
-                        f"{patterns[narrow]} / {patterns[wide]}; use the "
-                        "general (shadow-chain) strategy"
-                    )
-            ivh = cds._ivh
-            state = _ChainState(
-                ids, [ivh[u] for u in ids], patterns[ids[0]]
-            )
-        self._chains[prefix] = (epoch, state)
-        return state
-
-    def get_probe_point(self) -> Optional[Tuple[int, ...]]:
-        """Return an active tuple, or None when the gaps cover everything.
-
-        The dominant chain shapes — one or two levels — run fully
-        inlined here: no recursion, no cursor arrays (plain locals), one
-        gallop per Next over the pool's shared buffers.  Longer chains
-        fall back to the generic recursion.  Tally arithmetic in every
-        branch is the pointer strategy's.
-        """
-        cds = self.cds
-        counting = self._counting
-        counters = self.counters
-        memoize = self.memoize
-        pool = cds.pool
-        plows = pool.lows
-        phighs = pool.highs
-        pstart = pool.start
-        plength = pool.length
-        depth_epoch = cds.depth_epoch
-        chains = self._chains
-        chains_get = chains.get
-        n = cds.n
-        t: List[int] = []
-        while len(t) < n:
-            prefix = tuple(t)
-            cached = chains_get(prefix)
-            if cached is not None and cached[0] == depth_epoch[len(t)]:
-                chain = cached[1]
-            else:
-                chain = self._build_chain(prefix)
-            if chain is None:
-                t.append(-1)
-                continue
-            nodes = chain.nodes
-            k = len(nodes)
-            if k == 1:
-                # Degenerate chain {u}: one Next from -1, no memoize.
-                if counting:
-                    counters.interval_ops += 1
-                h = chain.handles[0]
-                m = plength[h]
-                value = -1
-                if m:
-                    s = pstart[h]
-                    e = s + m
-                    i = s
-                    if plows[i] < -1:
-                        i += 1  # single-step advance: skip the gallop
-                    if i < e and plows[i] < -1:
-                        prev = i
-                        step = 1
-                        while i + step < e and plows[i + step] < -1:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, -1, prev + 1, top if top < e else e
-                        )
-                    if i > s:
-                        high = phighs[i - 1]
-                        if high > -1:
-                            value = high
-            elif k == 2:
-                # Two-level chain: the Algorithm 4 alternation unrolled
-                # over the two slices with resuming local cursors.
-                # Tallies: +1 per leaf Next, 1 + steps for the bottom
-                # level, one memoized insert at the bottom node.
-                h0 = chain.handles[0]  # bottom (most specialized)
-                h1 = chain.handles[1]  # leaf (most general)
-                b0 = pstart[h0]
-                e0 = b0 + plength[h0]
-                b1 = pstart[h1]
-                e1 = b1 + plength[h1]
-                i0 = b0
-                i1 = b1
-                y = -1
-                ops = 1
-                leafs = 0
-                while True:
-                    # z = leaf.next(y), resuming cursor i1.
-                    leafs += 1
-                    i = i1
-                    if i < e1 and plows[i] < y:
-                        i += 1
-                    if i < e1 and plows[i] < y:
-                        prev = i
-                        step = 1
-                        while i + step < e1 and plows[i + step] < y:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, y, prev + 1, top if top < e1 else e1
-                        )
-                    i1 = i
-                    if i > b1:
-                        high = phighs[i - 1]
-                        z = high if high > y else y
-                    else:
-                        z = y
-                    if z >= ENC_POS:
-                        y = ENC_POS
-                        break
-                    # y = bottom.next(z), resuming cursor i0.
-                    ops += 1
-                    i = i0
-                    if i < e0 and plows[i] < z:
-                        i += 1
-                    if i < e0 and plows[i] < z:
-                        prev = i
-                        step = 1
-                        while i + step < e0 and plows[i + step] < z:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, z, prev + 1, top if top < e0 else e0
-                        )
-                    i0 = i
-                    if i > b0:
-                        high = phighs[i - 1]
-                        y = high if high > z else z
-                    else:
-                        y = z
-                    if y == z or y >= ENC_POS:
-                        break
-                if counting:
-                    counters.interval_ops += ops + leafs
-                if memoize:
-                    cds._insert_interval_encoded(nodes[0], -2, y)
-                value = y
-            else:
-                for j in range(k):
-                    chain.refresh(pool, j)
-                value = self._next_chain_val(-1, 0, chain)
-            if value < ENC_POS:
-                t.append(value)
-                continue
-            bottom_pattern = chain.bottom
-            i0 = last_equality_position(bottom_pattern)
-            if i0 == 0:
-                return None
-            if counting:
-                counters.backtracks += 1
-            pinned = bottom_pattern[i0 - 1]
-            assert isinstance(pinned, int)
-            cds.insert(
-                Constraint(bottom_pattern[: i0 - 1], pinned - 1, pinned + 1)
-            )
-            del t[i0 - 1 :]
-        return tuple(t)
-
-    def _build_chain(self, prefix: Tuple[int, ...]) -> Optional[_ChainState]:
-        """Rebuild and cache the chain for ``prefix`` (cache-miss path)."""
-        return self._chain_for(prefix)
-
-    def _next_chain_val(self, x: int, j: int, chain: _ChainState) -> int:
-        """Algorithm 4 (smallest y >= x free at level j and above), encoded.
-
-        Structure and tally arithmetic are the pointer strategy's: one
-        op for a leaf call, ``1 + steps`` for an inner call, one
-        memoized insert per completed inner call.  The per-level Next is
-        inlined at both sites with the level's resuming cursor (bounds
-        cached by :meth:`_ChainState.refresh`).
-        """
-        counters = self.counters
-        counting = self._counting
-        pool = self.cds.pool
-        lows = pool.lows
-        highs = pool.highs
-        end = chain.end
-        base = chain.base
-        cur = chain.cur
-        if j == len(chain.nodes) - 1:
-            if counting:
-                counters.interval_ops += 1
-            e = end[j]
-            b = base[j]
-            if b == e:
-                return x
-            i = cur[j]
-            if i < e and lows[i] < x:
-                i += 1  # single-step advance: skip the gallop entirely
-            if i < e and lows[i] < x:
-                prev = i
-                step = 1
-                while i + step < e and lows[i + step] < x:
-                    prev = i + step
-                    step <<= 1
-                top = i + step
-                i = bisect_left(lows, x, prev + 1, top if top < e else e)
-            cur[j] = i
-            if i > b:
-                high = highs[i - 1]
-                return high if high > x else x
-            return x
-        y = x
-        ops = 1  # the entry tally, batched with the loop's per-step tallies
-        e = end[j]
-        b = base[j]
-        while True:
-            z = self._next_chain_val(y, j + 1, chain)
-            if z >= ENC_POS:
-                y = ENC_POS
-                break
-            ops += 1
-            if b == e:
-                y = z
-                break  # empty level: y == z is an immediate fixpoint
-            i = cur[j]
-            if i < e and lows[i] < z:
-                i += 1
-            if i < e and lows[i] < z:
-                prev = i
-                step = 1
-                while i + step < e and lows[i + step] < z:
-                    prev = i + step
-                    step <<= 1
-                top = i + step
-                i = bisect_left(lows, z, prev + 1, top if top < e else e)
-            cur[j] = i
-            if i > b:
-                high = highs[i - 1]
-                y = high if high > z else z
-            else:
-                y = z
-            if y == z or y >= ENC_POS:
-                break
-        if counting:
-            counters.interval_ops += ops
-        if self.memoize:
-            self.cds._insert_interval_encoded(chain.nodes[j], x - 1, y)
-            chain.refresh(pool, j)
-            e = end[j]
-            b = base[j]
-        return y
-
-
 class ArenaGeneralProbeStrategy:
     """Algorithm 6 (shadow chains) over the arena tree.
 
-    The explicit walk mirrors :class:`repro.core.probe_general.
-    GeneralProbeStrategy` step for step — identical descent/unwind
-    routing, identical op and memoization tallies — while every Next
+    Mirrors :class:`repro.core.probe_general.GeneralProbeStrategy` Next
+    for Next — identical op and memoization tallies — while every Next
     runs over pooled slices with per-level resumable cursors.
     """
 
     name = "general"
+    #: Ops charged on entering an inner chain level: none in Algorithm 7;
+    #: Algorithm 4 charges one (:class:`ArenaChainProbeStrategy`).
+    _ENTRY_OPS = 0
 
     def __init__(self, cds: ArenaConstraintTree, memoize: bool = True) -> None:
         self.cds = cds
@@ -1196,16 +890,18 @@ class ArenaGeneralProbeStrategy:
     def get_probe_point(self) -> Optional[Tuple[int, ...]]:
         """Return an active tuple, or None when the gaps cover everything.
 
-        The dominant shadow-chain shapes run fully inlined here with
-        plain-local cursors: one level (single slice or {ū ⪯ u} pair)
-        and two levels (the leaf is always degenerate — the last suffix
-        meet is its own pattern).  Deeper chains take the generic walk.
-        Tally arithmetic in every branch is the pointer walk's.
+        The dominant shadow-chain shapes run inlined here with
+        plain-local cursors: one level (a single slice — the leaf is
+        always degenerate) and two levels (the leaf alternating with
+        level 0, a single slice or a {ū ⪯ u} pair).  Deeper chains take
+        the recursive walk.  Tally arithmetic in every branch is the
+        walk's.
         """
         cds = self.cds
         counting = self._counting
         counters = self.counters
         memoize = self.memoize
+        entry_ops = self._ENTRY_OPS
         pool = cds.pool
         plows = pool.lows
         phighs = pool.highs
@@ -1228,102 +924,26 @@ class ArenaGeneralProbeStrategy:
             nodes = entries.nodes
             k = len(nodes)
             if k == 1:
-                if entries.deg[0]:
-                    # Degenerate chain {u}: one Next from -1, no memoize.
-                    if counting:
-                        counters.interval_ops += 1
-                    h = entries.ohandles[0]
-                    m = plength[h]
-                    value = -1
-                    if m:
-                        s = pstart[h]
-                        e = s + m
-                        i = s
-                        if plows[i] < -1:
-                            i += 1  # single-step advance: skip the gallop
-                        if i < e and plows[i] < -1:
-                            prev = i
-                            step = 1
-                            while i + step < e and plows[i + step] < -1:
-                                prev = i + step
-                                step <<= 1
-                            top = i + step
-                            i = bisect_left(
-                                plows, -1, prev + 1, top if top < e else e
-                            )
-                        if i > s:
-                            high = phighs[i - 1]
-                            if high > -1:
-                                value = high
-                else:
-                    # {ū ⪯ u}: the two-slice alternation, 2 ops per round.
-                    oh = entries.ohandles[0]
-                    sh = entries.shandles[0]
-                    o_s = pstart[oh]
-                    o_e = o_s + plength[oh]
-                    s_s = pstart[sh]
-                    s_e = s_s + plength[sh]
-                    oi = o_s
-                    si = s_s
-                    y = -1
-                    ops = 0
-                    while True:
-                        ops += 2
-                        i = oi
-                        if i < o_e and plows[i] < y:
-                            i += 1
-                        if i < o_e and plows[i] < y:
-                            prev = i
-                            step = 1
-                            while i + step < o_e and plows[i + step] < y:
-                                prev = i + step
-                                step <<= 1
-                            top = i + step
-                            i = bisect_left(
-                                plows, y, prev + 1,
-                                top if top < o_e else o_e,
-                            )
-                        oi = i
-                        if i > o_s:
-                            high = phighs[i - 1]
-                            z = high if high > y else y
-                        else:
-                            z = y
-                        if z >= ENC_POS:
-                            y = ENC_POS
-                            break
-                        i = si
-                        if i < s_e and plows[i] < z:
-                            i += 1
-                        if i < s_e and plows[i] < z:
-                            prev = i
-                            step = 1
-                            while i + step < s_e and plows[i + step] < z:
-                                prev = i + step
-                                step <<= 1
-                            top = i + step
-                            i = bisect_left(
-                                plows, z, prev + 1,
-                                top if top < s_e else s_e,
-                            )
-                        si = i
-                        if i > s_s:
-                            high = phighs[i - 1]
-                            y = high if high > z else z
-                        else:
-                            y = z
-                        if y == z:
-                            break
-                        if y >= ENC_POS:
-                            y = ENC_POS
-                            break
-                    if counting:
-                        counters.interval_ops += ops
-                    value = y
-            elif k == 2 and entries.deg[1]:
-                # Leaf (always degenerate) alternating with level 0,
-                # which is a single slice or a {ū ⪯ u} pair; memoize at
-                # the level-0 shadow on completion.  Tallies: 1 per
+                # One level {u}: one Next from -1, no memoize.
+                if counting:
+                    counters.interval_ops += 1
+                h = entries.ohandles[0]
+                s = pstart[h]
+                e = s + plength[h]
+                i = s
+                if i < e and plows[i] < -1:
+                    i += 1
+                    if i < e and plows[i] < -1:
+                        i = bisect_left(plows, -1, i + 1, e)
+                value = -1
+                if i > s:
+                    high = phighs[i - 1]
+                    if high > -1:
+                        value = high
+            elif k == 2:
+                # The leaf alternating with level 0, which is a single
+                # slice or a {ū ⪯ u} pair; memoize at the level-0 shadow
+                # on completion.  Tallies: the entry charge, 1 per
                 # single-slice Next, 2 per pair round — the walk's.
                 lh = entries.ohandles[1]
                 l_s = pstart[lh]
@@ -1340,23 +960,15 @@ class ArenaGeneralProbeStrategy:
                     s_e = s_s + plength[sh]
                     si = s_s
                 cur = -1
-                total_ops = 0
+                total_ops = entry_ops
                 while True:
                     # z = leaf.next(cur), resuming cursor li.
                     total_ops += 1
                     i = li
                     if i < l_e and plows[i] < cur:
                         i += 1
-                    if i < l_e and plows[i] < cur:
-                        prev = i
-                        step = 1
-                        while i + step < l_e and plows[i + step] < cur:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, cur, prev + 1, top if top < l_e else l_e
-                        )
+                        if i < l_e and plows[i] < cur:
+                            i = bisect_left(plows, cur, i + 1, l_e)
                     li = i
                     if i > l_s:
                         high = phighs[i - 1]
@@ -1371,17 +983,8 @@ class ArenaGeneralProbeStrategy:
                         i = oi
                         if i < o_e and plows[i] < z:
                             i += 1
-                        if i < o_e and plows[i] < z:
-                            prev = i
-                            step = 1
-                            while i + step < o_e and plows[i + step] < z:
-                                prev = i + step
-                                step <<= 1
-                            top = i + step
-                            i = bisect_left(
-                                plows, z, prev + 1,
-                                top if top < o_e else o_e,
-                            )
+                            if i < o_e and plows[i] < z:
+                                i = bisect_left(plows, z, i + 1, o_e)
                         oi = i
                         if i > o_s:
                             high = phighs[i - 1]
@@ -1389,26 +992,20 @@ class ArenaGeneralProbeStrategy:
                         else:
                             y = z
                     else:
-                        # y = pair-next(z) over level 0's two slices.
+                        # y = pair-next(z) over level 0's two slices:
+                        # ``_next_pair`` inlined, since a two-level chain
+                        # with a {ū ⪯ u} pair at level 0 is the common
+                        # shape of a 4-cycle's probes, where the call and
+                        # its cursor round-trip show in the ledger's
+                        # serve_read_cyclic latency.
                         yy = z
                         while True:
                             total_ops += 2
                             i = oi
                             if i < o_e and plows[i] < yy:
                                 i += 1
-                            if i < o_e and plows[i] < yy:
-                                prev = i
-                                step = 1
-                                while (
-                                    i + step < o_e and plows[i + step] < yy
-                                ):
-                                    prev = i + step
-                                    step <<= 1
-                                top = i + step
-                                i = bisect_left(
-                                    plows, yy, prev + 1,
-                                    top if top < o_e else o_e,
-                                )
+                                if i < o_e and plows[i] < yy:
+                                    i = bisect_left(plows, yy, i + 1, o_e)
                             oi = i
                             if i > o_s:
                                 high = phighs[i - 1]
@@ -1421,19 +1018,8 @@ class ArenaGeneralProbeStrategy:
                             i = si
                             if i < s_e and plows[i] < zz:
                                 i += 1
-                            if i < s_e and plows[i] < zz:
-                                prev = i
-                                step = 1
-                                while (
-                                    i + step < s_e and plows[i + step] < zz
-                                ):
-                                    prev = i + step
-                                    step <<= 1
-                                top = i + step
-                                i = bisect_left(
-                                    plows, zz, prev + 1,
-                                    top if top < s_e else s_e,
-                                )
+                                if i < s_e and plows[i] < zz:
+                                    i = bisect_left(plows, zz, i + 1, s_e)
                             si = i
                             if i > s_s:
                                 high = phighs[i - 1]
@@ -1455,7 +1041,9 @@ class ArenaGeneralProbeStrategy:
                 if counting:
                     counters.interval_ops += total_ops
             else:
-                value = self._next_shadow_chain_val(-1, entries)
+                for j in range(k):
+                    entries.refresh(pool, j)
+                value = self._next_shadow_chain_val(-1, 0, entries)
             if value < ENC_POS:
                 t.append(value)
                 continue
@@ -1473,197 +1061,165 @@ class ArenaGeneralProbeStrategy:
             del t[i0 - 1 :]
         return tuple(t)
 
-    def _next_shadow_chain_val(self, x: int, entries: _ShadowState) -> int:
-        """Algorithm 7 over the shadow chain, encoded endpoints.
+    def _next_shadow_chain_val(
+        self, x: int, j: int, entries: _ShadowState
+    ) -> int:
+        """Algorithm 7 over the shadow chain (bottom at index 0), encoded.
 
-        The walk is the pointer strategy's explicit recursion-as-loop;
-        every level keeps two resumable cursors (original list, shadow
-        list) valid for the whole walk — the sought value only ascends —
-        held as absolute buffer positions alongside cached slice bounds.
-        The only mid-walk mutations are this walk's own memoization
-        inserts, after which exactly the tied levels are refreshed, so
-        the per-step path reads no pool metadata.
+        The pointer strategy's recursion: the leaf answers with one Next
+        (it is always degenerate); an inner level alternates the levels
+        above it with its own Next — one slice, or the {ū ⪯ u} pair —
+        until a fixpoint, then memoizes ``(x - 1, y)`` at its shadow
+        node and refreshes the levels that insert can move.  Every Next
+        resumes its level's cursor: the sought value only ascends.
         """
-        counters = self.counters
-        counting = self._counting
-        memoize = self.memoize
-        cds = self.cds
-        pool = cds.pool
-        lows_buf = pool.lows
-        highs_buf = pool.highs
-        nodes = entries.nodes
-        deg = entries.deg
+        pool = self.cds.pool
+        lows = pool.lows
+        highs = pool.highs
         obase = entries.obase
         oend = entries.oend
         ocur = entries.ocur
-        sbase = entries.sbase
-        send = entries.send
-        scur = entries.scur
-        tied = entries.tied
-        refresh = entries.refresh
-        ohandles = entries.ohandles
-        shandles = entries.shandles
-        pstart = pool.start
-        plength = pool.length
-        last = len(nodes) - 1
-        # Fresh walk: re-read slice bounds, restart cursors (inline).
-        for k in range(last + 1):
-            h = ohandles[k]
-            s = pstart[h]
-            obase[k] = s
-            oend[k] = s + plength[h]
-            ocur[k] = s
-            h = shandles[k]
-            s = pstart[h]
-            sbase[k] = s
-            send[k] = s + plength[h]
-            scur[k] = s
-        total_ops = 0
-        j = 0
-        xs: List[int] = [x] * (last + 1)
-        cur = x
-        z = x
-        down = last > 0
-        if last == 0:
-            step_level = 0
-            v = x
+        if j == len(entries.nodes) - 1:
+            if self._counting:
+                self.counters.interval_ops += 1
+            e = oend[j]
+            i = ocur[j]
+            if i < e and lows[i] < x:
+                i += 1
+                if i < e and lows[i] < x:
+                    i = bisect_left(lows, x, i + 1, e)
+            ocur[j] = i
+            if i > obase[j]:
+                high = highs[i - 1]
+                if high > x:
+                    return high
+            return x
+        deg = entries.deg[j]
+        ops = self._ENTRY_OPS
+        y = x
         while True:
-            if last:
-                if down:
-                    for level in range(j + 1, last + 1):
-                        xs[level] = cur
-                    step_level = last
-                    v = cur
-                elif z < ENC_POS:
-                    step_level = j
-                    v = z
-                else:
-                    y = ENC_POS
-                    if memoize:
-                        cds._insert_interval_encoded(nodes[j], xs[j] - 1, y)
-                        for lvl in tied[j]:
-                            refresh(pool, lvl)
-                    if j == 0:
-                        if counting:
-                            counters.interval_ops += total_ops
-                        return y
-                    z = y
-                    j -= 1
-                    continue
-            # --- the chain step: Next over the level's one or two slices.
-            if deg[step_level]:
-                total_ops += 1
-                e = oend[step_level]
-                base = obase[step_level]
-                if base == e:
-                    out = v
-                else:
-                    i = ocur[step_level]
-                    if i < e and lows_buf[i] < v:
-                        i += 1  # single-step advance: skip the gallop
-                    if i < e and lows_buf[i] < v:
-                        prev = i
-                        step = 1
-                        while i + step < e and lows_buf[i + step] < v:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            lows_buf, v, prev + 1, top if top < e else e
-                        )
-                    ocur[step_level] = i
-                    if i > base:
-                        high = highs_buf[i - 1]
-                        out = high if high > v else v
-                    else:
-                        out = v
+            z = self._next_shadow_chain_val(y, j + 1, entries)
+            if z >= ENC_POS:
+                y = ENC_POS
+                break
+            if deg:
+                # Bounds re-read per step: a memoization insert above
+                # can move this level's slice (shared suffix meets).
+                ops += 1
+                e = oend[j]
+                i = ocur[j]
+                if i < e and lows[i] < z:
+                    i += 1
+                    if i < e and lows[i] < z:
+                        i = bisect_left(lows, z, i + 1, e)
+                ocur[j] = i
+                y = z
+                if i > obase[j]:
+                    high = highs[i - 1]
+                    if high > z:
+                        y = high
             else:
-                # {ū ⪯ u} alternation over the two slices, both cursors
-                # resuming; op arithmetic (2 per round) as the pointer
-                # strategy tallies it.
-                o_s = obase[step_level]
-                o_e = oend[step_level]
-                s_s = sbase[step_level]
-                s_e = send[step_level]
-                oi = ocur[step_level]
-                si = scur[step_level]
-                yy = v
-                while True:
-                    total_ops += 2
-                    i = oi
-                    if i < o_e and lows_buf[i] < yy:
-                        i += 1
-                    if i < o_e and lows_buf[i] < yy:
-                        prev = i
-                        step = 1
-                        while i + step < o_e and lows_buf[i + step] < yy:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            lows_buf, yy, prev + 1, top if top < o_e else o_e
-                        )
-                    oi = i
-                    if i > o_s:
-                        high = highs_buf[i - 1]
-                        zz = high if high > yy else yy
-                    else:
-                        zz = yy
-                    if zz >= ENC_POS:
-                        out = ENC_POS
-                        break
-                    i = si
-                    if i < s_e and lows_buf[i] < zz:
-                        i += 1
-                    if i < s_e and lows_buf[i] < zz:
-                        prev = i
-                        step = 1
-                        while i + step < s_e and lows_buf[i + step] < zz:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            lows_buf, zz, prev + 1, top if top < s_e else s_e
-                        )
-                    si = i
-                    if i > s_s:
-                        high = highs_buf[i - 1]
-                        yy = high if high > zz else zz
-                    else:
-                        yy = zz
-                    if yy == zz:
-                        out = yy
-                        break
-                    if yy >= ENC_POS:
-                        out = ENC_POS
-                        break
-                ocur[step_level] = oi
-                scur[step_level] = si
-            if last == 0:
-                if counting:
-                    counters.interval_ops += total_ops
-                return out
-            # --- route the step result (identical to the pointer walk).
-            if down:
-                z = out
-                j = last - 1
-                down = False
-                continue
-            y = out
-            if y != z and y < ENC_POS:
-                cur = y  # fixpoint not reached: re-descend below j
-                down = True
-                continue
-            if memoize:
-                cds._insert_interval_encoded(nodes[j], xs[j] - 1, y)
-                for lvl in tied[j]:
-                    refresh(pool, lvl)
-            if j == 0:
-                if counting:
-                    counters.interval_ops += total_ops
-                return y
-            z = y
-            j -= 1
+                y = self._next_pair(z, j, entries)
+            if y == z or y >= ENC_POS:
+                break
+        if self._counting and ops:
+            self.counters.interval_ops += ops
+        if self.memoize:
+            self.cds._insert_interval_encoded(entries.nodes[j], x - 1, y)
+            for lvl in entries.tied[j]:
+                entries.refresh(pool, lvl)
+        return y
+
+    def _next_pair(self, x: int, j: int, entries: _ShadowState) -> int:
+        """nextChainVal over level j's two-node chain {ū ⪯ u}, encoded.
+
+        The original and shadow slices alternate from ``x``, both cursors
+        resuming, two ops per round; +inf comes back as ``ENC_POS``.
+        """
+        pool = self.cds.pool
+        lows = pool.lows
+        highs = pool.highs
+        o_s = entries.obase[j]
+        o_e = entries.oend[j]
+        s_s = entries.sbase[j]
+        s_e = entries.send[j]
+        oi = entries.ocur[j]
+        si = entries.scur[j]
+        y = x
+        ops = 0
+        while True:
+            ops += 2
+            i = oi
+            if i < o_e and lows[i] < y:
+                i += 1
+                if i < o_e and lows[i] < y:
+                    i = bisect_left(lows, y, i + 1, o_e)
+            oi = i
+            if i > o_s:
+                high = highs[i - 1]
+                z = high if high > y else y
+            else:
+                z = y
+            if z >= ENC_POS:
+                y = ENC_POS
+                break
+            i = si
+            if i < s_e and lows[i] < z:
+                i += 1
+                if i < s_e and lows[i] < z:
+                    i = bisect_left(lows, z, i + 1, s_e)
+            si = i
+            if i > s_s:
+                high = highs[i - 1]
+                y = high if high > z else z
+            else:
+                y = z
+            if y == z:
+                break
+            if y >= ENC_POS:
+                y = ENC_POS
+                break
+        entries.ocur[j] = oi
+        entries.scur[j] = si
+        if self._counting:
+            self.counters.interval_ops += ops
+        return y
+
+
+class ArenaChainProbeStrategy(ArenaGeneralProbeStrategy):
+    """Algorithm 3 over the arena tree (beta-acyclic / NEO GAOs).
+
+    When the principal filter is a chain every suffix meet is the
+    level's own pattern, so Algorithm 4 is the shadow-chain walk with
+    every level degenerate.  Only two things differ from the general
+    strategy: the chain is checked rather than shadowed
+    (:class:`NotAChainError` otherwise), and each inner call charges the
+    entry op of :class:`repro.core.probe_acyclic.ChainProbeStrategy`.
+    """
+
+    name = "chain"
+    _ENTRY_OPS = 1
+
+    def _build_shadow_chain(self, ids: List[int]) -> _ShadowState:
+        """Linearize G (Prop. 4.2) as an all-degenerate shadow chain."""
+        cds = self.cds
+        # Descending equality count; reverse=True keeps the sort stable
+        # on equal keys, so frontier order is preserved exactly like the
+        # pointer strategy's -count key.
+        ids.sort(key=cds._eqc.__getitem__, reverse=True)
+        patterns = cds._pattern
+        for narrow, wide in zip(ids, ids[1:]):
+            if not specializes(patterns[narrow], patterns[wide]):
+                raise NotAChainError(
+                    f"filter contains incomparable patterns "
+                    f"{patterns[narrow]} / {patterns[wide]}; use the "
+                    "general (shadow-chain) strategy"
+                )
+        ivh = cds._ivh
+        handles = [ivh[u] for u in ids]
+        return _ShadowState(
+            ids, handles, handles, [True] * len(ids), patterns[ids[0]]
+        )
 
 
 def make_cds(

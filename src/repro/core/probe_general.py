@@ -17,7 +17,10 @@ credit-based analysis in Appendix G.2 charges shadow intervals — so that
 is what we implement.)
 
 When G happens to be a chain the shadows coincide with the originals and
-this strategy reduces exactly to Algorithm 3 (tested against it).
+this strategy walks exactly as Algorithm 3 does: the same probe points
+and memoized gaps over a whole probe/insert sequence (tested against
+it).  Only the tally differs: Algorithm 4 charges one extra interval op
+per inner nextChainVal call, which this walk does not.
 
 This is the plain tier: the recursion is Algorithm 7 as written and
 every Next goes through ``intervals.next``, whatever the list type.

@@ -245,12 +245,6 @@ class TriangleMinesweeper:
         self._n_a = len(self.a_dict)
         self._n_b = len(self.b_dict)
         self._n_c = len(self.c_dict)
-        # Read only by the arena twin (its CSR explorer and tally gate).
-        self._flat = make_index is FlatTrieRelation
-        self._counting = self.counters.enabled
-        self._a_rank_of = self.a_dict.rank_of
-        self._b_rank_of = self.b_dict.rank_of
-        self._c_rank_of = self.c_dict.rank_of
         self._init_cds()
 
     def _init_cds(self) -> None:

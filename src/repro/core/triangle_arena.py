@@ -28,6 +28,7 @@ from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.triangle import TriangleMinesweeper, check_dyadic_invariant
+from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.interval_list import ENC_NEG, ENC_POS
 from repro.storage.interval_pool import IntervalPool
 
@@ -54,11 +55,16 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
     """Algorithm 10 over the pooled CDS; see the module docstring."""
 
     def _init_cds(self) -> None:
-        if not self._flat:
+        if not isinstance(self.r_index, FlatTrieRelation):
             raise ValueError(
                 "the arena triangle CDS requires the flat relation backend; "
                 "use cds_backend='pointer' with trie/btree indexes"
             )
+        # The tally gate and the CSR explorer's rank lookups.
+        self._counting = self.counters.enabled
+        self._a_rank_of = self.a_dict.rank_of
+        self._b_rank_of = self.b_dict.rank_of
+        self._c_rank_of = self.c_dict.rank_of
         pool = IntervalPool()
         self.pool = pool
         self.h_root = pool.new()  # gaps on A
@@ -161,29 +167,21 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
         eq_a_get = self.h_eq_a.get
         eq_a_star_get = self.h_eq_a_star.get
         while True:
-            # --- a = i_root.next(0) (front/gallop inline).
+            # --- a = i_root.next(0), inline.
             if counting:
                 counters.interval_ops += 1
-            m = plength[h_root]
-            a = 0
-            if m:
-                s = pstart[h_root]
-                e = s + m
-                i = s
-                if plows[i] < 0:
-                    i += 1
+            s = pstart[h_root]
+            e = s + plength[h_root]
+            i = s
+            if i < e and plows[i] < 0:
+                i += 1
                 if i < e and plows[i] < 0:
-                    prev = i
-                    step = 1
-                    while i + step < e and plows[i + step] < 0:
-                        prev = i + step
-                        step <<= 1
-                    top = i + step
-                    i = bisect_left(plows, 0, prev + 1, top if top < e else e)
-                if i > s:
-                    high = phighs[i - 1]
-                    if high > 0:
-                        a = high
+                    i = bisect_left(plows, 0, i + 1, e)
+            a = 0
+            if i > s:
+                high = phighs[i - 1]
+                if high > 0:
+                    a = high
             if a >= n_a:  # encoded +inf is >= any domain size
                 return None
             h_eq = eq_a_get(a)
@@ -236,16 +234,8 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
             i = fi
             if i < f_e and plows[i] < value:
                 i += 1
-            if i < f_e and plows[i] < value:
-                prev = i
-                step = 1
-                while i + step < f_e and plows[i + step] < value:
-                    prev = i + step
-                    step <<= 1
-                top = i + step
-                i = bisect_left(
-                    plows, value, prev + 1, top if top < f_e else f_e
-                )
+                if i < f_e and plows[i] < value:
+                    i = bisect_left(plows, value, i + 1, f_e)
             fi = i
             if i > f_s:
                 high = phighs[i - 1]
@@ -259,16 +249,8 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
             i = si
             if i < s_e and plows[i] < step_one:
                 i += 1
-            if i < s_e and plows[i] < step_one:
-                prev = i
-                step = 1
-                while i + step < s_e and plows[i + step] < step_one:
-                    prev = i + step
-                    step <<= 1
-                top = i + step
-                i = bisect_left(
-                    plows, step_one, prev + 1, top if top < s_e else s_e
-                )
+                if i < s_e and plows[i] < step_one:
+                    i = bisect_left(plows, step_one, i + 1, s_e)
             si = i
             if i > s_s:
                 high = phighs[i - 1]
@@ -354,17 +336,8 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
                     i = fi
                     if i < es_e and plows[i] < value:
                         i += 1
-                    if i < es_e and plows[i] < value:
-                        prev = i
-                        step = 1
-                        while i + step < es_e and plows[i + step] < value:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, value, prev + 1,
-                            top if top < es_e else es_e,
-                        )
+                        if i < es_e and plows[i] < value:
+                            i = bisect_left(plows, value, i + 1, es_e)
                     fi = i
                     if i > es_s:
                         high = phighs[i - 1]
@@ -378,17 +351,8 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
                     i = si
                     if i < nl_e and plows[i] < step_one:
                         i += 1
-                    if i < nl_e and plows[i] < step_one:
-                        prev = i
-                        step = 1
-                        while i + step < nl_e and plows[i + step] < step_one:
-                            prev = i + step
-                            step <<= 1
-                        top = i + step
-                        i = bisect_left(
-                            plows, step_one, prev + 1,
-                            top if top < nl_e else nl_e,
-                        )
+                        if i < nl_e and plows[i] < step_one:
+                            i = bisect_left(plows, step_one, i + 1, nl_e)
                     si = i
                     if i > nl_s:
                         high = phighs[i - 1]
@@ -436,7 +400,12 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
     def _explore_flat(
         self, a_rank: int, b_rank: int, c_rank: int, a: int, b: int, c: int
     ) -> bool:
-        """The pointer `_explore_flat` with pool-handle constraint inserts."""
+        """The plain tier's ``_explore`` over the CSR arrays, pool inserts.
+
+        Same membership tests, gap bounds and tallies as the handle-API
+        walk in :meth:`TriangleMinesweeper._explore`, read straight from
+        the flat indexes' ``_vals`` / ``_offs``.
+        """
         counters = self.counters
         counting = self._counting
         pool = self.pool

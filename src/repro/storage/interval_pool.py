@@ -194,8 +194,11 @@ class IntervalPool:
         """Smallest integer >= ``value`` outside every stored interval.
 
         Encoded in and out: a return >= ``ENC_POS`` is +inf.  Gallops
-        from the front exactly like :meth:`IntervalList.next` (the hot
-        probe loops inline this with resumable cursors instead).
+        from the front exactly like :meth:`IntervalList.next`.  The probe
+        walks in :mod:`repro.core.cds_arena` and
+        :mod:`repro.core.triangle_arena` inline their Next instead: a
+        cursor resumed from the previous answer, one single-step check,
+        then one ``bisect_left`` from the cursor.
         """
         n = self.length[h]
         s = self.start[h]

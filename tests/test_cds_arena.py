@@ -238,57 +238,202 @@ def _probe_all(strategy_cls, tree, memoize=True):
     return points
 
 
+def _seeded_trees(n_attr, seeded):
+    """A pointer and an arena tree holding the same constraints."""
+    c1 = OpCounters()
+    ptr = ConstraintTree(n_attr, counters=c1)
+    c2 = OpCounters()
+    arena = ArenaConstraintTree(n_attr, counters=c2)
+    for c in seeded:
+        ptr.insert(c)
+        arena.insert(c)
+    return ptr, arena, c1, c2
+
+
+def _random_trees(seed, chain_safe=False):
+    """Broad random seeding: labels 0-8, ±inf endpoints, zero widths.
+
+    ``chain_safe`` draws only all-equality or all-wildcard patterns, so
+    every principal filter is (almost always) a chain.  Probes mostly
+    sit on ``-1`` prefixes no label matches, so chains stay short and
+    empty principal filters occur.
+    """
+    rng = random.Random(seed)
+    n_attr = rng.randint(1, 5)
+    if not chain_safe:
+        seeded = [random_constraint(rng, n_attr) for _ in range(15)]
+        return _seeded_trees(n_attr, seeded)
+    seeded = []
+    for _ in range(15):
+        depth = rng.randrange(n_attr)
+        if rng.random() < 0.5:
+            prefix = tuple(rng.randrange(6) for _ in range(depth))
+        else:
+            prefix = (W,) * depth
+        low = rng.randrange(-1, 8)
+        seeded.append(Constraint(prefix, low, low + rng.randint(0, 4)))
+    return _seeded_trees(n_attr, seeded)
+
+
+def _deep_trees(seed, chain_safe=False):
+    """Deep seeding: principal filters of up to n_attr + 1 levels.
+
+    Every attribute is bounded to [0, 5) by wildcard gaps, and equality
+    labels are drawn from {0, 1}, so the probe walk lands where the
+    random patterns live (n_attr <= 5).  ``chain_safe`` draws only
+    patterns of the form (labels..., *, ..., *): every filter is then a
+    chain.
+    """
+    rng = random.Random(seed)
+    n_attr = rng.randint(1, 5)
+    seeded = []
+    for depth in range(n_attr):
+        seeded.append(Constraint((W,) * depth, NEG_INF, 0))
+        seeded.append(Constraint((W,) * depth, 4, POS_INF))
+    for _ in range(30):
+        depth = rng.randrange(n_attr)
+        if chain_safe:
+            j = rng.randint(0, depth)
+            prefix = tuple(rng.randrange(2) for _ in range(j))
+            prefix += (W,) * (depth - j)
+        else:
+            prefix = tuple(
+                rng.randrange(2) if rng.random() < 0.6 else W
+                for _ in range(depth)
+            )
+        low = rng.randrange(-1, 5)
+        seeded.append(Constraint(prefix, low, low + rng.randint(1, 2)))
+    return _seeded_trees(n_attr, seeded)
+
+
+def _pair_trees(seed, chain_safe=False):
+    """Two incomparable families: every filter at C is {(a, *), (*, b)}.
+
+    A and B are bounded to {0, 1} and C's intervals sit only on (a, *)
+    and (*, b) patterns, so until a point gap lands on (a, b) itself the
+    principal filter is a two-level chain whose level 0 is a {ū ⪯ u}
+    pair with shadow (a, b).  Never a chain: general strategy only.
+    """
+    assert not chain_safe
+    rng = random.Random(seed)
+    seeded = []
+    for depth in range(2):
+        seeded.append(Constraint((W,) * depth, NEG_INF, 0))
+        seeded.append(Constraint((W,) * depth, 1, POS_INF))
+    for a in range(2):
+        seeded.append(Constraint((a, W), 8, POS_INF))
+    for _ in range(12):
+        label = rng.randrange(2)
+        prefix = (label, W) if rng.random() < 0.5 else (W, label)
+        low = rng.randrange(-1, 8)
+        seeded.append(Constraint(prefix, low, low + rng.randint(1, 3)))
+    return _seeded_trees(3, seeded)
+
+
+_SEEDINGS = {"random": _random_trees, "deep": _deep_trees}
+_GENERAL_SEEDINGS = {**_SEEDINGS, "pair": _pair_trees}
+
+
+def _recorded_chains(strategy_cls, arena):
+    """Every chain ``strategy_cls`` looks up while probing (None: empty)."""
+    built = []
+
+    class Recording(strategy_cls):
+        def _chain_for(self, prefix):
+            state = super()._chain_for(prefix)
+            built.append(state)
+            return state
+
+    _probe_all(Recording, arena)
+    return built
+
+
 class TestProbeEquivalence:
     """Interleaved probe/insert sequences under both strategies."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("memoize", [True, False])
-    def test_general_probe_sequences(self, seed, memoize):
-        rng = random.Random(seed)
-        n_attr = rng.randint(1, 4)
-        seeded = [random_constraint(rng, n_attr) for _ in range(15)]
-        c1 = OpCounters()
-        ptr = ConstraintTree(n_attr, counters=c1)
-        c2 = OpCounters()
-        arena = ArenaConstraintTree(n_attr, counters=c2)
-        for c in seeded:
-            ptr.insert(c)
-            arena.insert(c)
+    @pytest.mark.parametrize(
+        "seeding, seed, memoize",
+        [
+            pytest.param(seeding, seed, memoize, id=f"{prefix}{memoize}-{seed}")
+            for seeding, prefix in (
+                ("random", ""), ("deep", "deep-"), ("pair", "pair-")
+            )
+            for memoize in (True, False)
+            for seed in range(12)
+        ],
+    )
+    def test_general_probe_sequences(self, seeding, seed, memoize):
+        ptr, arena, c1, c2 = _GENERAL_SEEDINGS[seeding](seed)
         p1 = _probe_all(GeneralProbeStrategy, ptr, memoize=memoize)
         p2 = _probe_all(ArenaGeneralProbeStrategy, arena, memoize=memoize)
         assert p1 == p2
         assert c1.snapshot() == c2.snapshot()
         assert tree_snapshot(ptr) == tree_snapshot(arena)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_chain_probe_sequences(self, seed):
-        # Chain-safe seeding: constraints whose patterns are all-equality
-        # prefixes or all-wildcard, so every principal filter is a chain.
-        rng = random.Random(seed)
-        n_attr = rng.randint(1, 3)
-        c1 = OpCounters()
-        ptr = ConstraintTree(n_attr, counters=c1)
-        c2 = OpCounters()
-        arena = ArenaConstraintTree(n_attr, counters=c2)
-        for _ in range(15):
-            depth = rng.randrange(n_attr)
-            if rng.random() < 0.5:
-                prefix = tuple(rng.randrange(6) for _ in range(depth))
-            else:
-                prefix = (W,) * depth
-            low = rng.randrange(-1, 8)
-            constraint = Constraint(prefix, low, low + rng.randint(0, 4))
-            ptr.insert(constraint)
-            arena.insert(constraint)
+    @pytest.mark.parametrize(
+        "seeding, seed, memoize",
+        [
+            pytest.param(seeding, seed, memoize, id=f"{prefix}{tag}{seed}")
+            for seeding, prefix in (("random", ""), ("deep", "deep-"))
+            for memoize, tag in ((True, ""), (False, "nomemo-"))
+            for seed in range(12)
+        ],
+    )
+    def test_chain_probe_sequences(self, seeding, seed, memoize):
+        ptr, arena, c1, c2 = _SEEDINGS[seeding](seed, chain_safe=True)
         try:
-            p1 = _probe_all(ChainProbeStrategy, ptr)
+            p1 = _probe_all(ChainProbeStrategy, ptr, memoize=memoize)
         except NotAChainError:
             with pytest.raises(NotAChainError):
-                _probe_all(ArenaChainProbeStrategy, arena)
+                _probe_all(ArenaChainProbeStrategy, arena, memoize=memoize)
             return
-        p2 = _probe_all(ArenaChainProbeStrategy, arena)
+        p2 = _probe_all(ArenaChainProbeStrategy, arena, memoize=memoize)
         assert p1 == p2
         assert c1.snapshot() == c2.snapshot()
+        assert tree_snapshot(ptr) == tree_snapshot(arena)
+
+    @pytest.mark.parametrize("seeding", sorted(_GENERAL_SEEDINGS))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shadow_leaf_is_always_degenerate(self, seeding, seed):
+        # The last suffix meet is the leaf's own pattern (and a singleton
+        # filter is its own meet), so no walk ever needs a {ū ⪯ u} pair
+        # at the leaf: every shadow chain built must say so.
+        _, arena, _, _ = _GENERAL_SEEDINGS[seeding](seed)
+        built = _recorded_chains(ArenaGeneralProbeStrategy, arena)
+        assert any(state is not None for state in built)
+        for state in built:
+            if state is not None:
+                assert state.deg[-1] is True
+                assert state.shandles[-1] == state.ohandles[-1]
+
+    def test_sequences_reach_every_walk_shape(self):
+        # The sequence tests above must drive, under both strategies, an
+        # empty principal filter, the recursive walk on chains of four
+        # levels (not only the unrolled one- and two-level shapes), and
+        # in the general strategy a {ū ⪯ u} pair at level 0 of a
+        # two-level chain as well as deeper down.
+        seen = {"general": [], "chain": []}
+        for seeding in _GENERAL_SEEDINGS.values():
+            for seed in range(12):
+                arena = seeding(seed)[1]
+                seen["general"] += _recorded_chains(
+                    ArenaGeneralProbeStrategy, arena
+                )
+        for seeding in _SEEDINGS.values():
+            for seed in range(12):
+                arena = seeding(seed, chain_safe=True)[1]
+                try:
+                    seen["chain"] += _recorded_chains(
+                        ArenaChainProbeStrategy, arena
+                    )
+                except NotAChainError:
+                    pass
+        for states in seen.values():
+            assert None in states
+            assert max(len(s.nodes) for s in states if s) >= 4
+        pairs = [s for s in seen["general"] if s and not all(s.deg)]
+        assert any(len(s.nodes) == 2 for s in pairs)
+        assert any(len(s.nodes) > 2 for s in pairs)
 
     def test_chain_raises_not_a_chain(self):
         # Patterns (0, *) and (*, 0) both hold intervals and are

@@ -108,15 +108,51 @@ class TestSortAsChain:
 
 class TestGeneralProbe:
     def test_matches_chain_on_chain_filters(self):
+        # On a chain filter every shadow is its original, so Algorithm 6
+        # runs Algorithm 3: the same probe points and memoized gaps over a
+        # whole probe/insert sequence.  Only the interval-op tally
+        # differs, by Algorithm 4's entry op per inner nextChainVal call.
         constraints = [
             ((), NEG_INF, 2),
             ((2,), NEG_INF, 7),
             ((W,), 5, 9),
             ((2, 7), 0, 4),
         ]
-        chain = ChainProbeStrategy(make_cds(3, constraints))
-        general = GeneralProbeStrategy(make_cds(3, constraints))
-        assert chain.get_probe_point() == general.get_probe_point()
+
+        class CountingChain(ChainProbeStrategy):
+            inner_calls = 0
+
+            def _next_chain_val(self, x, j, chain):
+                if j < len(chain) - 1:
+                    self.inner_calls += 1
+                return super()._next_chain_val(x, j, chain)
+
+        runs = []
+        for cls in (CountingChain, GeneralProbeStrategy):
+            counters = OpCounters()
+            cds = make_cds(3, constraints, counters=counters)
+            strategy = cls(cds)
+            points = []
+            while len(points) < 60:
+                t = strategy.get_probe_point()
+                if t is None:
+                    break
+                points.append(t)
+                cds.insert(Constraint(t[:-1], t[-1] - 1, t[-1] + 1))
+            tree = {
+                pattern: node.intervals.intervals()
+                for pattern, node in cds.iter_nodes()
+            }
+            runs.append((strategy, points, tree, counters.snapshot()))
+        (chain, c_points, c_tree, c_ops), (_, g_points, g_tree, g_ops) = runs
+        assert len(c_points) == 60
+        assert c_points == g_points
+        assert c_tree == g_tree
+        assert chain.inner_calls > 0
+        assert c_ops.pop("interval_ops") == (
+            g_ops.pop("interval_ops") + chain.inner_calls
+        )
+        assert c_ops == g_ops
 
     def test_handles_incomparable_patterns(self):
         # ⟨1,*⟩ and ⟨*,2⟩ are incomparable: needs shadow chains.
