@@ -63,10 +63,13 @@ recover-smoke:
 
 # Live-view smoke: replay the committed triangle update log through
 # `repro stream`, which recomputes the view after every batch (exit 1
-# on any mismatch).  Every view line must say how its delta terms were
-# answered, and the log's delete-only batch (batch 2) must have run no
-# engine evaluation and no probe: deletes are read from the view's
-# projection index.  CI runs this next to recover-smoke.
+# on any mismatch).  The registration line must show each atom's
+# insert term under a GAO its delta leads (ΔS: B,C,A; ΔT: A,C,B) and
+# the three view-owned secondary orders; every view line must say how
+# its delta terms were answered, and the log's delete-only batch
+# (batch 2) must have run no engine evaluation and no probe: deletes
+# are read from the view's projection index.  CI runs this next to
+# recover-smoke.
 view-smoke:
 	$(PY) -m repro.cli stream \
 	  --relation R=A,B:examples/triangle_view/R.csv \
@@ -76,6 +79,8 @@ view-smoke:
 	  > /tmp/repro-view-smoke.out
 	cat /tmp/repro-view-smoke.out
 	! grep -q MISMATCH /tmp/repro-view-smoke.out
+	grep -qx 'view tri: term GAOs R=A,B,C S=B,C,A T=A,C,B; secondary orders R(B,A) T(C,A) S(C,B)' \
+	  /tmp/repro-view-smoke.out
 	! grep '^  tri: ' /tmp/repro-view-smoke.out | grep -qv ' engine_runs='
 	grep -A1 '^batch 2: ' /tmp/repro-view-smoke.out \
 	  | grep -q 'inc findgap=0 probes=0 engine_runs=0 indexed_deletes=2 '

@@ -358,9 +358,20 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             )
         members = [r.strip() for r in rest.split(",") if r.strip()]
         try:
-            catalog.register_view(name.strip(), members, spec)
+            view = catalog.register_view(name.strip(), members, spec)
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"cannot register view {name!r}: {exc}")
+        terms = " ".join(
+            f"{rel}={term['gao']}"
+            for rel, term in view.stats()["terms"].items()
+        )
+        orders = " ".join(
+            f"{rel}({','.join(cols)})" for rel, cols in view.secondary_orders()
+        )
+        print(
+            f"view {view.name}: term GAOs {terms}; "
+            f"secondary orders {orders or 'none'}"
+        )
     try:
         batches = read_log(args.log, require_commit=args.strict)
     except OSError as exc:

@@ -7,13 +7,20 @@ keeps it fresh under updates via the classical delta rule
 
 whose two signs are evaluated differently:
 
-* **+1 (inserts) — one Minesweeper run per relation.**  Relation i is
-  replaced by its (tiny) inserted tuple set, so the very first FindGap
-  probes collapse the CDS around the changed tuples and the search
-  never leaves their neighborhood — the cost tracks the *delta*
-  certificate, not the input size.  Full recompute pays the
-  whole-instance certificate every batch; ``tests/test_incremental.py``
-  asserts the gap at fixed sizes.
+* **+1 (inserts) — one Minesweeper run per relation, under its own
+  GAO.**  Relation i is replaced by its (tiny) inserted tuple set and
+  the term runs under GAOᵢ: ΔRᵢ's stored columns first, then the rest
+  of the view's GAO in view order.  The very first FindGap probes
+  collapse the CDS around the changed tuples and the search never
+  leaves their neighborhood — the cost tracks the *delta* certificate,
+  not the input size.  Under the view's own GAO only the atom leading
+  it is delta-bound: Theorem 3.2 charges the certificate *under the GAO
+  the run uses* (Examples B.3 / B.4), and with ΔS(B, C) substituted in
+  a triangle ordered (A, B, C) the engine still enumerates π_A R.  Full
+  recompute pays the whole-instance certificate every batch;
+  ``tests/test_incremental.py`` asserts the gap at fixed sizes and
+  ``tests/test_view_index.py`` that insert-term cost stays flat as the
+  input grows.
 * **−1 (deletes) — no join at all.**  The view keeps, per atom, a
   projection index ``projected key → rows`` over its materialized rows,
   and the −1 term of a deleted tuple t is read out of it: exactly the
@@ -33,11 +40,29 @@ projection onto atom i is t.  Inserts and deletes of one relation never
 interact: an intra-batch pair is netted out first, so an inserted tuple
 is not a deleted one and no row is both removed and added.
 
+Secondary orders.  A term GAO needs the other atoms indexed
+consistently with it, which the shared stored relations are not (they
+follow the view's GAO and are never re-indexed: a copy goes stale).
+So the view owns, per (relation, column order) that some GAOᵢ needs, a
+column-permuted :class:`~repro.storage.flat_trie.FlatTrieRelation` —
+for the triangle R(A, B), S(B, C), T(A, C) under (A, B, C): R as
+(B, A) and T as (C, A) for ΔS's GAO (B, C, A), S as (C, B) for ΔT's
+(A, C, B).  :meth:`LiveJoin.seed` builds them; :meth:`apply_delta`
+splices the relation's effective delta into its orders right after
+the term (one ``splice_insert`` / ``splice_delete`` per written tuple
+per order), or rebuilds an order once the delta outgrows its
+``splice_budget()``.  They are derived state: never journaled, rebuilt
+by the seed that follows replay, so ``!view`` records and snapshots
+are unchanged.  The term GAO is a function of the view's pinned GAO
+alone; under a declared ``strategy="chain"`` a GAOᵢ that is not a
+nested elimination order keeps the view's GAO instead.
+
 Cost of the index: one entry per view row per atom (m·|Q| entries
 beside the |Q| rows), maintained at the single place a row enters or
 leaves the view.  :meth:`LiveJoin.recompute` / :meth:`LiveJoin.verify`
 stay the small independent checker beside the fast path, and
-:meth:`LiveJoin.check_invariant` audits the index against the rows.
+:meth:`LiveJoin.check_invariant` audits the index against the rows and
+every secondary order against its relation.
 
 Protocol (what :class:`repro.dynamic.catalog.Catalog` drives): process
 the batch one relation at a time, in a fixed order; for each relation
@@ -60,6 +85,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -67,10 +93,16 @@ from typing import (
 
 from repro.core.engine import ExecSpec, run_join
 from repro.core.query import PreparedQuery, Query
+from repro.hypergraph.elimination import is_nested_elimination_order
+from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
 
 Row = Tuple[int, ...]
+
+
+class ViewNotSeededError(RuntimeError):
+    """A view was read or maintained before :meth:`LiveJoin.seed` ran."""
 
 
 def _validated_rows(rows, arity: int, name: str) -> "List[Row]":
@@ -154,6 +186,56 @@ def consistent_gao(relations: Sequence[Relation]) -> Optional[List[str]]:
     return order if len(order) == len(attrs) else None
 
 
+class _SecondaryOrder:
+    """A view-owned copy of a stored relation in another column order.
+
+    The wrapped index is a plain ``FlatTrieRelation`` only this view
+    reads and splices; it is rebuilt from the relation by :meth:`build`.
+    """
+
+    def __init__(self, base: Relation, attributes: Tuple[str, ...]) -> None:
+        self.base = base
+        self.permute = _projector(
+            [base.attributes.index(a) for a in attributes]
+        )
+        self.relation = Relation.from_index(
+            base.name, attributes,
+            FlatTrieRelation((), arity=base.arity), backend="flat",
+        )
+
+    def build(self, tuples: Iterable[Row]) -> None:
+        self.relation.index = FlatTrieRelation(
+            tuples, arity=self.base.arity, counters=self.relation.counters
+        )
+
+    def apply(self, inserts: Sequence[Row], deletes: Sequence[Row]) -> bool:
+        """Fold an effective delta in; True iff that took a rebuild."""
+        index = self.relation.index
+        if len(inserts) + len(deletes) > index.splice_budget():
+            live = set(index.tuples())
+            live.difference_update(map(self.permute, deletes))
+            live.update(map(self.permute, inserts))
+            self.build(live)
+            return True
+        for t in deletes:
+            index.splice_delete(self.permute(t))
+        for t in inserts:
+            index.splice_insert(self.permute(t))
+        return False
+
+
+class _Term(NamedTuple):
+    """How atom i's +1 term runs: GAOᵢ, the spec resolved for it, the
+    atoms indexed consistently with it (slot i is replaced by ΔRᵢ), and
+    GAOᵢ-ordered row -> view-GAO-ordered row (None when GAOᵢ is the
+    view's)."""
+
+    gao: Tuple[str, ...]
+    spec: ExecSpec
+    atoms: List[Relation]
+    to_view: Optional[Callable[[Row], Row]]
+
+
 class LiveJoin:
     """A materialized natural-join view maintained by the delta rule.
 
@@ -173,7 +255,9 @@ class LiveJoin:
         :class:`~repro.core.engine.ExecSpec`; ``backend`` and ``limit``
         do not apply to a live view).  With no ``gao`` the paper's
         choice is used when the stored column orders already obey it,
-        else an order they do obey.
+        else an order they do obey.  An insert term runs under its own
+        GAO derived from this one (module docstring), with the strategy
+        as declared resolved for it.
 
         Sharding cost trade-off: each fanned-out evaluation re-plans and
         re-slices the *current* leading relations — O(live tuples) of
@@ -220,10 +304,9 @@ class LiveJoin:
         self._by_name: Dict[str, Relation] = {
             r.name: r for r in self.relations
         }
-        #: What every evaluation runs under, resolved once (delta
-        #: terms share the view's hypergraph, so one resolution holds
-        #: for all of them and pooled workers agree with in-process
-        #: runs).
+        #: What the seed and recomputes run under, resolved once (so
+        #: pooled workers agree with in-process runs); each +1 term
+        #: runs under its own resolution (``_terms``).
         self._run_spec = replace(
             spec, gao=tuple(gao), backend=None, limit=None
         ).resolve(query)
@@ -233,6 +316,24 @@ class LiveJoin:
         #: strategy as declared.
         self.spec = replace(self._run_spec, strategy=spec.strategy)
         self.gao = self.spec.gao
+        #: The view-owned column orders the term GAOs need, one per
+        #: (relation, order), built by :meth:`seed`.
+        self._orders: Dict[Tuple[str, Tuple[str, ...]], _SecondaryOrder] = {}
+        self._terms = [
+            self._plan_term(i, query, spec.strategy)
+            for i in range(len(self.relations))
+        ]
+        #: Per atom, the secondary orders of its relation (the ones its
+        #: effective delta is spliced into).
+        self._orders_of = [
+            [o for o in self._orders.values() if o.base is r]
+            for r in self.relations
+        ]
+        #: Cumulative splices into / rebuilds of the secondary orders.
+        self.order_splices = 0
+        self.order_rebuilds = 0
+        #: Per atom, the cumulative ops of its +1 terms.
+        self._term_ops = [OpCounters() for _ in self.relations]
         #: Cumulative maintenance ops (delta terms only, not the seed).
         self.counters = OpCounters()
         #: Cumulative delta terms by how they were answered: +1 terms
@@ -259,19 +360,52 @@ class LiveJoin:
 
     # ------------------------------------------------------------------
 
-    def _prepared(
-        self, relations: Sequence[Relation], counters: OpCounters
-    ) -> PreparedQuery:
-        for r in relations:
-            r.rebind_counters(counters)
-        return PreparedQuery(list(relations), self.gao, counters)
+    def _plan_term(self, i: int, query: Query, strategy: str) -> _Term:
+        """GAOᵢ = atom i's stored columns, then the rest of the view GAO
+        in view order — a function of the pinned view GAO alone, so
+        replay derives the same terms.  Under a declared chain strategy
+        a GAOᵢ that is no nested elimination order keeps the view's."""
+        lead = self.relations[i].attributes
+        gao = lead + tuple(a for a in self.gao if a not in lead)
+        if gao == self.gao or (
+            strategy == "chain"
+            and not is_nested_elimination_order(query.hypergraph(), gao)
+        ):
+            return _Term(self.gao, self._run_spec, self.relations, None)
+        rank = {a: k for k, a in enumerate(gao)}
+        atoms = []
+        for j, r in enumerate(self.relations):
+            order = tuple(sorted(r.attributes, key=rank.__getitem__))
+            if j == i or order == r.attributes:
+                atoms.append(r)
+                continue
+            key = (r.name, order)
+            if key not in self._orders:
+                self._orders[key] = _SecondaryOrder(r, order)
+            atoms.append(self._orders[key].relation)
+        spec = replace(self._run_spec, gao=gao, strategy=strategy)
+        return _Term(
+            gao, spec.resolve(query), atoms,
+            _projector([gao.index(a) for a in self.gao]),
+        )
 
     def _evaluate(
-        self, relations: Sequence[Relation], counters: OpCounters
+        self,
+        relations: Sequence[Relation],
+        counters: OpCounters,
+        spec: Optional[ExecSpec] = None,
     ) -> List[Row]:
-        return run_join(
-            self._prepared(relations, counters), self._run_spec
-        ).rows
+        spec = spec if spec is not None else self._run_spec
+        for r in relations:
+            r.rebind_counters(counters)
+        prepared = PreparedQuery(list(relations), spec.gao, counters)
+        return run_join(prepared, spec).rows
+
+    def _require_seeded(self) -> None:
+        if not self.seeded:
+            raise ViewNotSeededError(
+                f"view {self.name} is not seeded; call seed() first"
+            )
 
     def seed(self) -> None:
         """Materialize the view from the current relation state.
@@ -286,6 +420,8 @@ class LiveJoin:
         self._index = [{} for _ in self.relations]
         for row in rows:
             self._add_row(row)
+        for order in self._orders.values():
+            order.build(map(order.permute, order.base.tuples()))
         self.initial_ops = counters.snapshot()
         self.seeded = True
 
@@ -309,23 +445,57 @@ class LiveJoin:
 
     def rows(self) -> List[Row]:
         """Current view contents in GAO-lexicographic order."""
+        self._require_seeded()
         return sorted(self._counts)
 
     def counts(self) -> Dict[Row, int]:
         """Row -> multiplicity (always 1 for set-semantics inputs)."""
+        self._require_seeded()
         return dict(self._counts)
 
     def __len__(self) -> int:
+        self._require_seeded()
         return len(self._counts)
 
     def __contains__(self, row: Sequence[int]) -> bool:
+        self._require_seeded()
         return tuple(row) in self._counts
 
+    def secondary_orders(self) -> List[Tuple[str, Tuple[str, ...]]]:
+        """The (relation, column order) pairs the view owns an index of."""
+        return list(self._orders)
+
+    def stats(self) -> dict:
+        """The view's bookkeeping (``catalog.views.<name>`` in STATS):
+        per atom, the GAO its +1 term runs under and those terms'
+        cumulative probes / FindGaps."""
+        return {
+            "seeded": self.seeded,
+            "rows": len(self._counts),
+            "maintenance_ops": self.counters.snapshot(),
+            "initial_ops": self.initial_ops,
+            "engine_runs": self.engine_runs,
+            "indexed_deletes": self.indexed_deletes,
+            "terms": {
+                r.name: {
+                    "gao": ",".join(term.gao),
+                    "probes": ops.probes,
+                    "findgap": ops.findgap,
+                }
+                for r, term, ops in zip(
+                    self.relations, self._terms, self._term_ops
+                )
+            },
+            "secondary_orders": {
+                "count": len(self._orders),
+                "splices": self.order_splices,
+                "rebuilds": self.order_rebuilds,
+            },
+        }
+
     def __repr__(self) -> str:
-        return (
-            f"LiveJoin({self.name}, {len(self)} rows, "
-            f"gao={list(self.gao)})"
-        )
+        rows = f"{len(self._counts)} rows" if self.seeded else "unseeded"
+        return f"LiveJoin({self.name}, {rows}, gao={list(self.gao)})"
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -353,15 +523,18 @@ class LiveJoin:
 
         Deletes are answered from the projection index (no engine run,
         no ops); the inserts are one engine run with the delta
-        substituted for the relation.  All-or-nothing: both row sets
-        are computed and every multiplicity checked before the view is
+        substituted for the relation, under the relation's term GAO.
+        All-or-nothing: both row sets are computed and every
+        multiplicity checked before the view (or a secondary order) is
         touched, so a protocol violation raises with the view unchanged.
         """
         base = self._by_name.get(name)
         if base is None:
             return (0, 0)
+        self._require_seeded()
         inserts, deletes = _netted_delta(inserts, deletes, base.arity, name)
-        buckets = self._index[self.relations.index(base)]
+        i = self.relations.index(base)
+        buckets = self._index[i]
         removed = [row for t in deletes for row in buckets.get(t, ())]
         # Tally into a fresh local object, then merge it outward —
         # folding a caller-shared counters object into the cumulative
@@ -369,13 +542,12 @@ class LiveJoin:
         local = OpCounters()
         added: List[Row] = []
         if inserts:
-            delta_rel = Relation(
-                name, base.attributes, inserts, counters=local
-            )
-            added = self._evaluate(
-                [delta_rel if r.name == name else r for r in self.relations],
-                local,
-            )
+            term = self._terms[i]
+            atoms = list(term.atoms)
+            atoms[i] = Relation(name, base.attributes, inserts, counters=local)
+            added = self._evaluate(atoms, local, term.spec)
+            if term.to_view is not None:
+                added = [term.to_view(row) for row in added]
         for rows, sign in ((removed, -1), (added, +1)):
             for row in rows:
                 multiplicity = self._counts.get(row, 0) + sign
@@ -390,8 +562,14 @@ class LiveJoin:
             self._remove_row(row)
         for row in added:
             self._add_row(row)
+        for order in self._orders_of[i]:
+            if order.apply(inserts, deletes):
+                self.order_rebuilds += 1
+            else:
+                self.order_splices += len(inserts) + len(deletes)
         self.indexed_deletes += len(deletes)
         self.engine_runs += 1 if inserts else 0
+        self._term_ops[i].merge(local)
         self.counters.merge(local)
         if counters is not None:
             counters.merge(local)
@@ -421,6 +599,7 @@ class LiveJoin:
         # — order-insensitively, leaving storage and multiplicities
         # unchanged — rather than tripping effective_delta's overlap
         # guard.
+        self._require_seeded()
         effective = {}
         for name, (inserts, deletes) in updates.items():
             base = self._by_name.get(name)
@@ -466,8 +645,11 @@ class LiveJoin:
 
         Raises ``AssertionError`` unless, for every atom, the index is
         exactly the rows grouped by their projection onto that atom (no
-        stale, missing or empty bucket) and every multiplicity is 1.
+        stale, missing or empty bucket), every multiplicity is 1, and
+        every secondary order holds its relation's tuples permuted, in
+        the arrays a fresh build over them would have.
         """
+        self._require_seeded()
         if any(count != 1 for count in self._counts.values()):
             raise AssertionError(f"view {self.name}: multiplicity != 1")
         for relation, index, key in zip(
@@ -481,4 +663,16 @@ class LiveJoin:
                 raise AssertionError(
                     f"view {self.name}: projection index of "
                     f"{relation.name} diverged from the view's rows"
+                )
+        for (name, attributes), order in self._orders.items():
+            index = order.relation.index
+            fresh = FlatTrieRelation(
+                map(order.permute, order.base.tuples()), arity=index.arity
+            )
+            if (index._tuples, index._vals, index._offs) != (
+                fresh._tuples, fresh._vals, fresh._offs
+            ):
+                raise AssertionError(
+                    f"view {self.name}: secondary order {name}"
+                    f"({', '.join(attributes)}) diverged from {name}"
                 )

@@ -538,12 +538,7 @@ class Catalog:
                 for name, rel in self._relations.items()
             },
             "views": {
-                name: {
-                    "rows": len(view),
-                    "maintenance_ops": view.counters.snapshot(),
-                    "initial_ops": view.initial_ops,
-                }
-                for name, view in self._views.items()
+                name: view.stats() for name, view in self._views.items()
             },
         }
         if self._wal is not None:

@@ -911,6 +911,7 @@ def run_view_maintenance(
         [
             "edges", "deleted", "delete_findgap", "delete_probes",
             "inserted", "engine_runs", "insert_findgap", "insert_probes",
+            "R_insert_probes", "S_insert_probes", "T_insert_probes",
             "recompute_findgap", "recompute_probes", "rows",
         ],
     )
@@ -936,6 +937,8 @@ def run_view_maintenance(
             assert rows == view.rows()
             cells["recompute_findgap"] += ops["findgap"]
             cells["recompute_probes"] += ops["probes"]
+        for name, term in view.stats()["terms"].items():
+            cells[f"{name}_insert_probes"] = term["probes"]
         result.add(n_edges, *cells.values(), len(view))
     return result
 
@@ -943,20 +946,30 @@ def run_view_maintenance(
 def check_view_maintenance(result: ExperimentResult) -> None:
     """Deletes never join: the −1 terms are answered from the view's
     projection index at zero engine operations, at every size.  The +1
-    terms (at most one engine run per relation per batch) cost fewer
-    FindGaps and probes than recomputing, by a margin that widens with
-    the input; the maintained rows equal the recompute after every
-    batch (asserted while running)."""
+    terms (at most one engine run per relation per batch, each under a
+    GAO its delta leads) cost fewer FindGaps and probes than
+    recomputing, by a margin that widens with the input, and their
+    probes do not grow with it (at most 1.5× from the smallest input to
+    the largest); the per-atom columns sum to the total; the maintained
+    rows equal the recompute after every batch (asserted while
+    running)."""
     for row in result.rows:
         assert row["deleted"] > 0 and row["inserted"] > 0, row
         assert row["delete_findgap"] == row["delete_probes"] == 0, row
         assert row["engine_runs"] <= 3 * VIEW_BATCHES, row
         assert row["insert_findgap"] < row["recompute_findgap"], row
         assert row["insert_probes"] < row["recompute_probes"], row
+        assert row["insert_probes"] == sum(
+            row[f"{name}_insert_probes"] for name in "RST"
+        ), row
     savings = [
         row["recompute_findgap"] / row["insert_findgap"] for row in result.rows
     ]
     assert savings == sorted(savings), savings
+    first, last = result.rows[0], result.rows[-1]
+    assert last["insert_probes"] <= 1.5 * first["insert_probes"], (
+        first, last,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,10 @@ nested schema everything renders from::
     ops.<counter>                       (cumulative engine OpCounters)
     catalog.generation / batches_applied
     catalog.relations.<name>.<lsm key>  (DeltaRelation.stats)
-    catalog.views.<name>.rows / ...     (LiveJoin bookkeeping)
+    catalog.views.<name>.rows / ...     (LiveJoin.stats: per-atom
+                                         terms.<atom>.gao / probes,
+                                         secondary_orders.count /
+                                         splices / rebuilds)
     catalog.wal.<key>                   (durable catalogs only)
     execution.resilience.<counter>      (supervisor retry/fault tallies)
     execution.breaker.<key>             (pool circuit-breaker state)
