@@ -15,7 +15,9 @@ are validated:
     ``# HELP`` + ``# TYPE`` for its family, histogram families carry
     cumulative non-decreasing ``_bucket{le=...}`` series ending at
     ``+Inf`` with matching ``_count``, plus ``_sum``; and the unified
-    stats tree is present as the ``repro_stat`` gauge family.
+    stats tree is present as the ``repro_stat`` gauge family.  A
+    scraped ``repro serve --http`` page (``--prom``) must also carry
+    the request and connection families (:data:`HTTP_FAMILIES`).
 ``metrics.json``
     Parses, with ``metrics`` (registry snapshot) and ``stats`` (the
     unified tree — ``session`` / ``planner`` / ``plan_cache`` /
@@ -41,6 +43,13 @@ _SAMPLE_RE = re.compile(
 _LE_RE = re.compile(r'le="([^"]+)"')
 
 DEFAULT_REQUIRED_SPANS = ("query", "plan", "execute", "apply_batch")
+#: Families a scraped ``repro serve --http`` page must carry (``--prom``):
+#: requests and accepted/open connections, so reuse is readable.
+HTTP_FAMILIES = (
+    "repro_http_requests_total",
+    "repro_http_connections_total",
+    "repro_http_connections_open",
+)
 
 
 class CheckFailure(Exception):
@@ -95,7 +104,7 @@ def _family(sample_name: str) -> str:
     return sample_name
 
 
-def check_prometheus(path: str) -> int:
+def check_prometheus(path: str, require_families=()) -> int:
     helped, typed = set(), {}
     buckets = {}  # family|labels-minus-le -> [(le, value)]
     sums, counts = {}, {}
@@ -166,8 +175,9 @@ def check_prometheus(path: str) -> int:
                 f"{family}{{{labels}}}: _count {count} != +Inf bucket "
                 f"{values[-1]}",
             )
-    if "repro_stat" not in families_seen:
-        _fail(path, "unified stats family repro_stat absent")
+    for family in ("repro_stat",) + tuple(require_families):
+        if family not in families_seen:
+            _fail(path, f"required family {family} absent")
     return len(families_seen)
 
 
@@ -236,7 +246,7 @@ def main(argv=None) -> int:
         try:
             if not os.path.exists(args.prom):
                 raise CheckFailure(f"{args.prom}: no such file")
-            count = check_prometheus(args.prom)
+            count = check_prometheus(args.prom, HTTP_FAMILIES)
             print(f"ok {args.prom}: {count} metric families")
         except CheckFailure as exc:
             print(f"obs schema check failed: {exc}", file=sys.stderr)

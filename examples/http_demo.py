@@ -15,7 +15,8 @@ two durable tenants), then drives it the way `make http-smoke` needs:
    ``BudgetExceeded`` payload — and that the other tenant is
    unaffected;
 6. scrapes ``/metrics`` to ``--out-prom`` (validated afterwards by
-   ``benchmarks/check_obs.py --prom``);
+   ``benchmarks/check_obs.py --prom``) and asserts that requests
+   outnumber connections: every client reuses one connection;
 7. shuts the server down cleanly (``--snapshot-on-exit`` snapshots
    every tenant — verified offline with ``repro verify-state``).
 
@@ -84,6 +85,16 @@ def load(client: Client, tenant: str, edges: "list[tuple[int, int]]") -> None:
     )
 
 
+def _family_total(exposition: str, family: str) -> float:
+    """Sum of one metric family's samples in a text exposition."""
+    total = 0.0
+    for line in exposition.splitlines():
+        name = line.split("{", 1)[0].split(" ", 1)[0]
+        if name == family:
+            total += float(line.rsplit(" ", 1)[1])
+    return total
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -130,7 +141,10 @@ def main() -> int:
         errors: "list[str]" = []
 
         def worker(index: int) -> None:
-            mine = Client(url)
+            with Client(url) as mine:
+                ask(mine, index)
+
+        def ask(mine: Client, index: int) -> None:
             for turn in range(args.requests):
                 tenant, query = [
                     ("alpha", TRIANGLES), ("alpha", PAIRS),
@@ -201,10 +215,17 @@ def main() -> int:
         assert client.rows(PAIRS, tenant="beta") == expected
         print("budget exhaustion: HTTP 429 BudgetExceeded, tenants isolated")
 
-        # 6. scrape /metrics.
+        # 6. scrape /metrics; persistent connections carry many
+        # requests each.
         exposition = client.metrics()
         assert "repro_stat" in exposition
-        assert "repro_http_requests_total" in exposition
+        requests = _family_total(exposition, "repro_http_requests_total")
+        connections = _family_total(
+            exposition, "repro_http_connections_total"
+        )
+        assert 0 < connections < requests, (connections, requests)
+        print(f"connection reuse: {requests:.0f} requests over "
+              f"{connections:.0f} connections")
         if args.out_prom:
             os.makedirs(
                 os.path.dirname(os.path.abspath(args.out_prom)),
@@ -220,6 +241,7 @@ def main() -> int:
         assert code == 0, f"server exited {code}"
         print("clean shutdown: exit 0, per-tenant snapshots on disk")
     finally:
+        client.close()
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)

@@ -808,13 +808,16 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
 def _cmd_client(args: argparse.Namespace) -> int:
     """Scripted round-trips against ``repro serve --http``."""
+    import http.client
     import json
-    import urllib.error
 
     from repro.net import Client, ClientError
 
-    client = Client(args.url, tenant=args.tenant,
-                    timeout_s=args.timeout)
+    try:
+        client = Client(args.url, tenant=args.tenant,
+                        timeout_s=args.timeout)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
     def _need_arg(what: str) -> str:
         if not args.arg:
@@ -891,8 +894,12 @@ def _cmd_client(args: argparse.Namespace) -> int:
         # Policy aborts (429 budget/backpressure, 504 deadline) mirror
         # the in-process ExecutionError exit code.
         return 4 if exc.is_policy_abort else 1
-    except urllib.error.URLError as exc:
-        raise SystemExit(f"cannot reach {args.url}: {exc.reason}")
+    except (OSError, http.client.HTTPException) as exc:
+        # Refused, timed out, reset, unresolvable: the transport
+        # failed, not the request.
+        raise SystemExit(f"cannot reach {args.url}: {exc}")
+    finally:
+        client.close()
     return 0
 
 

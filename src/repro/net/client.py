@@ -1,20 +1,36 @@
 """A stdlib-only HTTP client for the serving subsystem.
 
-``urllib.request`` round-trips against :mod:`repro.net.server`; JSON
-in, JSON out.  Non-2xx responses raise :class:`ClientError` carrying
-the HTTP status and the server's typed error payload
-(``{"error": "BudgetExceeded", ...}``), so callers branch on real
-fields instead of parsing message strings — and the ``repro client``
-CLI can translate policy aborts (429/504) to exit code 4, matching
-the in-process CLI contract for :class:`ExecutionError`.
+JSON in, JSON out, over :mod:`http.client` against
+:mod:`repro.net.server`.  Each thread that uses a :class:`Client` keeps
+one persistent HTTP/1.1 connection to the server and reuses it for
+every request, so a round trip costs one send and one receive — no
+TCP handshake and no new server handler thread per request.  Before
+reuse an idle connection is checked; one the server has closed (its
+idle timeout, a ``Connection: close`` answer) is reopened.
+
+Retry rule: a request that fails on a *reused* connection is retried
+once, on a fresh one, only where the retry cannot apply a write twice
+— a failure while sending (the server never saw a whole request) or a
+``GET``.  A ``POST`` whose connection dies after it was fully written
+raises: a ``/v1/update`` may already have been applied.
+
+Non-2xx responses raise :class:`ClientError` carrying the HTTP status
+and the server's typed error payload (``{"error": "BudgetExceeded",
+...}``), so callers branch on real fields instead of parsing message
+strings — and the ``repro client`` CLI can translate policy aborts
+(429/504) to exit code 4, matching the in-process CLI contract for
+:class:`ExecutionError`.  Transport failures raise ``OSError``
+subclasses (``ConnectionRefusedError``, ``TimeoutError``, ...).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 JsonDict = Dict[str, object]
@@ -41,8 +57,44 @@ class ClientError(RuntimeError):
         return self.status in (429, 504)
 
 
+class _Connection(http.client.HTTPConnection):
+    """One thread's persistent connection.
+
+    ``http.client`` switches Nagle off (``TCP_NODELAY``) on connect, so
+    a request's header and body writes leave at once instead of the
+    second waiting for the server's delayed ACK of the first.  A closed
+    connection reopens on the next request.
+    """
+
+    def stale(self) -> bool:
+        """True if the idle socket is readable: the server closed it
+        (EOF or reset) or sent bytes nobody asked for — either way it
+        cannot carry the next request."""
+        sock = self.sock
+        if sock is None:
+            return False
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+
+    def __del__(self) -> None:
+        # The owning thread exited: close rather than leave the socket
+        # to the collector.
+        self.close()
+
+
+#: Failures that mean the connection broke (reset, EOF, garbage) —
+#: retryable under the rule above.  Timeouts are not among them.
+_BROKEN = (ConnectionError, http.client.HTTPException)
+
+
 class Client:
-    """One server endpoint, optionally pinned to a default tenant."""
+    """One server endpoint, optionally pinned to a default tenant.
+
+    Safe to share between threads: each thread gets its own
+    connection.  :meth:`close` (or leaving a ``with`` block) closes
+    all of them; a later request simply opens a new one.
+    """
 
     def __init__(
         self,
@@ -53,8 +105,42 @@ class Client:
         self.base_url = base_url.rstrip("/")
         self.tenant = tenant
         self.timeout_s = timeout_s
+        scheme, sep, rest = self.base_url.partition("://")
+        if not sep or scheme.lower() != "http":
+            raise ValueError(
+                f"expected an http:// server URL, got {base_url!r}"
+            )
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close every thread's connection to the server."""
+        with self._lock:
+            connections = list(self._open)
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------
+
+    def _connection(self) -> _Connection:
+        conn: Optional[_Connection] = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = _Connection(self._netloc, timeout=self.timeout_s)
+            self._local.conn = conn
+            with self._lock:
+                self._open.add(conn)
+        elif conn.stale():
+            conn.close()
+        return conn
 
     def _request(
         self,
@@ -62,29 +148,40 @@ class Client:
         path: str,
         payload: Optional[JsonDict] = None,
     ) -> Tuple[int, bytes]:
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers,
-            method=method,
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
+        for attempt in (1, 2):
+            conn = self._connection()
+            reused = conn.sock is not None
+            written = False
             try:
-                parsed = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                parsed = {"error": "HTTPError", "message": str(exc)}
-            if not isinstance(parsed, dict):
-                parsed = {"error": "HTTPError", "message": str(exc)}
-            raise ClientError(exc.code, parsed) from None
+                conn.request(
+                    method, self._prefix + path, body=body,
+                    headers=headers,
+                )
+                written = True
+                response = conn.getresponse()
+                raw = response.read()
+            except BaseException as exc:
+                conn.close()  # mid-exchange: the framing is lost
+                retry = (
+                    attempt == 1 and reused and isinstance(exc, _BROKEN)
+                    and (method == "GET" or not written)
+                )
+                if not retry:
+                    raise
+                continue
+            if response.will_close:
+                conn.close()
+            break
+        if not 200 <= response.status < 300:
+            raise ClientError(
+                response.status, _error_payload(response, raw)
+            )
+        return response.status, raw
 
     def _json(
         self,
@@ -189,10 +286,25 @@ class Client:
             try:
                 self.healthz()
                 return True
-            except (urllib.error.URLError, ConnectionError, OSError):
+            except (ClientError, OSError, http.client.HTTPException):
                 if time.monotonic() > deadline:  # lint: disable=determinism -- startup polling only; never feeds results
                     return False
                 time.sleep(0.05)
 
     def __repr__(self) -> str:
         return f"Client({self.base_url!r}, tenant={self.tenant!r})"
+
+
+def _error_payload(
+    response: http.client.HTTPResponse, raw: bytes
+) -> JsonDict:
+    try:
+        parsed = json.loads(raw.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        parsed = None
+    if isinstance(parsed, dict):
+        return parsed
+    return {
+        "error": "HTTPError",
+        "message": f"HTTP Error {response.status}: {response.reason}",
+    }

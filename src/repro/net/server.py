@@ -27,11 +27,21 @@ each with a typed JSON payload (``{"error": <class>, ...fields}``):
 ``Content-Length`` that is not a plain decimal is a 400
 ``BadContentLength`` and one over :data:`MAX_BODY_BYTES` a 413
 ``PayloadTooLarge`` — both answered before any body byte is read.
+
+Connections are persistent (HTTP/1.1 keep-alive): one handler thread
+serves every request a connection carries.  Each connection's socket
+has a :data:`HANDLER_TIMEOUT_S` timeout, so an idle keep-alive
+connection or a stalled request body frees its thread instead of
+holding it forever, and :meth:`QueryServer.server_close` shuts down
+every connection still open so no handler thread outlives the server.
+``http_connections_total`` / ``http_connections_open`` beside
+``http_requests_total`` show how well clients reuse connections.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
@@ -56,6 +66,9 @@ PROM_CONTENT = "text/plain; version=0.0.4; charset=utf-8"
 #: Largest request body the front door reads; a bigger declared
 #: ``Content-Length`` is refused unread.
 MAX_BODY_BYTES = 32 * 1024 * 1024
+#: Seconds a connection may sit idle between requests, or stall
+#: mid-request, before the server closes it and frees its thread.
+HANDLER_TIMEOUT_S = 30.0
 
 Response = Tuple[int, bytes, str]
 
@@ -396,6 +409,9 @@ class _Handler(BaseHTTPRequestHandler):
     # than the buffer.
     wbufsize = -1
     disable_nagle_algorithm = True
+    # Socket timeout (StreamRequestHandler): a read or write that
+    # waits longer closes the connection.
+    timeout = HANDLER_TIMEOUT_S
 
     def _dispatch(self, method: str) -> None:
         server = self.server
@@ -424,6 +440,10 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             else:
                 body = self.rfile.read(length)
+                if len(body) < length:
+                    # The peer hung up mid-body: nobody to answer.
+                    self.close_connection = True
+                    return
         if refusal is not None:
             # The unread body would be parsed as the next request.
             self.close_connection = True
@@ -452,7 +472,11 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class QueryServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer + the gateway and registry it serves."""
+    """ThreadingHTTPServer + the gateway and registry it serves.
+
+    Tracks each open connection with its handler thread, so
+    :meth:`server_close` can wake and reap them all.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -463,6 +487,55 @@ class QueryServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.gateway = gateway
         gateway.on_shutdown(self.shutdown)
+        metrics = gateway.registry.metrics
+        self._accepted = metrics.counter(
+            "http_connections_total", "HTTP connections accepted."
+        )
+        self._open_gauge = metrics.gauge(
+            "http_connections_open", "HTTP connections open now."
+        )
+        self._open: Dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+
+    def process_request(
+        self, request: Any, client_address: Any
+    ) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name=f"repro-http:{self.port}",
+            daemon=True,
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        self._accepted.inc()
+        self._open_gauge.inc()
+        thread.start()
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            del self._open[request]
+        self._open_gauge.inc(-1)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening, end every open connection, reap handlers.
+
+        Shutting down the read side wakes a handler blocked waiting
+        for the next request (it sees EOF and exits) while one still
+        answering a request can finish writing its response.
+        """
+        super().server_close()
+        with self._open_lock:
+            open_now = list(self._open.items())
+        for sock, _ in open_now:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already gone
+        for _, thread in open_now:
+            if thread is not threading.current_thread():
+                thread.join(HANDLER_TIMEOUT_S)
 
     @property
     def port(self) -> int:

@@ -637,3 +637,25 @@ class TestDurableCli:
             )
         assert code == 0
         assert "# replayed 1 batches" in out
+
+
+class TestClientCli:
+    @staticmethod
+    def closed_port_url():
+        import socket
+
+        # Bind an ephemeral port, then release it: nothing listens.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        return f"http://127.0.0.1:{port}"
+
+    @pytest.mark.parametrize("command", [
+        ["health"], ["stats"], ["update", "+R 1,2", "--tenant", "t"],
+    ])
+    def test_unreachable_server_is_a_clean_exit(self, command, capsys):
+        url = self.closed_port_url()
+        with pytest.raises(SystemExit) as exc:
+            main(["client", *command, "--url", url, "--timeout", "5"])
+        assert str(exc.value).startswith(f"cannot reach {url}: ")
+        assert "refused" in str(exc.value).lower()

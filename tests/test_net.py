@@ -35,7 +35,8 @@ from repro.net import (
     UnknownTenantError,
     serve_http,
 )
-from repro.net.server import MAX_BODY_BYTES, error_payload
+from repro.net.client import _Connection
+from repro.net.server import MAX_BODY_BYTES, _Handler, error_payload
 from repro.obs import MetricsRegistry, Observability
 from repro.planner import Plan, Planner
 from repro.planner.cache import PlanCache
@@ -892,7 +893,7 @@ class TestHTTPEndToEnd:
     """Real sockets: serve_http on an ephemeral port, stdlib client."""
 
     @pytest.fixture()
-    def served(self):
+    def server(self):
         registry = TenantRegistry(
             [TenantSpec("alpha"), TenantSpec("beta", queue_depth=4)]
         )
@@ -902,15 +903,24 @@ class TestHTTPEndToEnd:
         )
         thread.start()
         try:
-            yield server.url, registry
+            yield server
         finally:
             server.shutdown()
             server.server_close()
             registry.close()
             thread.join(timeout=5.0)
 
-    def load(self, url):
-        client = Client(url)
+    @pytest.fixture()
+    def served(self, server):
+        return server.url, server.gateway.registry
+
+    @pytest.fixture()
+    def client(self, server):
+        with Client(server.url) as client:
+            yield client
+
+    @staticmethod
+    def load(client):
         for tenant, edges in (
             ("alpha", ALPHA_EDGES), ("beta", BETA_EDGES),
         ):
@@ -922,20 +932,21 @@ class TestHTTPEndToEnd:
             )
         return client
 
-    def test_rows_match_direct_session_execution(self, served):
-        url, _ = served
-        client = self.load(url)
+    def test_rows_match_direct_session_execution(self, client):
+        self.load(client)
         direct = Catalog()
         direct.create_relation("E", ["A", "B"], list(ALPHA_EDGES))
         want = Session(direct).execute(PAIRS).rows
         assert client.rows(PAIRS, tenant="alpha") == want
         assert want == expected_pairs(ALPHA_EDGES)
 
-    def test_concurrent_tenants_isolated_and_byte_identical(self, served):
+    def test_concurrent_tenants_isolated_and_byte_identical(
+        self, served, client
+    ):
         """Satellite: N threads x M tenants; per-tenant rows identical
         to a sequential replay; alpha's 429s never leak into beta."""
         url, registry = served
-        client = self.load(url)
+        self.load(client)
         reference = {
             "alpha": client.rows(PAIRS, tenant="alpha"),
             "beta": client.rows(PAIRS, tenant="beta"),
@@ -948,7 +959,10 @@ class TestHTTPEndToEnd:
         lock = threading.Lock()
 
         def worker(index):
-            mine = Client(url)
+            with Client(url) as mine:
+                ask(mine, index)
+
+        def ask(mine, index):
             tenant = ("alpha", "beta")[index % 2]
             for turn in range(requests_per_thread):
                 # Odd alpha turns deliberately exhaust the budget.
@@ -996,9 +1010,9 @@ class TestHTTPEndToEnd:
             3 * requests_per_thread
         )
 
-    def test_backpressure_over_http(self, served, monkeypatch):
+    def test_backpressure_over_http(self, served, client, monkeypatch):
         url, registry = served
-        client = self.load(url)
+        self.load(client)
         tenant = registry.get("beta")
         # Admission validation takes the tenant read lock, which the
         # pinned writer (below, via the write lock) would block — skip
@@ -1027,20 +1041,25 @@ class TestHTTPEndToEnd:
         assert tenant.ingest.drain(timeout_s=10.0)
         assert tenant.ingest.stats()["rejected"] == 1
 
-    def test_healthz_and_metrics_over_http(self, served):
-        url, _ = served
-        client = self.load(url)
+    def test_healthz_and_metrics_over_http(self, client):
+        self.load(client)
         assert client.healthz()["status"] == "ok"
         exposition = client.metrics()
         assert "repro_stat" in exposition
         assert "repro_http_requests_total" in exposition
+        # One client, one connection, still open while it scrapes.
+        assert "repro_http_connections_total 1\n" in exposition
+        assert "repro_http_connections_open 1\n" in exposition
 
-    def test_keep_alive_connection_is_not_stalled_by_nagle(self, served):
+    def test_keep_alive_connection_is_not_stalled_by_nagle(
+        self, served, client
+    ):
         # Headers and body as two writes on a persistent connection
-        # cost one delayed ACK (~40 ms) per request; the connection-
-        # per-request Client never sees it.
+        # cost one delayed ACK (~40 ms) per request.  A plain
+        # http.client connection, so the server's own framing is
+        # tested, whatever the Client does.
         url, _ = served
-        client = self.load(url)
+        self.load(client)
         query = {"tenant": "alpha", "query": PAIRS}
         client.prepare(PAIRS, tenant="alpha")  # plan cached: bodies stable
         want = {
@@ -1099,3 +1118,253 @@ class TestHTTPEndToEnd:
             labels={"route": "POST /v1/query", "code": status},
         )
         assert counted.value == 1
+
+    # -- connection lifecycle ------------------------------------------
+
+    @staticmethod
+    def accepted(server):
+        return server.gateway.registry.metrics.counter(
+            "http_connections_total"
+        )
+
+    @staticmethod
+    def open_now(server):
+        return server.gateway.registry.metrics.gauge(
+            "http_connections_open"
+        )
+
+    @staticmethod
+    def served_count(server, route, code=200):
+        return server.gateway.registry.metrics.counter(
+            "http_requests_total", "",
+            labels={"route": route, "code": code},
+        ).value
+
+    def test_one_client_reuses_one_connection(self, server, client):
+        self.load(client)
+        for _ in range(20):
+            assert client.healthz()["status"] == "ok"
+            assert client.rows(PAIRS, tenant="alpha")
+        assert self.accepted(server).value == 1
+        sock = client._local.conn.sock
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        client.close()
+        _wait_for(lambda: self.open_now(server).value == 0)
+
+    def test_refused_post_then_the_next_request_succeeds(
+        self, server, client, monkeypatch
+    ):
+        self.load(client)
+        assert self.accepted(server).value == 1
+        # A gateway-level 400 keeps the connection...
+        with pytest.raises(ClientError) as exc:
+            client.query(" ", tenant="alpha")
+        assert exc.value.status == 400
+        assert client.healthz()["status"] == "ok"
+        assert self.accepted(server).value == 1
+        # ...a 413 (answered unread, "Connection: close") ends it, and
+        # the same Client reconnects for its next request.
+        monkeypatch.setattr("repro.net.server.MAX_BODY_BYTES", 64)
+        with pytest.raises(ClientError) as exc:
+            client.query(PAIRS + " " * 100, tenant="alpha")
+        assert (exc.value.status, exc.value.error) == (
+            413, "PayloadTooLarge"
+        )
+        assert client.rows(PAIRS, tenant="alpha") == expected_pairs(
+            ALPHA_EDGES
+        )
+        assert self.accepted(server).value == 2
+
+    def test_idle_connection_closed_by_server_is_reopened(
+        self, server, client, monkeypatch
+    ):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        client.script("CREATE E(A, B)", tenant="alpha")
+        _wait_for(lambda: self.open_now(server).value == 0)
+        assert client.healthz()["status"] == "ok"  # GET
+        assert self.accepted(server).value == 2
+        _wait_for(lambda: self.open_now(server).value == 0)
+        client.update(["+E 1,2"], tenant="alpha", sync=True)  # POST
+        assert self.accepted(server).value == 3
+        assert self.served_count(server, "POST /v1/update") == 1
+        assert client.rows("Q(x, y) :- E(x, y)", tenant="alpha") == [
+            (1, 2)
+        ]
+
+    def test_send_failure_is_retried_once_on_a_fresh_connection(
+        self, server, client, monkeypatch
+    ):
+        # Nothing reached the server, so even a POST may be resent —
+        # but only once, and only off a reused connection.
+        client.script("CREATE E(A, B)", tenant="alpha")
+        real_send = _Connection.send
+        failures = []
+
+        def send(conn, data):
+            if failures:
+                failures.pop()
+                raise BrokenPipeError("peer went away")
+            return real_send(conn, data)
+
+        monkeypatch.setattr(_Connection, "send", send)
+        failures.append(1)
+        client.update(["+E 1,2"], tenant="alpha", sync=True)
+        assert not failures
+        assert self.accepted(server).value == 2
+        assert self.served_count(server, "POST /v1/update") == 1
+        with Client(server.url) as fresh:
+            failures.append(1)
+            with pytest.raises(BrokenPipeError):
+                fresh.healthz()  # a fresh connection is not retried
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_connection_lost_after_the_request_was_written(self, method):
+        # The fake server reads the second request whole, then hangs
+        # up without answering.  A GET is resent on a new connection;
+        # a POST raises and reaches the server exactly once.
+        with _DroppingServer(drop_at=2) as fake, \
+                Client(fake.url, tenant="t") as client:
+            assert client.healthz() == {"status": "ok"}
+            if method == "GET":
+                assert client.stats() == {"status": "ok"}
+                assert fake.seen() == [
+                    (1, "GET", "/healthz"), (1, "GET", "/stats"),
+                    (2, "GET", "/stats"),
+                ]
+            else:
+                with pytest.raises(ConnectionError):
+                    client.update(["+E 1,2"], sync=True)
+                time.sleep(0.1)  # a resend would arrive by now
+                assert fake.seen() == [
+                    (1, "GET", "/healthz"), (1, "POST", "/v1/update"),
+                ]
+                assert client.healthz() == {"status": "ok"}
+
+    def test_server_close_reaps_idle_keep_alive_connections(self, server):
+        clients = [Client(server.url) for _ in range(3)]
+        try:
+            for client in clients:
+                client.healthz()
+            name = f"repro-http:{server.port}"
+            handlers = [
+                t for t in threading.enumerate() if t.name == name
+            ]
+            assert len(handlers) == 3
+            server.shutdown()
+            started = time.monotonic()
+            server.server_close()
+            # Idle handlers wait up to the 30 s handler timeout for a
+            # next request; server_close must not.
+            assert time.monotonic() - started < 2.0
+            assert not [t for t in handlers if t.is_alive()]
+            assert self.open_now(server).value == 0
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_truncated_body_frees_its_handler_within_the_timeout(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        host, port = server.url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5.0) as conn:
+            conn.sendall(
+                b"POST /v1/update HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n" + b"x" * 10
+            )
+            started = time.monotonic()
+            assert conn.recv(65536) == b""  # closed, never answered
+            assert time.monotonic() - started < 3.0
+        _wait_for(lambda: self.open_now(server).value == 0)
+        assert self.served_count(server, "POST /v1/update", 400) == 0
+
+    def test_wait_healthy_is_false_on_a_refused_connection(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with Client(f"http://127.0.0.1:{port}") as client:
+            assert client.wait_healthy(timeout_s=0.2) is False
+
+
+def _wait_for(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class _DroppingServer:
+    """A raw-socket HTTP/1.1 server that answers every request with
+    ``{"status": "ok"}`` on a kept-alive connection — except the
+    ``drop_at``-th request it receives, which it reads whole and then
+    answers by closing the connection."""
+
+    def __init__(self, drop_at):
+        self.drop_at = drop_at
+        self._seen = []
+        self._lock = threading.Lock()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+
+    def seen(self):
+        with self._lock:
+            return list(self._seen)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+
+    def _serve(self):
+        connections = 0
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            connections += 1
+            with conn:
+                self._converse(conn, connections)
+
+    def _converse(self, conn, number):
+        conn.settimeout(0.05)
+        buffer = b""
+        while not self._stop.is_set():
+            try:
+                chunk = conn.recv(65536)
+            except TimeoutError:
+                continue
+            if not chunk:
+                return
+            buffer += chunk
+            while b"\r\n\r\n" in buffer:
+                head, _, rest = buffer.partition(b"\r\n\r\n")
+                lines = head.decode("latin-1").split("\r\n")
+                method, path, _ = lines[0].split(" ")
+                length = 0
+                for line in lines[1:]:
+                    key, _, value = line.partition(":")
+                    if key.strip().lower() == "content-length":
+                        length = int(value)
+                if len(rest) < length:
+                    break  # body not all here yet
+                buffer = rest[length:]
+                with self._lock:
+                    self._seen.append((number, method, path))
+                    dropped = len(self._seen) == self.drop_at
+                if dropped:
+                    return
+                body = b'{"status": "ok"}'
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + str(len(body)).encode()
+                    + b"\r\n\r\n" + body
+                )
