@@ -25,7 +25,7 @@ Commands
 
 ``stream --relation ... --view Q=R,S --log updates.log``
     Replay an update log against live views: registers the relations as
-    writable (LSM) ``DeltaRelation``s, maintains each view incrementally
+    writable ``DeltaRelation``s, maintains each view incrementally
     via the delta rule, and reports incremental-vs-recompute op counts
     and wall time per batch.
 
@@ -298,7 +298,7 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
     return 1
 
 
-def _catalog_from_specs(specs, memtable_limit=None, catalog=None):
+def _catalog_from_specs(specs, catalog=None):
     """A live ``Catalog`` with one writable relation per ``--relation``.
 
     Shared by ``stream`` / ``query`` / ``serve``.  Dictionary-encoded
@@ -311,7 +311,7 @@ def _catalog_from_specs(specs, memtable_limit=None, catalog=None):
     from repro.dynamic import Catalog
 
     if catalog is None:
-        catalog = Catalog(memtable_limit=memtable_limit)
+        catalog = Catalog()
     for spec in specs:
         loaded, dictionaries = _load_relation(spec)
         if dictionaries:
@@ -321,8 +321,8 @@ def _catalog_from_specs(specs, memtable_limit=None, catalog=None):
                 "integer-only data (pre-encode the CSV and the "
                 "updates with the same code book)"
             )
-        # Adopt the loader's FlatTrie as the DeltaRelation's first run
-        # instead of rebuilding the index from its tuples.
+        # Adopt the loader's FlatTrie as the DeltaRelation's index
+        # instead of rebuilding it from its tuples.
         index = loaded.index
         if not isinstance(index, FlatTrieRelation):
             index = loaded.tuples()
@@ -335,19 +335,11 @@ def _catalog_from_specs(specs, memtable_limit=None, catalog=None):
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     """Replay an update log against live views (the dynamic subsystem)."""
-    import time
-
     from repro.dynamic import read_log
 
     if not args.view:
         raise SystemExit("at least one --view NAME=R1,R2,... is required")
-    if args.memtable_limit is not None and args.memtable_limit < 1:
-        raise SystemExit("--memtable-limit must be >= 1")
-    if args.compact_every is not None and args.compact_every < 1:
-        raise SystemExit("--compact-every must be >= 1")
-    catalog = _catalog_from_specs(
-        args.relation, memtable_limit=args.memtable_limit
-    )
+    catalog = _catalog_from_specs(args.relation)
     spec = _exec_spec(args, gao=args.gao.split(",") if args.gao else ())
     for view_arg in args.view:
         try:
@@ -384,25 +376,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         for v in catalog.view_names()
     }
     failed = False
-    refresh_s = 0.0
     for i, batch in enumerate(batches, 1):
         try:
             report = catalog.apply_batch(batch)
         except (KeyError, ValueError) as exc:
             # unknown relation, arity mismatch, non-netted +/- pair, ...
             raise SystemExit(f"batch {i}: {exc}")
-        # The storage apply queued its writes against the touched
-        # relations' merged views; bring them current now (splice the
-        # queue in, or rebuild a view the batch outgrew), under their
-        # own timer, so the cost is charged to the incremental side
-        # rather than silently absorbed by whichever path (comparator
-        # or next batch) reads first.  A view that the view maintenance
-        # of a later relation in the same batch already read was
-        # brought current inside the apply, which this timer misses.
-        t0 = time.perf_counter()  # lint: disable=determinism -- reporting-only timing; never feeds results
-        for name in catalog.relation_names():
-            len(catalog.relation(name))
-        refresh_s += time.perf_counter() - t0  # lint: disable=determinism -- reporting-only timing; never feeds results
         applied = ", ".join(
             f"{name} +{ins}/-{dels}"
             for name, (ins, dels) in report.applied.items()
@@ -442,13 +421,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     failed = True
                     continue
             print(line)
-        if args.compact_every and i % args.compact_every == 0:
-            catalog.compact()
     print(f"# replayed {len(batches)} batches")
-    print(
-        f"# merged-view refresh after applies: {refresh_s * 1e3:.1f} ms "
-        "(incremental-side cost, shared across views)"
-    )
     for view_name, slot in totals.items():
         summary = (
             f"# {view_name}: rows={len(catalog.view(view_name))} "
@@ -667,7 +640,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Even when the script fails, a durable session must close its WAL
     # so batch-policy commits get their close-time fsync.  The one
     # exception is an injected crash: it models a process death, which
-    # never gets a graceful close.
+    # never gets a graceful close — only its file handle is released.
     from repro.testing.faults import InjectedCrash
 
     try:
@@ -697,6 +670,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.metrics_dir:
             _dump_metrics(session, args.metrics_dir)
     except InjectedCrash:
+        if session.catalog.wal is not None:
+            session.catalog.wal.abandon()
         raise
     except BaseException:
         session.close()
@@ -1112,10 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="update log (+R 1,2 / -S 2,3 / commit lines)")
     p_stream.add_argument("--gao", help="comma-separated attribute order "
                           "(applied to every view; default: auto)")
-    p_stream.add_argument("--memtable-limit", type=int,
-                          help="auto-flush memtables at this many entries")
-    p_stream.add_argument("--compact-every", type=int, metavar="N",
-                          help="compact all relations every N batches")
     p_stream.add_argument("--strict", action="store_true",
                           help="discard (with a warning) a trailing batch "
                           "with no 'commit' line instead of applying it — "

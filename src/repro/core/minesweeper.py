@@ -135,8 +135,8 @@ class Minesweeper:
         admission = self.admission
         # Per-relation explorer closures, resolved once (see
         # _make_explorer): flat indexes get CSR-inlined variants with
-        # their arrays captured, writable LSM relations are explored
-        # through their merged FlatTrie view, and a gap_hook observer
+        # their arrays captured, writable relations are explored
+        # through their FlatTrie view, and a gap_hook observer
         # forces the generic index-tuple formulation.
         explorers = [self._make_explorer(rel) for rel in self.query.relations]
         cds = self.cds
@@ -200,7 +200,7 @@ class Minesweeper:
         closures with the value/offset arrays captured (no per-probe
         attribute walks); other flat arities bind the generic CSR
         explorer; a writable :class:`~repro.storage.delta.DeltaRelation`
-        is explored through its merged FlatTrie view — probe-for-probe
+        is explored through its FlatTrie view — probe-for-probe
         what its handle API answers, with one generation check per
         explore preserving the mid-run mutation guarantee.  A
         ``gap_hook`` observer forces the generic index-tuple
@@ -212,8 +212,7 @@ class Minesweeper:
         positions = self.query.gao_positions[relation.name]
         index = relation.index
         if self.gap_hook is None and isinstance(index, DeltaRelation):
-            view = index._view()
-            flat = self._make_flat_closure(view, positions)
+            flat = self._make_flat_closure(index._view, positions)
             if flat is not None:
                 generation = index._generation
 

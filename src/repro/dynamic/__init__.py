@@ -3,9 +3,10 @@
 Layers (ISSUE 2 / the ROADMAP's "data that changes while queries stay
 fresh" direction):
 
-* storage — :class:`repro.storage.delta.DeltaRelation`, an LSM-style
-  writable index (memtable + immutable FlatTrie runs + tombstones)
-  exposing the unchanged index-tuple / handle API;
+* storage — :class:`repro.storage.delta.DeltaRelation`, a writable
+  index: one FlatTrie that every write splices (or, for a batch past
+  its splice budget, rebuilds) before returning, exposing the unchanged
+  index-tuple / handle API;
 * maintenance — :class:`repro.core.incremental.LiveJoin`, a
   materialized join view kept fresh by Minesweeper-evaluated delta
   terms;
@@ -14,7 +15,7 @@ fresh" direction):
   ``repro stream``);
 * durability (ISSUE 6) — :class:`repro.dynamic.wal.WriteAheadLog`
   (log-before-mutate journaling), :mod:`repro.dynamic.snapshot`
-  (atomic snapshot/restore of the LSM state), and
+  (atomic snapshot/restore of every relation's live rows), and
   :func:`open_catalog` / :func:`recover_catalog` /
   :func:`verify_state` (:mod:`repro.dynamic.durable`), with
   Merkle-hashed state roots (:mod:`repro.dynamic.merkle`) binding what

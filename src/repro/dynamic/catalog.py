@@ -84,15 +84,13 @@ class BatchReport:
 class Catalog:
     """Named writable relations plus the live views served over them."""
 
-    def __init__(self, memtable_limit: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._relations: Dict[str, Relation] = {}
         self._views: Dict[str, LiveJoin] = {}
-        self.memtable_limit = memtable_limit
         self.batches_applied = 0
-        #: Monotone counter bumped by every operation that can change
-        #: what a planner saw — DDL (``create_relation``), data
-        #: (``apply_batch``), and storage-layout maintenance
-        #: (``flush`` / ``compact``).  A version stamp for snapshots,
+        #: Monotone counter bumped by DDL (``create_relation``), data
+        #: (``apply_batch``) and the journalled ``flush`` /
+        #: ``compact`` statements.  A version stamp for snapshots,
         #: stats and ``EXPLAIN`` ("planned at generation G (now G')");
         #: it invalidates nothing — cached plans survive writes and
         #: age by data drift instead (see :mod:`repro.planner.cache`).
@@ -158,13 +156,12 @@ class Catalog:
         name: str,
         attributes: Sequence[str],
         rows: Iterable[Sequence[int]] = (),
-        memtable_limit: Optional[int] = None,
     ) -> Relation:
-        """Register a writable relation (initial rows go to the first run).
+        """Register a writable relation over ``rows``.
 
         ``rows`` may be an iterable of tuples or an already-built
         :class:`~repro.storage.flat_trie.FlatTrieRelation`, which is
-        adopted as the first run without a rebuild.
+        adopted as the relation's index without a rebuild.
         """
         if name in self._relations:
             raise ValueError(f"relation {name!r} already registered")
@@ -173,11 +170,6 @@ class Catalog:
             rows,
             arity=len(attrs),
             counters=OpCounters(),
-            memtable_limit=(
-                memtable_limit
-                if memtable_limit is not None
-                else self.memtable_limit
-            ),
         )
         # Building the index validated the schema and every initial
         # row, so nothing after the WAL append can fail: log, then
@@ -187,7 +179,6 @@ class Catalog:
             {
                 "name": name,
                 "attributes": list(attrs),
-                "memtable_limit": memtable_limit,
                 "rows": [list(t) for t in index.tuples()],
             },
         )
@@ -413,12 +404,18 @@ class Catalog:
         return report
 
     # ------------------------------------------------------------------
-    # LSM maintenance + introspection
+    # FLUSH / COMPACT: journalled statements that touch no index
     # ------------------------------------------------------------------
 
     def flush(self, name: Optional[str] = None) -> None:
-        """Seal memtables (one relation, or all)."""
-        targets = self._targets(name)  # validates the name first
+        """Journal a flush of one relation (or all).
+
+        Every write already lands in its relation's index, so there is
+        nothing to seal: the statement validates ``name``, commits its
+        WAL record and bumps the generation, so scripts that issue it
+        and logs that hold it keep running and replaying.
+        """
+        self._check_target(name)
         with self.obs.tracer.span(
             "flush", relation=name if name is not None else "*"
         ):
@@ -427,13 +424,12 @@ class Catalog:
 
                 self._log_control("flush", {"name": name})
                 crashpoint("catalog.flush.mutate")
-            for rel in targets:
-                rel.index.flush()
             self.generation += 1
 
     def compact(self, name: Optional[str] = None) -> None:
-        """Merge run stacks (one relation, or all)."""
-        targets = self._targets(name)
+        """Journal a compaction of one relation (or all); like
+        :meth:`flush`, there is nothing to merge."""
+        self._check_target(name)
         with self.obs.tracer.span(
             "compact", relation=name if name is not None else "*"
         ):
@@ -442,16 +438,11 @@ class Catalog:
 
                 self._log_control("compact", {"name": name})
                 crashpoint("catalog.compact.mutate")
-            for rel in targets:
-                rel.index.compact()
             self.generation += 1
 
-    def _targets(self, name: Optional[str]) -> List[Relation]:
-        return (
-            list(self._relations.values())
-            if name is None
-            else [self.relation(name)]
-        )
+    def _check_target(self, name: Optional[str]) -> None:
+        if name is not None:
+            self.relation(name)  # raises KeyError for an unknown name
 
     # ------------------------------------------------------------------
     # Durability: snapshot / recover / verifiable state

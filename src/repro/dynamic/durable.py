@@ -15,8 +15,8 @@ roots, then re-attaches the WAL so subsequent mutations keep being
 logged.  An empty directory is simply a fresh durable catalog.
 
 Recovery replays records through the catalog's ordinary mutation
-methods with logging suppressed, so memtable auto-flush and report
-bookkeeping behave exactly as they did before the crash — which is
+methods with logging suppressed, so storage and report bookkeeping
+behave exactly as they did before the crash — which is
 what makes the fault suite's "pre-batch or post-batch, never between"
 assertion provable.  Live views are the one exception: their contents
 are a function of relation state, so replay registers them unseeded,
@@ -102,16 +102,8 @@ def _restore_from_snapshot(
 ) -> None:
     roots: Dict[str, bytes] = {}
     for name, state in states.items():
-        delta = DeltaRelation.restore(
-            arity=len(state.attributes),
-            runs=state.runs,
-            memtable=state.memtable,
-            counters=OpCounters(),
-            memtable_limit=(
-                state.memtable_limit
-                if state.memtable_limit is not None
-                else manifest.get("memtable_limit")
-            ),
+        delta = DeltaRelation(
+            state.rows, arity=len(state.attributes), counters=OpCounters()
         )
         catalog._adopt_relation(name, state.attributes, delta)
         if verify:
@@ -133,7 +125,6 @@ def _restore_from_snapshot(
         report.verified = True
     catalog.generation = manifest["generation"]
     catalog.batches_applied = manifest["batches_applied"]
-    catalog.memtable_limit = manifest.get("memtable_limit")
     for view_name, entry in manifest["views"].items():
         catalog.register_view(
             view_name, entry["relations"], ExecSpec.from_record(entry)
@@ -149,7 +140,6 @@ def _replay_record(catalog: Catalog, record) -> None:
             payload["name"],
             payload["attributes"],
             [tuple(row) for row in payload.get("rows", ())],
-            memtable_limit=payload.get("memtable_limit"),
         )
     elif record.kind == KIND_VIEW:
         payload = record.payload
@@ -173,7 +163,6 @@ def recover_catalog(
     data_dir: str,
     fsync: str = "batch",
     segment_limit: Optional[int] = None,
-    memtable_limit: Optional[int] = None,
     verify: bool = True,
     attach: bool = True,
     fs: Optional[FileSystem] = None,
@@ -183,9 +172,7 @@ def recover_catalog(
     ``verify`` recomputes the snapshot's Merkle roots before trusting
     it.  With ``attach`` (the default) the WAL is re-attached so the
     catalog keeps journaling; pass ``attach=False`` for a read-only
-    inspection (the WAL file handle is closed).  ``memtable_limit``
-    applies only when the directory holds no snapshot (otherwise the
-    manifest's value wins).
+    inspection (the WAL file handle is closed).
     """
     t0 = time.perf_counter()  # lint: disable=determinism -- reporting-only timing; never feeds results
     report = RecoveryReport(data_dir=data_dir)
@@ -197,7 +184,7 @@ def recover_catalog(
     )
     try:
         report.wal_repairs = list(wal.repairs)
-        catalog = Catalog(memtable_limit=memtable_limit)
+        catalog = Catalog()
         newest = snapshot_mod.newest_valid_snapshot(data_dir, fs=fs)
         catalog._replaying = True
         try:
@@ -247,7 +234,6 @@ def open_catalog(
     data_dir: str,
     fsync: str = "batch",
     segment_limit: Optional[int] = None,
-    memtable_limit: Optional[int] = None,
     verify: bool = True,
     fs: Optional[FileSystem] = None,
 ) -> Tuple[Catalog, RecoveryReport]:
@@ -256,7 +242,6 @@ def open_catalog(
         data_dir,
         fsync=fsync,
         segment_limit=segment_limit,
-        memtable_limit=memtable_limit,
         verify=verify,
         attach=True,
         fs=fs,
@@ -333,12 +318,7 @@ def verify_state(
                 chosen[1], verify=True, fs=fs
             )
             for name, state in states.items():
-                delta = DeltaRelation.restore(
-                    arity=len(state.attributes),
-                    runs=state.runs,
-                    memtable=state.memtable,
-                )
-                root = merkle.relation_root(delta.tuples()).hex()
+                root = merkle.relation_root(state.rows).hex()
                 claimed = manifest["relations"][name]["root"]
                 if root != claimed:
                     report.ok = False

@@ -1,9 +1,8 @@
-"""Snapshot/restore: the durable image of a catalog's LSM state.
+"""Snapshot/restore: the durable image of a catalog's live state.
 
-A snapshot serializes every relation's exact storage layout — each
-immutable run's rows and tombstones, plus the pending memtable — into
-plain text files under ``<data_dir>/snapshots/snap-<id>/``, described
-by a ``MANIFEST.json`` recording the schema, registered views, catalog
+A snapshot serializes every relation's live rows into plain text files
+under ``<data_dir>/snapshots/snap-<id>/``, described by a
+``MANIFEST.json`` recording the schema, registered views, catalog
 generation, the WAL position the image corresponds to, per-file SHA-256
 hashes, and the Merkle state roots (:mod:`repro.dynamic.merkle`).
 
@@ -12,14 +11,19 @@ file and atomically renamed into place *last*, so a crash anywhere
 during snapshotting leaves a directory without a valid manifest, which
 recovery skips in favour of the previous snapshot (the WAL still holds
 everything since then).  Loading verifies the manifest's own checksum
-and every data file's hash, so a tampered or bit-rotten run file is
+and every data file's hash, so a tampered or bit-rotten rows file is
 rejected, never silently served.
 
-File formats (all text, one entry per line):
+Format ``repro-snapshot-v2`` (written): one ``<rel>.rows`` file per
+relation, ``v1,v2,...`` per line in lexicographic order; its manifest
+entry carries ``rows`` (the file name), ``sha256``, ``live_rows`` (the
+row count) and ``root`` (the relation's Merkle root).
 
-* ``<rel>.run<k>.rows`` / ``<rel>.run<k>.tombs`` — ``v1,v2,...``
-* ``<rel>.memtable`` — ``+v1,v2`` (live insert) / ``-v1,v2``
-  (tombstone), in memtable insertion order.
+Format ``repro-snapshot-v1`` is read, never written.  It stored each
+relation as a stack of runs (``<rel>.run<k>.rows`` /
+``<rel>.run<k>.tombs``, oldest first) plus a ``<rel>.memtable`` of
+``+row`` (insert) / ``-row`` (tombstone) entries; the reader folds them
+into the live row set, the newest entry for a row winning.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.dynamic import merkle
 from repro.testing.faults import REAL_FS, FileSystem, crashpoint
 
-FORMAT = "repro-snapshot-v1"
+FORMAT = "repro-snapshot-v2"
+FORMAT_V1 = "repro-snapshot-v1"
 MANIFEST = "MANIFEST.json"
 SNAPSHOTS_DIR = "snapshots"
 _SNAP_PREFIX = "snap-"
@@ -89,13 +94,6 @@ def _rows_text(rows) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _memtable_text(entries) -> str:
-    return "".join(
-        ("+" if live else "-") + ",".join(map(str, row)) + "\n"
-        for row, live in entries
-    )
-
-
 def _parse_rows(text: str, path: str) -> List[Row]:
     rows: List[Row] = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -109,27 +107,6 @@ def _parse_rows(text: str, path: str) -> List[Row]:
                 f"{path}: line {lineno}: non-integer row {line!r}"
             ) from None
     return rows
-
-
-def _parse_memtable(text: str, path: str) -> List[Tuple[Row, bool]]:
-    entries: List[Tuple[Row, bool]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line[0] not in "+-":
-            raise SnapshotError(
-                f"{path}: line {lineno}: expected '+row' or '-row', "
-                f"got {line!r}"
-            )
-        try:
-            row = tuple(int(v) for v in line[1:].split(","))
-        except ValueError:
-            raise SnapshotError(
-                f"{path}: line {lineno}: non-integer row {line!r}"
-            ) from None
-        entries.append((row, line[0] == "+"))
-    return entries
 
 
 def _write_file(fs: FileSystem, path: str, text: str) -> str:
@@ -164,45 +141,15 @@ def write_snapshot(
     roots: Dict[str, bytes] = {}
     for name in catalog.relation_names():
         relation = catalog.relation(name)
-        delta = relation.index
-        runs = []
-        for k, (rows, tombstones) in enumerate(delta.run_states()):
-            rows_file = f"{name}.run{k:02d}.rows"
-            tombs_file = f"{name}.run{k:02d}.tombs"
-            rows_text = _rows_text(rows)
-            tombs_text = _rows_text(tombstones)
-            runs.append(
-                {
-                    "rows": rows_file,
-                    "rows_sha256": _write_file(
-                        fs, os.path.join(snap_path, rows_file), rows_text
-                    ),
-                    "rows_count": len(rows),
-                    "tombstones": tombs_file,
-                    "tombstones_sha256": _write_file(
-                        fs, os.path.join(snap_path, tombs_file), tombs_text
-                    ),
-                    "tombstones_count": len(tombstones),
-                }
-            )
-        memtable_file = f"{name}.memtable"
-        memtable_entries = delta.memtable_state()
-        memtable_sha = _write_file(
-            fs,
-            os.path.join(snap_path, memtable_file),
-            _memtable_text(memtable_entries),
-        )
-        live = delta.tuples()
+        live = relation.index.tuples()
+        rows_file = f"{name}.rows"
         roots[name] = merkle.relation_root(live)
         relations[name] = {
             "attributes": list(relation.attributes),
-            "memtable_limit": delta.memtable_limit,
-            "runs": runs,
-            "memtable": {
-                "file": memtable_file,
-                "sha256": memtable_sha,
-                "entries": len(memtable_entries),
-            },
+            "rows": rows_file,
+            "sha256": _write_file(
+                fs, os.path.join(snap_path, rows_file), _rows_text(live)
+            ),
             "live_rows": len(live),
             "root": roots[name].hex(),
         }
@@ -219,7 +166,6 @@ def write_snapshot(
         "snapshot_id": snap_id,
         "generation": catalog.generation,
         "batches_applied": catalog.batches_applied,
-        "memtable_limit": catalog.memtable_limit,
         "wal_lsn": wal_lsn,
         "relations": relations,
         "views": views,
@@ -262,7 +208,7 @@ def load_manifest(snap_path: str, fs: Optional[FileSystem] = None) -> dict:
         ) from None
     except (OSError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{manifest_path}: unreadable: {exc}") from None
-    if manifest.get("format") != FORMAT:
+    if manifest.get("format") not in (FORMAT, FORMAT_V1):
         raise SnapshotError(
             f"{manifest_path}: unknown format "
             f"{manifest.get('format')!r}"
@@ -277,9 +223,8 @@ def load_manifest(snap_path: str, fs: Optional[FileSystem] = None) -> dict:
 
 class RelationState(NamedTuple):
     attributes: Tuple[str, ...]
-    memtable_limit: Optional[int]
-    runs: List[Tuple[List[Row], List[Row]]]
-    memtable: List[Tuple[Row, bool]]
+    #: live rows, sorted
+    rows: List[Row]
 
 
 def load_snapshot(
@@ -289,14 +234,14 @@ def load_snapshot(
 ) -> Tuple[dict, Dict[str, RelationState]]:
     """``(manifest, per-relation state)`` from a snapshot directory.
 
-    With ``verify`` (the default), every data file's SHA-256 must match
-    the manifest — a tampered run/tombstone/memtable file raises
+    With ``verify`` (the default), every data file's SHA-256 and row
+    count must match the manifest — a tampered file raises
     :class:`SnapshotError` instead of loading.
     """
     fs = fs if fs is not None else REAL_FS
     manifest = load_manifest(snap_path, fs=fs)
 
-    def read_file(filename: str, expected_sha: str) -> str:
+    def read_text(filename: str, expected_sha: str) -> Tuple[str, str]:
         path = os.path.join(snap_path, filename)
         try:
             with fs.open(path, "r", encoding="utf-8") as handle:
@@ -308,41 +253,66 @@ def load_snapshot(
                 f"{path}: content hash mismatch (tampered or corrupt "
                 "snapshot file)"
             )
-        return text
+        return text, path
+
+    def read_rows(filename: str, expected_sha: str, count: int) -> List[Row]:
+        text, path = read_text(filename, expected_sha)
+        rows = _parse_rows(text, path)
+        if verify and len(rows) != count:
+            raise SnapshotError(
+                f"{path}: {len(rows)} rows, manifest says {count}"
+            )
+        return rows
 
     states: Dict[str, RelationState] = {}
     for name, entry in manifest["relations"].items():
-        runs: List[Tuple[List[Row], List[Row]]] = []
-        for run in entry["runs"]:
-            rows = _parse_rows(
-                read_file(run["rows"], run["rows_sha256"]), run["rows"]
+        if manifest["format"] == FORMAT_V1:
+            rows = _v1_live_rows(entry, read_text, read_rows)
+        else:
+            rows = read_rows(
+                entry["rows"], entry["sha256"], entry["live_rows"]
             )
-            tombs = _parse_rows(
-                read_file(run["tombstones"], run["tombstones_sha256"]),
-                run["tombstones"],
-            )
-            if verify and (
-                len(rows) != run["rows_count"]
-                or len(tombs) != run["tombstones_count"]
-            ):
-                raise SnapshotError(
-                    f"{snap_path}: {name} run file row counts disagree "
-                    "with manifest"
-                )
-            runs.append((rows, tombs))
-        memtable = _parse_memtable(
-            read_file(
-                entry["memtable"]["file"], entry["memtable"]["sha256"]
-            ),
-            entry["memtable"]["file"],
-        )
-        states[name] = RelationState(
-            attributes=tuple(entry["attributes"]),
-            memtable_limit=entry["memtable_limit"],
-            runs=runs,
-            memtable=memtable,
-        )
+        states[name] = RelationState(tuple(entry["attributes"]), rows)
     return manifest, states
+
+
+def _v1_live_rows(entry: dict, read_text, read_rows) -> List[Row]:
+    """A v1 relation's live rows: its runs (oldest first), then its
+    memtable, folded so that the newest entry for a row wins."""
+    live: Dict[Row, bool] = {}
+    for run in entry["runs"]:
+        for row in read_rows(run["rows"], run["rows_sha256"],
+                             run["rows_count"]):
+            live[row] = True
+        for row in read_rows(run["tombstones"], run["tombstones_sha256"],
+                             run["tombstones_count"]):
+            live[row] = False
+    memtable = entry["memtable"]
+    text, path = read_text(memtable["file"], memtable["sha256"])
+    for row, is_live in _parse_memtable(text, path):
+        live[row] = is_live
+    return sorted(row for row, is_live in live.items() if is_live)
+
+
+def _parse_memtable(text: str, path: str) -> List[Tuple[Row, bool]]:
+    entries: List[Tuple[Row, bool]] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] not in "+-":
+            raise SnapshotError(
+                f"{path}: line {lineno}: expected '+row' or '-row', "
+                f"got {line!r}"
+            )
+        try:
+            row = tuple(int(v) for v in line[1:].split(","))
+        except ValueError:
+            raise SnapshotError(
+                f"{path}: line {lineno}: non-integer row {line!r}"
+            ) from None
+        entries.append((row, line[0] == "+"))
+    return entries
 
 
 def newest_valid_snapshot(

@@ -172,12 +172,11 @@ def build_catalog(
     schemas: Dict[str, Sequence[str]],
     initial: Dict[str, List[Row]],
     view: str = "Q",
-    memtable_limit: Optional[int] = None,
     spec: ExecSpec = ExecSpec(),
 ) -> Tuple[Catalog, LiveJoin]:
     """Materialize a stream's initial state into a served catalog whose
     one view runs under ``spec``."""
-    catalog = Catalog(memtable_limit=memtable_limit)
+    catalog = Catalog()
     for name, attributes in schemas.items():
         catalog.create_relation(name, attributes, initial.get(name, ()))
     live = catalog.register_view(view, list(schemas), spec)

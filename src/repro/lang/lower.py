@@ -5,7 +5,7 @@ a :class:`repro.dynamic.catalog.Catalog` or a plain mapping of name →
 :class:`~repro.storage.relation.Relation`.  Each atom becomes a
 ``Relation`` wrapper that
 
-* shares the stored relation's (possibly live LSM) index — no copy, so
+* shares the stored relation's (possibly writable) index — no copy, so
   a catalog-backed query always sees current data, and
 * renames the attributes to the atom's *variables*, which is what makes
   the natural join of the lowered query compute the conjunctive query.

@@ -24,9 +24,9 @@ The serving subsystem stacks five pieces over :mod:`repro.serve`:
 Concurrency contract: concurrent results are byte-identical to
 sequential execution.  Each leased session is confined to one thread,
 queries hold a tenant's shared read lock, and every mutation (sync
-update, ingest writer, script) holds the exclusive write lock and
-eagerly refreshes merged views before readers return — so the read
-path never races a view rebuild.
+update, ingest writer, script) holds the exclusive write lock, and a
+write has finished splicing (or rebuilding) its relation's index when
+it returns — so the read path never races a view rebuild.
 """
 
 from repro.net.client import Client, ClientError

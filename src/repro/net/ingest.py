@@ -6,12 +6,11 @@ thread drains the queue in submission order, applying each batch under
 the tenant's exclusive write lock via ``catalog.apply_batch``
 (:meth:`IngestQueue.apply`, which synchronous writes call too) — so the
 WAL-before-mutate ordering, crashpoint placement, and generation bump
-are exactly the ones the durable path already tests.  A write only
-queues against the relation's merged view; after each batch the writer
-brings every view current — splicing the queued writes in, or
-rebuilding a view whose batch outgrew its splice budget — *while still
-holding the write lock*, so concurrent readers never pay (or race) a
-view splice or build: the read path stays genuinely read-only.
+are exactly the ones the durable path already tests.  A write splices
+its batch into the relation's index (or rebuilds an index the batch
+outgrew) before ``apply_batch`` returns, *while still holding the write
+lock*, so concurrent readers never pay (or race) a splice or build:
+the read path stays genuinely read-only.
 
 Backpressure is a typed error, not a blocking put: when the queue is
 at capacity, :meth:`IngestQueue.submit` raises
@@ -136,15 +135,7 @@ class IngestQueue:
         write, queued (the writer thread) or synchronous
         (``Tenant.apply_sync``)."""
         with self._rwlock.write():
-            report = self._catalog.apply_batch(updates)
-            # Eager merged-view refresh while writers still exclude
-            # readers: DeltaRelation splices the batch's queued writes
-            # into its view (or rebuilds a view the batch outgrew, or one
-            # missing after restore) on the first read, and that must
-            # not happen under concurrent readers.
-            for name in self._catalog.relation_names():
-                len(self._catalog.relation(name))
-            return report
+            return self._catalog.apply_batch(updates)
 
     # -- the writer thread ---------------------------------------------
 

@@ -12,10 +12,10 @@ A tenant is the serving layer's isolation unit:
   budget, never loosen it (see :meth:`TenantSpec.effective_budget`).
 * **Concurrency** — a writer-preferring :class:`ReadWriteLock`:
   queries hold the shared read side, every mutation (sync update,
-  ingest writer, script) the exclusive write side.  Combined with the
-  ingest writer's eager view refresh this makes per-tenant execution
-  linearizable, which is what the byte-identical-to-sequential
-  guarantee rests on.
+  ingest writer, script) the exclusive write side.  A write has
+  finished updating its relations' indexes when it releases the lock,
+  which makes per-tenant execution linearizable — what the
+  byte-identical-to-sequential guarantee rests on.
 
 Observability wiring deserves a note: the
 :class:`~repro.obs.trace.Tracer` is strictly nested over a stack and
@@ -302,7 +302,7 @@ class Tenant:
 
     def apply_sync(self, updates: Sequence[Update]) -> BatchReport:
         """Apply a batch on the caller's thread (the ingest writer's
-        write body: exclusive lock, eager view refresh)."""
+        write body, under the exclusive lock)."""
         return self.ingest.apply(updates)
 
     def validate_updates(self, updates: Sequence[Update]) -> None:

@@ -13,7 +13,7 @@ nested schema everything renders from::
                invalidated / drift_replans / evicted
     ops.<counter>                       (cumulative engine OpCounters)
     catalog.generation / batches_applied
-    catalog.relations.<name>.<lsm key>  (DeltaRelation.stats)
+    catalog.relations.<name>.<key>      (DeltaRelation.stats)
     catalog.views.<name>.rows / ...     (LiveJoin.stats: per-atom
                                          terms.<atom>.gao / probes,
                                          secondary_orders.count /

@@ -177,8 +177,8 @@ def plan_and_slice(
     """:func:`plan_shards` + :func:`slice_plan` sharing one tuple scan.
 
     Each leading relation's tuple list is materialized exactly once —
-    for delta-backed live relations that list comes off the merged LSM
-    view, so halving the scans matters for sharded ``LiveJoin``
+    for delta-backed live relations that list is a copy of the
+    relation's view, so halving the scans matters for sharded ``LiveJoin``
     maintenance, whose per-term slicing cost is the knob's overhead.
     """
     leading_rows = {

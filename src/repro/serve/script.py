@@ -8,8 +8,8 @@ both drive it).  One statement per line::
     +R 1,2                    -- stage an insert (update-log syntax)
     -R 2,3                    -- stage a delete
     commit                    -- apply staged updates as one batch
-    FLUSH [R]                 -- seal memtables (cached plans survive)
-    COMPACT [R]               -- merge run stacks (cached plans survive)
+    FLUSH [R]                 -- journalled no-op (writes are already indexed)
+    COMPACT [R]               -- journalled no-op (writes are already indexed)
     SNAPSHOT                  -- persist a snapshot (durable sessions)
     TRACE ON                  -- span-trace queries from here on
     TRACE OFF                 -- stop tracing

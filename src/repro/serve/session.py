@@ -238,7 +238,6 @@ class Session:
         config: Optional[PlannerConfig] = None,
         cache_capacity: int = 256,
         fsync: str = "batch",
-        memtable_limit: Optional[int] = None,
         verify: bool = True,
         obs=None,
         budget: Optional[QueryBudget] = None,
@@ -257,7 +256,6 @@ class Session:
         catalog, recovery = open_catalog(
             data_dir,
             fsync=fsync,
-            memtable_limit=memtable_limit,
             verify=verify,
         )
         session = cls(

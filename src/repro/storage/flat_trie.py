@@ -7,9 +7,9 @@ holding every distinct prefix-extension in global lexicographic order, and
 one ``offsets`` array per level mapping each level-(j-1) entry to the span
 of its children in level j.  Built once from the sorted tuple set.  An
 index is mutated only as a :class:`~repro.storage.delta.DeltaRelation`'s
-private read view (:meth:`FlatTrieRelation.splice_insert` /
+own view (:meth:`FlatTrieRelation.splice_insert` /
 :meth:`~FlatTrieRelation.splice_delete` patch the arrays in place), never
-as a sealed run or a caller's index.
+as a caller's index.
 
 Why: the pointer trie allocates one Python object (plus two list objects)
 per distinct prefix.  Here a *node* is three integers ``(level, lo, hi)`` —

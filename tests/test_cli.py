@@ -191,8 +191,7 @@ class TestStream:
         r_spec, s_spec, log = stream_files
         code, out, _ = run_cli(
             ["stream", "--relation", r_spec, "--relation", s_spec,
-             "--view", "Q=R,S", "--log", log, "--no-recompute",
-             "--memtable-limit", "2", "--compact-every", "1"],
+             "--view", "Q=R,S", "--log", log, "--no-recompute"],
             capsys,
         )
         assert code == 0
@@ -211,13 +210,6 @@ class TestStream:
         with pytest.raises(SystemExit):
             main(["stream", "--relation", r_spec, "--view", "Q=R,MISSING",
                   "--log", log])
-
-    def test_invalid_tuning_flags_rejected(self, stream_files):
-        r_spec, s_spec, log = stream_files
-        for flag in ("--memtable-limit", "--compact-every"):
-            with pytest.raises(SystemExit):
-                main(["stream", "--relation", r_spec, "--relation", s_spec,
-                      "--view", "Q=R,S", "--log", log, flag, "0"])
 
     def test_malformed_log_errors(self, tmp_path, relation_files):
         r_spec, s_spec = relation_files
@@ -568,15 +560,13 @@ class TestDurableCli:
         )
         assert code == 0
         assert "# state verification: PASSED" in out
-        snap = os.path.join(data_dir, "snapshots", "snap-00000001")
-        # Unflushed rows live in the memtable files; tamper one.
-        target = next(
-            os.path.join(snap, f) for f in sorted(os.listdir(snap))
-            if f.endswith(".memtable")
-            and os.path.getsize(os.path.join(snap, f))
+        target = os.path.join(
+            data_dir, "snapshots", "snap-00000001", "R.rows"
         )
-        text = open(target).read()
-        open(target, "w").write(text.replace("1", "6", 1))
+        with open(target) as handle:
+            text = handle.read()
+        with open(target, "w") as handle:
+            handle.write(text.replace("1", "6", 1))
         code, out, err = run_cli(
             ["verify-state", "--data-dir", data_dir], capsys
         )

@@ -1,11 +1,12 @@
-"""DeltaRelation (LSM) equivalence: property-checked against FlatTrie.
+"""DeltaRelation equivalence: property-checked against FlatTrie.
 
 The writable relation must be indistinguishable from a
 ``FlatTrieRelation`` built from scratch over the same live tuple set —
-after *any* interleaving of insert / delete / flush / compact.  These
-tests drive randomized op sequences against a model set and demand
-equality of the full trie + node-handle API, then check the LSM
-mechanics (runs, tombstones, autoflush) and engine integration.
+after *any* sequence of inserts and deletes, and as soon as each write
+returns.  These tests drive randomized op sequences against a model set
+and demand equality of the full trie + node-handle API, then check the
+write path (splice or rebuild, the copy of an adopted index) and engine
+integration.
 """
 
 import pytest
@@ -24,15 +25,9 @@ from repro.util.counters import OpCounters
 PAPER_EXAMPLE = [(1, 1), (1, 8), (2, 3), (2, 4)]  # Section 2.1 example
 
 rows2 = st.tuples(st.integers(0, 6), st.integers(0, 6))
-#: op sequences: ("insert", row) / ("delete", row) / ("flush",) / ("compact",)
+#: op sequences: ("insert", row) / ("delete", row)
 ops_strategy = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), rows2),
-        st.tuples(st.just("delete"), rows2),
-        st.tuples(st.just("flush")),
-        st.tuples(st.just("compact")),
-    ),
-    max_size=60,
+    st.tuples(st.sampled_from(["insert", "delete"]), rows2), max_size=60
 )
 
 
@@ -42,14 +37,10 @@ def apply_ops(delta, model, ops):
             changed = delta.insert(op[1])
             assert changed == (op[1] not in model)
             model.add(op[1])
-        elif op[0] == "delete":
+        else:
             changed = delta.delete(op[1])
             assert changed == (op[1] in model)
             model.discard(op[1])
-        elif op[0] == "flush":
-            delta.flush()
-        else:
-            delta.compact()
 
 
 def assert_trie_equivalent(delta, reference):
@@ -123,61 +114,44 @@ class TestRandomizedEquivalence:
 
 
 class TestLsmMechanics:
+    """Write-path bookkeeping: ``stats()`` and input validation."""
+
     def test_initial_rows_form_a_run(self):
         delta = DeltaRelation(PAPER_EXAMPLE)
-        stats = delta.stats()
-        assert stats["runs"] == 1 and stats["run_tuples"] == 4
-        assert stats["memtable"] == 0
+        assert delta.stats() == {
+            "runs": 1, "inserts": 0, "deletes": 0, "view_builds": 0,
+        }
         assert delta.tuples() == sorted(PAPER_EXAMPLE)
 
-    def test_tombstone_shadows_older_run(self):
-        delta = DeltaRelation(PAPER_EXAMPLE)
-        assert delta.delete((1, 8))
-        delta.flush()
-        stats = delta.stats()
-        assert stats["runs"] == 2 and stats["tombstones"] == 1
-        assert (1, 8) not in delta
-        assert len(delta) == 3
-        # re-insert in a newer source shadows the tombstone
-        assert delta.insert((1, 8))
-        assert (1, 8) in delta and len(delta) == 4
-
-    def test_compact_collapses_runs_and_tombstones(self):
-        delta = DeltaRelation(PAPER_EXAMPLE)
-        delta.delete((2, 3))
-        delta.flush()
-        delta.insert((5, 5))
-        delta.flush()
-        assert delta.stats()["runs"] == 3
-        assert delta.compact()
-        stats = delta.stats()
-        assert stats["runs"] == 1 and stats["tombstones"] == 0
-        assert stats["memtable"] == 0
-        assert delta.tuples() == sorted({(1, 1), (1, 8), (2, 4), (5, 5)})
-
     def test_flush_and_compact_are_noops_when_clean(self):
-        delta = DeltaRelation(PAPER_EXAMPLE)
-        assert not delta.flush()
-        assert not delta.compact()
-        assert delta.stats()["compactions"] == 0
+        """The FLUSH / COMPACT statements validate their target and bump
+        the catalog generation, but leave every index as it was."""
+        from repro.dynamic import Catalog, Update
+
+        catalog = Catalog()
+        catalog.create_relation("R", ["A", "B"], PAPER_EXAMPLE)
+        catalog.apply_batch([Update("R", "-", (2, 3))])
+        delta = catalog.delta("R")
+        view, arrays, stats = delta._view, csr_arrays(delta._view), delta.stats()
+        generation = catalog.generation
+        catalog.flush()
+        catalog.compact("R")
+        assert delta._view is view and csr_arrays(view) == arrays
+        assert delta.stats() == stats
+        assert catalog.generation == generation + 2
+        with pytest.raises(KeyError):
+            catalog.compact("NOPE")
 
     def test_compact_to_empty(self):
+        """Deleting every row leaves ``runs`` at 0, the value storage
+        dashboards read for an empty relation."""
         delta = DeltaRelation(PAPER_EXAMPLE)
         for row in PAPER_EXAMPLE:
             delta.delete(row)
-        delta.compact()
         assert delta.stats()["runs"] == 0
+        assert delta.stats()["deletes"] == 4
         assert len(delta) == 0 and delta.tuples() == []
         assert delta.find_gap((), 3) == (0, 1)
-
-    def test_memtable_limit_autoflushes(self):
-        delta = DeltaRelation(arity=2, memtable_limit=3)
-        for i in range(7):
-            delta.insert((i, i))
-        stats = delta.stats()
-        assert stats["flushes"] >= 2
-        assert stats["memtable"] < 3
-        assert len(delta) == 7
 
     def test_effective_delta_peeks_without_applying(self):
         delta = DeltaRelation(PAPER_EXAMPLE)
@@ -205,8 +179,6 @@ class TestLsmMechanics:
             delta.insert(("a", 1))
         with pytest.raises(TypeError):
             delta.delete((True, 1))
-        with pytest.raises(ValueError):
-            DeltaRelation(memtable_limit=0, arity=1)
 
     def test_findgap_counting_matches_static(self):
         counters = OpCounters()
@@ -264,16 +236,20 @@ class TestStaleHandles:
         assert delta.gap_at(root, 1) == (1, 1)
 
     def test_flush_and_compact_keep_handles_valid(self):
-        """Sealing/merging runs changes no logical contents (and keeps
-        the cached view object), so handles survive."""
-        delta = DeltaRelation(PAPER_EXAMPLE)
-        delta.insert((5, 5))
-        delta.delete((2, 4))
+        """FLUSH / COMPACT are journalled statements that touch no
+        index, so handles issued before them stay readable."""
+        from repro.dynamic import Catalog, Update
+
+        catalog = Catalog()
+        catalog.create_relation("R", ["A", "B"], PAPER_EXAMPLE)
+        catalog.apply_batch([Update("R", "+", (5, 5)),
+                             Update("R", "-", (2, 4))])
+        delta = catalog.delta("R")
         root = delta.root_handle()
         keys = delta.node_keys(root)
-        delta.flush()
+        catalog.flush()
         assert delta.node_keys(root) == keys
-        delta.compact()
+        catalog.compact("R")
         assert delta.node_keys(root) == keys
         assert delta.gap_at(root, 5) == delta.gap_at(delta.root_handle(), 5)
 
@@ -303,13 +279,14 @@ def splice_programs(draw):
     arity = draw(st.integers(1, 3))
     row = st.tuples(*[st.integers(0, 4)] * arity)
     initial = draw(st.lists(row, max_size=40))
+    rows = st.lists(row, max_size=12)
     ops = draw(
         st.lists(
             st.one_of(
                 st.tuples(st.sampled_from(["insert", "delete"]), row),
-                st.tuples(
-                    st.sampled_from(["read", "flush", "compact", "restore"])
-                ),
+                # A batch, long enough to cross a small view's budget.
+                st.tuples(st.just("batch"), rows, rows),
+                st.tuples(st.just("read")),
             ),
             max_size=50,
         )
@@ -318,8 +295,9 @@ def splice_programs(draw):
 
 
 class TestViewSplicing:
-    """Writes queue; the next read splices them into the view or, past
-    the splice budget, rebuilds it.  Either way it equals a fresh build."""
+    """A write splices the view before it returns or, past the splice
+    budget, rebuilds it.  Either way the view equals a fresh build before
+    anything reads it, and reads change nothing."""
 
     @settings(max_examples=150, deadline=None)
     @given(program=splice_programs())
@@ -333,27 +311,26 @@ class TestViewSplicing:
         )
         model = set(initial)
         for op in ops:
-            # Handles are issued only from a current view (issuing one
-            # would refresh it, hiding the queued-write path).
-            current = delta._view_cache is not None
-            root = delta.root_handle() if current else None
-            stale, shared = delta._stale_view, delta._view_shared
-            sealed = [(run.trie, csr_arrays(run.trie)) for run in delta._runs]
+            root = delta.root_handle()
+            view, shared = delta._view, delta._view_shared
+            budget = view.splice_budget()
             builds = delta.stats()["view_builds"]
             findgap = counters.findgap
             if op[0] == "read":
-                len(delta)
-                if stale is not None:
-                    # Spliced: no rebuild, one copy if the view is shared.
-                    assert delta.stats()["view_builds"] == builds + shared
-                    assert (delta._view() is stale) == (not shared)
-            elif op[0] == "restore":
-                delta = DeltaRelation.restore(
-                    arity, delta.run_states(), delta.memtable_state(),
-                    counters=counters,
-                )
-            elif op[0] in ("flush", "compact"):
-                getattr(delta, op[0])()
+                arrays = csr_arrays(view)
+                assert delta.tuples() == sorted(model)
+                assert len(delta) == len(model)
+                # Reads are pure: same view object, same arrays.
+                assert delta._view is view
+                assert csr_arrays(view) == arrays
+                assert delta.stats()["view_builds"] == builds
+                continue
+            if op[0] == "batch":
+                ins, dels = op[1], [t for t in op[2] if t not in op[1]]
+                eff_ins, eff_del = delta.apply(ins, dels)
+                model.difference_update(eff_del)
+                model.update(eff_ins)
+                written = len(eff_ins) + len(eff_del)
             else:
                 t = op[1]
                 if op[0] == "insert":
@@ -364,81 +341,70 @@ class TestViewSplicing:
                     changed = delta.delete(t)
                     assert changed == (t in model)
                     model.discard(t)
-                # A write touches no view: it queues (within budget).
-                assert delta.stats()["view_builds"] == builds
-                assert len(delta._pending) <= delta._splice_budget
-                if changed:
-                    assert delta._view_cache is None
-                    if current:
-                        with pytest.raises(StaleHandleError):
-                            delta.fanout_at(root)
-            assert counters.findgap == findgap  # a splice tallies nothing
-            if delta._view_cache is not None:
-                fresh = FlatTrieRelation(sorted(model), arity=arity)
-                assert csr_arrays(delta._view_cache) == csr_arrays(fresh)
-            for trie, arrays in sealed:
-                assert csr_arrays(trie) == arrays
+                written = int(changed)
+            # Before any read, the view already equals a fresh build.
+            fresh = FlatTrieRelation(sorted(model), arity=arity)
+            assert csr_arrays(delta._view) == csr_arrays(fresh)
+            rebuilt = written > budget
+            assert delta.stats()["view_builds"] == builds + (
+                written > 0 and (rebuilt or shared)
+            )
+            assert (delta._view is view) == (
+                not written or not (rebuilt or shared)
+            )
+            assert counters.findgap == findgap  # a write tallies nothing
+            if written:
+                with pytest.raises(StaleHandleError):
+                    delta.fanout_at(root)
             if adopt:
                 assert csr_arrays(caller) == caller_arrays
         assert delta.tuples() == sorted(model)
 
-    def test_first_splice_after_compact_copies_the_run_once(self):
-        delta = DeltaRelation(PAPER_EXAMPLE)
-        run = delta._runs[0].trie
-        assert delta._view() is run
+    def test_first_splice_of_an_adopted_index_copies_it_once(self):
+        index = FlatTrieRelation(PAPER_EXAMPLE)
+        delta = DeltaRelation(index)
+        assert delta._view is index
         delta.insert((3, 3))
         delta.insert((4, 4))
         assert len(delta) == 6
-        assert run.tuples() == sorted(PAPER_EXAMPLE)
+        assert index.tuples() == sorted(PAPER_EXAMPLE)
         assert delta.stats()["view_builds"] == 1  # the one copy
-        delta.compact()
-        assert delta._view() is delta._runs[0].trie
         delta.delete((1, 1))
-        assert len(delta) == 5
-        assert delta.stats()["view_builds"] == 2
-        assert (1, 1) in delta._runs[0].trie
-
-    def test_write_to_missing_view_defers_to_one_build(self):
-        delta = DeltaRelation.restore(2, [([(1, 1), (2, 2)], [])])
-        delta.insert((3, 3))  # no view yet: nothing to queue
-        assert delta._pending == []
-        assert delta.tuples() == [(1, 1), (2, 2), (3, 3)]
         assert delta.stats()["view_builds"] == 1
+        assert (1, 1) in index and (1, 1) not in delta
 
     def test_batch_past_the_splice_budget_rebuilds_once(self):
         # Arity 3 with distinct (a, b) prefixes: about one leaf-level
         # offset entry per tuple, so a splice costs about a rebuild / 60.
         base = [(a, b, b) for a in range(10) for b in range(30)]
         delta = DeltaRelation(base)
-        budget = delta._view().splice_budget()
+        view = delta._view
+        budget = view.splice_budget()
         assert 30 < budget < 100
         small = [(a, 100 + a, 0) for a in range(budget)]
         delta.apply_effective(small, [])
-        assert len(delta._pending) == budget
-        assert len(delta) == 300 + budget
-        assert delta.stats()["view_builds"] == 1  # the copy of the run
+        assert delta._view is view  # spliced in place
+        assert delta.stats()["view_builds"] == 0
         large = [(a, 200 + k, 0) for a in range(10) for k in range(budget)]
         delta.apply_effective(large, [])
-        assert delta._stale_view is None and delta._pending == []
+        assert delta._view is not view
         assert len(delta) == 300 + 11 * budget
-        assert delta.stats()["view_builds"] == 2  # one rebuild
+        assert delta.stats()["view_builds"] == 1  # one rebuild
         fresh = FlatTrieRelation(base + small + large)
-        assert csr_arrays(delta._view()) == csr_arrays(fresh)
+        assert csr_arrays(delta._view) == csr_arrays(fresh)
 
     def test_write_only_stretch_builds_at_most_once(self):
         delta = DeltaRelation([(v % 7, v) for v in range(500)])
-        len(delta)
         for v in range(500, 5000):
             delta.insert((v % 7, v))
-            assert len(delta._pending) <= delta._splice_budget
         assert delta.tuples() == [(v % 7, v) for v in sorted(
             range(5000), key=lambda v: (v % 7, v)
         )]
-        assert delta.stats()["view_builds"] == 1
+        assert delta.stats()["view_builds"] == 0
 
 
 class TestSyncWriteCost:
-    """A sync write splices the view: builds stay flat as writes grow."""
+    """A sync write splices the view: no build, however many writes."""
 
     def test_view_builds_do_not_grow_with_writes(self):
         registry = TenantRegistry([TenantSpec("alpha")])
@@ -461,7 +427,7 @@ class TestSyncWriteCost:
             index = tenant.catalog.relation("L").index
             stats = index.stats()
             assert stats["inserts"] == 2400 and len(index) == 2450
-            assert stats["view_builds"] <= stats["compactions"] + 1
+            assert stats["view_builds"] == 0
             assert index.tuples() == sorted(
                 [(v, v + 1) for v in range(50)]
                 + [(n % 97, n) for n in range(2400)]

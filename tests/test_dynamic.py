@@ -87,7 +87,7 @@ class TestCatalog:
         trie = FlatTrieRelation([(1, 2), (3, 4)])
         cat = Catalog()
         rel = cat.create_relation("R", ("A", "B"), trie)
-        assert rel.index._runs[0].trie is trie  # no rebuild
+        assert rel.index._view is trie  # no rebuild
         assert rel.tuples() == [(1, 2), (3, 4)]
         rel.index.insert((5, 6))
         assert rel.tuples() == [(1, 2), (3, 4), (5, 6)]
@@ -126,13 +126,14 @@ class TestCatalog:
         catalog.apply_batch([Update("R", "+", (7, 7))])
         stats = catalog.stats()
         assert stats["batches_applied"] == 1
-        assert stats["relations"]["R"]["memtable"] == 1
+        assert stats["relations"]["R"] == {
+            "runs": 1, "inserts": 1, "deletes": 0, "view_builds": 0,
+        }
         assert stats["views"]["Q"]["rows"] == 2
         assert stats["views"]["Q"]["maintenance_ops"]["findgap"] > 0
         catalog.flush("R")
-        assert catalog.delta("R").stats()["runs"] == 2
         catalog.compact()
-        assert catalog.delta("R").stats()["runs"] == 1
+        assert catalog.stats()["relations"] == stats["relations"]
 
     def test_net_updates_last_wins_and_order(self):
         grouped = net_updates(
@@ -353,9 +354,7 @@ class TestStreams:
         schemas, initial, batches = triangle_stream(
             n_nodes=10, n_edges=20, n_batches=3, batch_size=4, seed=2
         )
-        catalog, view = build_catalog(
-            schemas, initial, view="tri", memtable_limit=8
-        )
+        catalog, view = build_catalog(schemas, initial, view="tri")
         for batch in batches:
             catalog.apply_batch(batch)
         assert view.verify()

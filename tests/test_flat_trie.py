@@ -194,20 +194,19 @@ coordinate = st.one_of(st.integers(0, 3), st.integers(-1, 11))
 
 
 def _layered_delta(rows, doomed, counters):
-    """``rows`` as a DeltaRelation with a memtable, three runs and
-    tombstones in both: the ``doomed`` rows (moved off ``rows``' domain)
-    are inserted, sealed, then deleted again."""
+    """``rows`` as a DeltaRelation reached through writes: an adopted
+    index, then batches that insert the ``doomed`` rows (moved off
+    ``rows``' domain) and delete them again — spliced, or rebuilt when
+    a batch outgrows the view's splice budget."""
     live = sorted(set(rows))
     doomed = sorted({(a + 9, b, c) for a, b, c in doomed})
-    delta = DeltaRelation(live[0::3], arity=3, counters=counters)
+    delta = DeltaRelation(
+        FlatTrieRelation(live[0::3], arity=3), counters=counters
+    )
     delta.apply(inserts=doomed[0::2])
-    delta.flush()
     delta.apply(inserts=live[1::3] + doomed[1::2], deletes=doomed[0::2])
-    delta.flush()
     delta.apply(inserts=live[2::3] + [(99, 99, 99)], deletes=doomed[1::2])
     delta.delete((99, 99, 99))
-    stats = delta.stats()
-    assert stats["runs"] == 3 and stats["tombstones"] and stats["memtable"]
     assert delta.tuples() == live
     return delta
 

@@ -172,7 +172,7 @@ class TestMaintenance:
         schemas, initial, batches = triangle_stream(
             n_nodes=12, n_edges=30, n_batches=6, batch_size=5, seed=9
         )
-        catalog, view = build_catalog(schemas, initial, memtable_limit=4)
+        catalog, view = build_catalog(schemas, initial)
         for i, batch in enumerate(batches):
             catalog.apply_batch(batch)
             if i % 3 == 1:

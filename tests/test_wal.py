@@ -339,23 +339,6 @@ class TestDurableRecovery:
         assert report.verified
         assert report.records_replayed == 2  # batch + compact
 
-    def test_snapshot_restores_exact_lsm_layout(self, tmp_path):
-        catalog = build_durable(tmp_path)
-        catalog.snapshot()
-        want_layout = {
-            name: catalog.relation(name).index.run_states()
-            for name in catalog.relation_names()
-        }
-        catalog.wal.close()
-        recovered, _ = recover_catalog(
-            str(tmp_path / "data"), attach=False
-        )
-        got_layout = {
-            name: recovered.relation(name).index.run_states()
-            for name in recovered.relation_names()
-        }
-        assert got_layout == want_layout
-
     def test_recovered_catalog_keeps_serving_writes(self, tmp_path):
         catalog = build_durable(tmp_path)
         catalog.wal.close()
