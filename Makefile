@@ -52,14 +52,18 @@ query-smoke:
 # Durability smoke: crash the serving demo at a registered crashpoint
 # (the CLI exits 3 on an injected crash — asserted, not ignored), then
 # recover the directory into a fresh snapshot and verify every Merkle
-# root offline.  CI runs this next to query-smoke.
+# root offline; a mistyped directory must fail verification and stay
+# uncreated.  CI runs this next to query-smoke.
 recover-smoke:
-	rm -rf /tmp/repro-recover-smoke
+	rm -rf /tmp/repro-recover-smoke /tmp/repro-recover-smoke-missing
 	REPRO_CRASH_POINT=catalog.apply.mutate $(PY) -m repro.cli serve \
 	  --script examples/serving_demo.script \
 	  --data-dir /tmp/repro-recover-smoke; test $$? -eq 3
 	$(PY) -m repro.cli recover --data-dir /tmp/repro-recover-smoke --snapshot
 	$(PY) -m repro.cli verify-state --data-dir /tmp/repro-recover-smoke
+	! $(PY) -m repro.cli verify-state \
+	  --data-dir /tmp/repro-recover-smoke-missing
+	test ! -e /tmp/repro-recover-smoke-missing
 
 # Live-view smoke: replay the committed triangle update log through
 # `repro stream`, which recomputes the view after every batch (exit 1

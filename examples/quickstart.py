@@ -38,16 +38,15 @@ def main() -> None:
     print(f"probe points explored       : {stats['probes']}")
     print(f"constraints inserted        : {stats['constraints']}")
 
-    # --- Storage backends -------------------------------------------------
-    # Relations are indexed by the flat (CSR array-backed) trie by default
-    # (backend="auto").  backend="trie" selects the pointer-node reference
-    # implementation and backend="btree" routes tuples through a B-tree
-    # first; all backends answer every index probe identically — only the
-    # constant factors differ.  A per-join override is also available:
-    #     join(query, backend="trie")
+    # --- Index tier -------------------------------------------------------
+    # Relations are indexed by the flat (CSR array-backed) trie by default.
+    # Relation(..., backend="trie") builds the pointer-node reference index
+    # instead; both answer every index probe identically — only the
+    # constant factors differ.  The tier is chosen here, once: no join
+    # option rebuilds a relation's index.
     from repro import FlatTrieRelation
 
-    flat_backed = Relation("F", ["U", "V"], follows.tuples(), backend="flat")
+    flat_backed = Relation("F", ["U", "V"], follows.tuples())
     assert isinstance(flat_backed.index, FlatTrieRelation)
 
     # --- Counting-free evaluation ----------------------------------------
@@ -56,7 +55,7 @@ def main() -> None:
     # will read the Section-5.2 operation counts.
     from repro import NullCounters
 
-    fast = join(query, counters=NullCounters(), backend="flat")
+    fast = join(query, counters=NullCounters())
     assert sorted(fast.rows) == sorted(result.rows)
     print(f"fast path  : {len(fast.rows)} rows (no counting overhead)")
 

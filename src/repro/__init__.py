@@ -37,7 +37,6 @@ from repro.lang import parse
 from repro.planner import Plan, PlanCache, Planner
 from repro.serve import Session
 from repro.storage import (
-    BTree,
     DeltaRelation,
     FlatTrieRelation,
     IntervalList,
@@ -62,7 +61,6 @@ __all__ = [
     "WILDCARD",
     "join",
     "naive_join",
-    "BTree",
     "Catalog",
     "DeltaRelation",
     "FlatTrieRelation",

@@ -142,7 +142,11 @@ def check_certificate(
 
     Returns a counterexample instance (same variables, satisfies the
     argument, different witnesses) or None if all samples agree.
+    ``samples < 1`` raises ``ValueError``: zero attempts refute nothing,
+    so they must not pass as a check.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if not argument.satisfied_by(query):
         raise ValueError("the instance does not satisfy the argument")
     baseline = witnesses(query)

@@ -51,14 +51,16 @@ Commands
 ``recover --data-dir DIR [--snapshot]``
     Rebuild catalog state from a data directory (newest valid snapshot
     + WAL suffix replay, Merkle-verified) and report what was
-    recovered.  ``--snapshot`` then persists the recovered state as a
+    recovered; a directory that does not exist is refused, not
+    created.  ``--snapshot`` then persists the recovered state as a
     fresh snapshot and deletes the WAL segments it covers, bounding
     future recovery time.
 
 ``verify-state --data-dir DIR``
     Audit a data directory offline: manifest checksum, per-file
     SHA-256 hashes, Merkle relation roots and catalog root, WAL
-    integrity.  Exit 1 if any check fails (tampered or corrupt state).
+    integrity.  Exit 1 if any check fails (tampered or corrupt state)
+    or DIR does not exist.
 
 Relation files are headerless CSVs of integers, one tuple per line.
 """
@@ -108,7 +110,11 @@ def _load_relation(spec: str):
 def _build_query(specs: Sequence[str]) -> Query:
     if not specs:
         raise SystemExit("at least one --relation is required")
-    return Query([_load_relation(spec)[0] for spec in specs])
+    relations = [_load_relation(spec)[0] for spec in specs]
+    try:
+        return Query(relations)
+    except ValueError as exc:  # e.g. duplicate --relation name
+        raise SystemExit(str(exc))
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -130,7 +136,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 def _exec_spec(args: argparse.Namespace, query=None, **knobs):
     """The command's resolved :class:`~repro.core.engine.ExecSpec`.
 
-    Built from the shared ``--workers/--shards/--cds-backend`` flags
+    Built from the shared ``--workers/--shards`` flags
     plus the command's own ``knobs`` and resolved against ``query`` —
     or, with none loaded yet, range-checked and defaulted only.  An
     out-of-range flag exits with the spec's own message.
@@ -139,7 +145,6 @@ def _exec_spec(args: argparse.Namespace, query=None, **knobs):
         return ExecSpec(
             workers=args.workers,
             shards=args.shards,
-            cds_backend=args.cds_backend,
             **knobs,
         ).resolve(query)
     except ValueError as exc:
@@ -179,9 +184,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     budget, retry_policy = _resilience_args(args)
     query = _build_query(args.relation)
     gao = args.gao.split(",") if args.gao else None
-    spec = _exec_spec(
-        args, query, gao=gao or (), backend=args.backend, limit=args.limit
-    )
+    spec = _exec_spec(args, query, gao=gao or (), limit=args.limit)
     if args.explain:
         from repro.core.explain import explain, format_explanation
 
@@ -216,7 +219,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 "admission checkpoints)"
             )
         used_gao = gao = list(spec.gao)
-        prepared = query.with_gao(gao, backend=args.backend)
+        prepared = query.with_gao(gao)
         if args.engine == "leapfrog":
             from repro.baselines.leapfrog import leapfrog_triejoin
 
@@ -260,11 +263,14 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
     spec = _exec_spec(
         args, query, gao=args.gao.split(",") if args.gao else ()
     )
-    prepared = query.with_gao(spec.gao, backend=args.backend)
+    prepared = query.with_gao(spec.gao)
     if spec.sharded:
         from repro.parallel.certify import certify_sharded
 
-        results = certify_sharded(prepared, spec, samples=args.samples)
+        try:
+            results = certify_sharded(prepared, spec, samples=args.samples)
+        except ValueError as exc:
+            raise SystemExit(f"cannot check the certificate: {exc}")
         for shard in results:
             verdict = "PASSED" if shard.passed else "REFUTED"
             print(
@@ -288,9 +294,12 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
     )
     print(f"# output rows: {len(rows)}")
     print(f"# recorded comparisons: {len(argument)}")
-    counterexample = check_certificate(
-        prepared, argument, samples=args.samples
-    )
+    try:
+        counterexample = check_certificate(
+            prepared, argument, samples=args.samples
+        )
+    except ValueError as exc:
+        raise SystemExit(f"cannot check the certificate: {exc}")
     if counterexample is None:
         print("# certificate check: PASSED (no refuting instance found)")
         return 0
@@ -457,7 +466,7 @@ def _planner_config(args: argparse.Namespace):
     """
     from repro.planner import PlannerConfig
 
-    _exec_spec(args)  # range-checks --workers/--shards/--cds-backend
+    _exec_spec(args)  # range-checks --workers/--shards
     if args.sample_limit < 1:
         raise SystemExit("--sample-limit must be >= 1")
     budget, retry_policy = _resilience_args(args)
@@ -466,7 +475,6 @@ def _planner_config(args: argparse.Namespace):
         seed=args.seed,
         workers=args.workers or 0,
         shards=args.shards or 0,
-        cds_backend=args.cds_backend,
         budget=budget,
     ), retry_policy
 
@@ -878,10 +886,18 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_data_dir(path: str) -> None:
+    """Refuse a data directory that does not exist: recovery would
+    create it and then report the empty state it made as healthy."""
+    if not os.path.isdir(path):
+        raise SystemExit(f"no such data directory: {path}")
+
+
 def _cmd_recover(args: argparse.Namespace) -> int:
     """Rebuild catalog state from a data directory and report it."""
     from repro.dynamic import recover_catalog
 
+    _require_data_dir(args.data_dir)
     try:
         catalog, report = recover_catalog(
             args.data_dir,
@@ -916,6 +932,7 @@ def _cmd_verify_state(args: argparse.Namespace) -> int:
     """Audit a data directory: hashes, Merkle roots, WAL integrity."""
     from repro.dynamic import verify_state
 
+    _require_data_dir(args.data_dir)
     report = verify_state(args.data_dir)
     for line in report.lines():
         print(line)
@@ -942,19 +959,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def _add_cds_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cds-backend",
-        choices=["pointer", "arena"],
-        help="ConstraintTree storage backend (default: arena — flat "
-        "integer-indexed arrays; rows and op counts are invariant)",
-    )
-
-
 def _add_planner_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by the serving commands (query / serve)."""
     _add_parallel_flags(parser)
-    _add_cds_backend_flag(parser)
     _add_resilience_flags(parser)
     parser.add_argument(
         "--sample-limit", type=int, default=256, metavar="K",
@@ -1034,11 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the structural analysis + measured |C| instead of rows",
     )
     p_join.add_argument(
-        "--backend",
-        choices=["flat", "trie", "btree"],
-        help="storage backend for every relation (default: flat)",
-    )
-    p_join.add_argument(
         "--limit",
         type=int,
         metavar="K",
@@ -1046,7 +1048,6 @@ def build_parser() -> argparse.ArgumentParser:
         "op counts then reflect only the consumed part of the certificate)",
     )
     _add_parallel_flags(p_join)
-    _add_cds_backend_flag(p_join)
     _add_resilience_flags(p_join)
     p_join.set_defaults(func=_cmd_join)
 
@@ -1064,13 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME=A,B:FILE")
     p_cert.add_argument("--gao", help="comma-separated attribute order")
     p_cert.add_argument("--samples", type=int, default=20)
-    p_cert.add_argument(
-        "--backend",
-        choices=["flat", "trie", "btree"],
-        help="storage backend for every relation (default: flat)",
-    )
     _add_parallel_flags(p_cert)
-    _add_cds_backend_flag(p_cert)
     p_cert.set_defaults(func=_cmd_certificate)
 
     p_stream = sub.add_parser(
@@ -1096,7 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--print-rows", action="store_true",
                           help="print final view rows after the replay")
     _add_parallel_flags(p_stream)
-    _add_cds_backend_flag(p_stream)
     p_stream.set_defaults(func=_cmd_stream)
 
     p_query = sub.add_parser(

@@ -56,8 +56,9 @@ class ExecSpec:
     as-is to whatever executes it — including pool workers and the
     WAL/snapshot records of live views.  Rows are invariant in every
     field but ``gao`` (column order) and ``limit`` (prefix length); op
-    counts are additionally invariant in ``backend``, ``cds_backend``
-    and ``workers``.
+    counts are additionally invariant in ``cds_backend`` and
+    ``workers``.  The index tier is not a run knob: each relation keeps
+    the one its ``Relation(..., backend=...)`` built.
     """
 
     #: Global attribute order; empty = chosen per the paper (a nested
@@ -70,9 +71,6 @@ class ExecSpec:
     #: False stores CDS intervals unmerged (ablation E13; the naive
     #: list exists only in the pointer tree, so this pins it).
     merge_intervals: bool = True
-    #: Storage backend forced on every relation (``"flat"`` / ``"trie"``
-    #: / ``"btree"``); ``None`` keeps each relation's own.
-    backend: Optional[str] = None
     #: ConstraintTree storage: ``"arena"`` (default) or ``"pointer"``.
     cds_backend: Optional[str] = None
     #: Stop after this many output tuples (GAO order); the counters
@@ -224,12 +222,8 @@ def _prepare(
     from zero instead of accumulating on the prepared query's own.
     """
     spec = spec.resolve(query)
-    if (
-        spec.backend is not None
-        or not isinstance(query, PreparedQuery)
-        or spec.gao != query.gao
-    ):
-        return query.with_gao(spec.gao, counters, spec.backend), spec
+    if not isinstance(query, PreparedQuery) or spec.gao != query.gao:
+        return query.with_gao(spec.gao, counters), spec
     if counters is None:
         return query, spec
     for r in query.relations:
@@ -310,8 +304,14 @@ def join(
 ) -> JoinResult:
     """Evaluate a natural join with Minesweeper.
 
-    The nine run knobs are the fields of :class:`ExecSpec` (documented
+    The eight run knobs are the fields of :class:`ExecSpec` (documented
     there); this is the keyword facade over :func:`run_join`.
+
+    ``backend`` is not a knob: any value but ``None`` raises
+    ``ValueError`` (a relation's index tier is fixed by its
+    ``Relation(...)``).  The keyword stays only because the frozen perf
+    ledger's ``benchmarks/ledger/layers.py::_engine_call`` passes
+    ``backend=plan.backend``; ROADMAP item 1(b) removes it.
 
     ``counters`` receives the run's tally (pass ``NullCounters()`` to
     evaluate without paying for operation counting).  The remaining
@@ -326,12 +326,16 @@ def join(
     (then a typed :class:`~repro.core.resilience.ExecutionError`
     aborts the run).
     """
+    if backend is not None:
+        raise ValueError(
+            f"join() takes no index tier (got backend={backend!r}); "
+            "build the relations with Relation(..., backend=...)"
+        )
     spec = ExecSpec(
         gao=tuple(gao or ()),
         strategy=strategy,
         memoize=memoize,
         merge_intervals=merge_intervals,
-        backend=backend,
         cds_backend=cds_backend,
         limit=limit,
         shards=shards,

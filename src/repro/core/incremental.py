@@ -252,10 +252,10 @@ class LiveJoin:
     spec:
         How every evaluation this view performs — the seed, each insert
         term of a maintenance batch, and recomputes — runs (see
-        :class:`~repro.core.engine.ExecSpec`; ``backend`` and ``limit``
-        do not apply to a live view).  With no ``gao`` the paper's
-        choice is used when the stored column orders already obey it,
-        else an order they do obey.  An insert term runs under its own
+        :class:`~repro.core.engine.ExecSpec`; ``limit`` does not apply
+        to a live view).  With no ``gao`` the paper's choice is used
+        when the stored column orders already obey it, else an order
+        they do obey.  An insert term runs under its own
         GAO derived from this one (module docstring), with the strategy
         as declared resolved for it.
 
@@ -308,7 +308,7 @@ class LiveJoin:
         #: pooled workers agree with in-process runs); each +1 term
         #: runs under its own resolution (``_terms``).
         self._run_spec = replace(
-            spec, gao=tuple(gao), backend=None, limit=None
+            spec, gao=tuple(gao), limit=None
         ).resolve(query)
         #: The view's configuration as `!view` WAL records and snapshot
         #: manifests round-trip it: GAO, shards/workers and CDS backend

@@ -101,15 +101,12 @@ class Query:
         self,
         gao: Sequence[str],
         counters: Optional[OpCounters] = None,
-        backend: Optional[str] = None,
     ) -> "PreparedQuery":
         """Re-index every relation consistently with ``gao``.
 
         Column permutation rebuilds each trie; the result is a
         :class:`PreparedQuery` whose relations all share ``counters``.
-        ``backend`` overrides every relation's storage backend (see
-        :data:`repro.storage.relation.BACKENDS`); by default each
-        relation keeps the backend it was constructed with.
+        Each relation keeps the index tier it was constructed with.
         """
         gao = list(gao)
         self.check_gao(gao)
@@ -117,24 +114,16 @@ class Query:
         position = {a: i for i, a in enumerate(gao)}
         prepared: List[Relation] = []
 
-        def resolved(name: str) -> str:
-            # "auto" and its resolution are the same index: don't rebuild.
-            return DEFAULT_BACKEND if name == "auto" else name
-
         for r in self.relations:
             ordered_attrs = sorted(r.attributes, key=position.__getitem__)
-            if tuple(ordered_attrs) == r.attributes and (
-                backend is None or resolved(backend) == resolved(r.backend)
-            ):
+            if tuple(ordered_attrs) == r.attributes:
                 r.rebind_counters(shared)
                 prepared.append(r)
                 continue
             column_of = {a: i for i, a in enumerate(r.attributes)}
             perm = [column_of[a] for a in ordered_attrs]
             rows = [tuple(row[i] for i in perm) for row in r.tuples()]
-            if backend is not None:
-                rebuilt_backend = backend
-            elif r.backend in BACKENDS:
+            if r.backend in BACKENDS:
                 rebuilt_backend = r.backend
             else:
                 # A wrapped live index (Relation.from_index, e.g. a

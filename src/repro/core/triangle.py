@@ -223,7 +223,7 @@ class TriangleMinesweeper:
         self.counters = counters if counters is not None else OpCounters()
         if backend in ("auto", "flat"):
             make_index = FlatTrieRelation
-        elif backend in ("trie", "btree"):
+        elif backend == "trie":
             make_index = TrieRelation
         else:
             raise ValueError(f"unknown backend {backend!r}")
@@ -517,7 +517,7 @@ def triangle_join(
     (one pooled interval store, the default) or ``"pointer"`` (per-node
     ``IntervalList`` objects).  Rows and operation counts are invariant
     in the knob.  The arena variant requires the flat relation backend;
-    ``trie`` / ``btree`` ablations always run the pointer CDS.
+    the ``trie`` ablation always runs the pointer CDS.
     """
     from repro.core.cds_arena import resolve_cds_backend
 

@@ -2,10 +2,10 @@
 
 A plan is everything the serving layer needs to run a query without
 re-deciding anything: the engine (specialized triangle CDS, Yannakakis
-for alpha-acyclic inputs, or sharded/serial Minesweeper), the GAO, the
-storage/CDS backends, and the shard/worker split — plus the evidence
-the planner gathered (classification facts and the scored candidate
-scoreboard), so ``explain()`` can show *why* this plan won.
+for alpha-acyclic inputs, or sharded/serial Minesweeper), the GAO and
+the shard/worker split — plus the evidence the planner gathered
+(classification facts and the scored candidate scoreboard), so
+``explain()`` can show *why* this plan won.
 
 Plans are value objects: they hold no relation data, only names and
 knobs, which is what makes them cacheable across executions (keyed by
@@ -15,7 +15,7 @@ query signature + catalog generation; see :mod:`repro.planner.cache`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.core.engine import ExecSpec
 from repro.core.explain import Explanation, format_explanation
@@ -74,8 +74,13 @@ class Plan:
     engine: str
     gao: Tuple[str, ...]
     strategy: str = "auto"
-    backend: Optional[str] = None
-    cds_backend: Optional[str] = None
+    #: Not plan fields: a plan picks no index or CDS tier (the index
+    #: tier is fixed by each ``Relation(...)``, the CDS tier is the
+    #: engine default).  Kept as constants only because the frozen perf
+    #: ledger's ``benchmarks/ledger/layers.py::_engine_call`` reads them;
+    #: ROADMAP item 1(b) removes them.
+    backend: ClassVar[Optional[str]] = None
+    cds_backend: ClassVar[Optional[str]] = None
     shards: int = 1
     workers: int = 0
     triangle: Optional[TriangleMapping] = None
@@ -119,8 +124,6 @@ class Plan:
         return ExecSpec(
             gao=gao,
             strategy=self.strategy,
-            backend=self.backend,
-            cds_backend=self.cds_backend,
             shards=self.shards,
             workers=self.workers,
         )
@@ -137,10 +140,6 @@ class Plan:
         if self.shards > 1 or self.workers > 0:
             parts.append(f"shards={self.shards}")
             parts.append(f"workers={self.workers}")
-        if self.backend:
-            parts.append(f"backend={self.backend}")
-        if self.cds_backend:
-            parts.append(f"cds_backend={self.cds_backend}")
         return " ".join(parts)
 
     def explain(

@@ -86,9 +86,6 @@ class PlannerConfig:
     #: Bad GAOs are exactly the ones that blow up (Ex. B.6); without a
     #: cap, *measuring* them would cost what they were meant to avoid.
     score_budget: int = 20_000
-    #: Forced storage / CDS backends (None = engine defaults).
-    backend: Optional[str] = None
-    cds_backend: Optional[str] = None
     #: Default per-statement admission budget for sessions planned
     #: under this config (None = unbounded).  The planner itself never
     #: consults it — admission is an execution-time concern — but
@@ -267,8 +264,6 @@ class Planner:
             engine=engine,
             gao=tuple(gao),
             strategy="auto",
-            backend=config.backend,
-            cds_backend=config.cds_backend,
             shards=shards,
             workers=workers,
             triangle=mapping,

@@ -550,9 +550,7 @@ class Session:
 
             r, s, t = triangle_edges(lowered.query, triangle)
             # Already ascending: the engine sorts its output in this order.
-            rows = triangle_join(
-                r, s, t, counters, cds_backend=plan.cds_backend
-            )
+            rows = triangle_join(r, s, t, counters)
             self._post_check(admission, counters, len(rows), "triangle")
             return iter(rows)
         if plan.engine == ENGINE_YANNAKAKIS:

@@ -1,6 +1,5 @@
 """Storage substrate: ordered indexes and the CDS building blocks."""
 
-from repro.storage.btree import BTree
 from repro.storage.delta import DeltaRelation
 from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.interval_list import (
@@ -18,7 +17,6 @@ from repro.storage.trie import TrieRelation
 
 __all__ = [
     "BACKENDS",
-    "BTree",
     "DEFAULT_BACKEND",
     "DeltaRelation",
     "FlatTrieRelation",

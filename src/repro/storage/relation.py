@@ -15,30 +15,26 @@ level-by-level descent, or the paper's index-tuple API (``find_gap`` /
 :class:`repro.storage.index_tuple.IndexTupleAPI`) derived from it —
 plus full-tuple iteration for the baselines, which model scans.
 
-Backends (the ``backend`` flag; ``"auto"`` is the default):
+The index tier is chosen here, once, by the ``backend`` argument
+(``"auto"`` is the default); no later run option rebuilds it:
 
 * ``"flat"`` — :class:`repro.storage.flat_trie.FlatTrieRelation`, the
   CSR array-backed index of the fast tier (what ``"auto"`` resolves to);
 * ``"trie"`` — the pointer-node :class:`repro.storage.trie.TrieRelation`,
   the plain tier's index (the reference the flat trie is
-  property-checked against);
-* ``"btree"`` — routes the tuples through a
-  :class:`repro.storage.btree.BTree` before building the pointer trie,
-  exercising the paper's claim that a B-tree keyed consistently with the
-  GAO realizes the same index model.
+  property-checked against).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from repro.storage.btree import BTree
 from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.trie import TrieRelation
 from repro.util.counters import OpCounters
 
 #: Accepted values for ``Relation(..., backend=...)``.
-BACKENDS = ("auto", "flat", "trie", "btree")
+BACKENDS = ("auto", "flat", "trie")
 
 #: What ``"auto"`` resolves to — the array-backed engine.
 DEFAULT_BACKEND = "flat"
@@ -81,13 +77,7 @@ class Relation:
         self.backend = backend
         self.counters = counters if counters is not None else OpCounters()
         resolved = DEFAULT_BACKEND if backend == "auto" else backend
-        if resolved == "btree":
-            tree = BTree(rows)
-            rows = list(tree)
-            self.index = TrieRelation(
-                rows, arity=len(attrs), counters=self.counters
-            )
-        elif resolved == "trie":
+        if resolved == "trie":
             self.index = TrieRelation(
                 rows, arity=len(attrs), counters=self.counters
             )
@@ -114,8 +104,8 @@ class Relation:
         wrapper shares the index object, so updates applied to the index
         are visible through the relation immediately.  ``backend`` is a
         label only; the index is taken as-is.  Note that if
-        ``Query.with_gao`` must re-index such a relation (column
-        reorder or explicit backend override), the rebuilt copy is a
+        ``Query.with_gao`` must re-index such a relation (a column
+        reorder), the rebuilt copy is a
         *static snapshot* of the live contents at that moment.
         """
         attrs = _validate_schema(name, attributes)

@@ -20,7 +20,7 @@ The paper's index interface is reproduced exactly:
 This pointer trie is the plain tier's index: one node object per distinct
 prefix, nothing cached or flattened, the reference
 :class:`repro.storage.flat_trie.FlatTrieRelation` is property-checked
-against (and the index behind the ``trie`` / ``btree`` ablations).  The
+against (and the index behind the ``trie`` ablations).  The
 index-tuple methods above come from
 :class:`repro.storage.index_tuple.IndexTupleAPI`; this class supplies
 the handle API and ``_node_at``.

@@ -14,7 +14,9 @@ from repro.certificates.comparisons import (
     witnesses,
 )
 from repro.certificates.verifier import check_certificate, sample_satisfying_instance
+from repro.core.engine import ExecSpec
 from repro.core.query import Query
+from repro.parallel.certify import certify_sharded
 from repro.storage.relation import Relation
 
 
@@ -172,6 +174,21 @@ class TestVerifier:
         )
         counterexample = check_certificate(q, Argument(), samples=30, seed=0)
         assert counterexample is not None
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_zero_refutation_attempts_is_an_error(self, samples):
+        """An empty argument does not certify an instance with output;
+        zero samples would never find out, so they must not pass."""
+        q = prepared(
+            ("R", ["A"], [(1,), (3,)]),
+            ("S", ["A"], [(1,), (2,)]),
+            gao=["A"],
+        )
+        message = f"samples must be >= 1, got {samples}"
+        with pytest.raises(ValueError, match=message):
+            check_certificate(q, Argument(), samples=samples)
+        with pytest.raises(ValueError, match=message):
+            certify_sharded(q, ExecSpec(shards=2), samples=samples)
 
     def test_accepts_trivially_certified_instances(self):
         """A single relation's output is fully determined by shape."""

@@ -1,5 +1,6 @@
 """CLI tests (``python -m repro``)."""
 
+import argparse
 import io
 import sys
 
@@ -73,22 +74,18 @@ class TestJoin:
         # apple -> 0, banana -> 1 (order-preserving codes)
         assert "1,1" in out and "2,0" in out
 
+    @pytest.mark.parametrize("command", ["join", "certificate", "gao-search"])
+    def test_duplicate_relation_names_are_a_clean_error(
+        self, command, relation_files
+    ):
+        r_spec, _ = relation_files
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--relation", r_spec, "--relation", r_spec])
+        assert "duplicate relation names" in str(exc_info.value)
+
     def test_missing_file_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["join", "--relation", "R=A,B:/does/not/exist.csv"])
-
-    def test_backend_flag_all_backends_agree(self, relation_files, capsys):
-        r_spec, s_spec = relation_files
-        outputs = set()
-        for backend in ("flat", "trie", "btree"):
-            code, out, _ = run_cli(
-                ["join", "--relation", r_spec, "--relation", s_spec,
-                 "--gao", "A,B,C", "--backend", backend],
-                capsys,
-            )
-            assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1
 
     def test_limit_streams_top_k(self, relation_files, capsys):
         r_spec, s_spec = relation_files
@@ -153,15 +150,20 @@ class TestCertificate:
         assert code == 0
         assert "PASSED" in out
 
-    def test_backend_flag(self, relation_files, capsys):
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("sharding", [[], ["--shards", "2"]])
+    def test_no_refutation_attempts_is_a_usage_error(
+        self, relation_files, capsys, samples, sharding
+    ):
         r_spec, s_spec = relation_files
-        code, out, _ = run_cli(
-            ["certificate", "--relation", r_spec, "--relation", s_spec,
-             "--samples", "3", "--backend", "trie"],
-            capsys,
+        with pytest.raises(SystemExit) as exc_info:
+            main(["certificate", "--relation", r_spec, "--relation", s_spec,
+                  "--samples", samples, *sharding])
+        assert str(exc_info.value) == (
+            f"cannot check the certificate: samples must be >= 1, "
+            f"got {samples}"
         )
-        assert code == 0
-        assert "PASSED" in out
+        assert "PASSED" not in capsys.readouterr().out
 
 
 class TestStream:
@@ -267,6 +269,22 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_no_command_offers_an_index_or_cds_tier(self):
+        """Tiers are chosen where their objects are built, never by a
+        command-line flag."""
+        parser = build_parser()
+        subparsers = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert {"join", "certificate", "stream", "query", "serve"} <= set(
+            subparsers.choices
+        )
+        for name, sub in subparsers.choices.items():
+            help_text = sub.format_help()
+            assert "--backend" not in help_text, name
+            assert "--cds-backend" not in help_text, name
 
     def test_bench_subcommand_is_gone(self):
         # wall-clock lives in benchmarks/ledger/, paper tables in
@@ -545,6 +563,18 @@ class TestDurableCli:
         )
         assert code == 0
         assert "# snapshot 1 @ wal lsn" in out
+
+    @pytest.mark.parametrize("command", ["recover", "verify-state"])
+    def test_missing_data_dir_is_refused_and_not_created(
+        self, tmp_path, capsys, command
+    ):
+        missing = tmp_path / "no-such-dir"
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--data-dir", str(missing)])
+        assert exc_info.value.code != 0
+        assert str(exc_info.value) == f"no such data directory: {missing}"
+        assert not missing.exists()
+        assert "PASSED" not in capsys.readouterr().out
 
     def test_verify_state_passes_then_catches_tampering(
         self, tmp_path, capsys

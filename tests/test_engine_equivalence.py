@@ -5,6 +5,8 @@ strategies), LFTJ, generic join, hash plans, Yannakakis (when acyclic),
 the triangle engine (on triangle shapes), and the naive evaluator.
 """
 
+import dataclasses
+import json
 import pickle
 
 import pytest
@@ -216,3 +218,24 @@ def test_resolve_is_idempotent_and_decides_everything():
         {**resolved.to_record(), "name": "V", "relations": ["R"]}
     ) == resolved
     assert pickle.loads(pickle.dumps(resolved)) == resolved
+
+
+def test_tiers_are_not_run_knobs():
+    """The index tier is fixed by ``Relation(...)``; the CDS tier has
+    one seam, ``ExecSpec.cds_backend``; no plan or planner field picks
+    either, and a live view's record keeps its five keys."""
+    from repro.planner import Plan, PlannerConfig
+
+    assert [f.name for f in dataclasses.fields(ExecSpec)] == [
+        "gao", "strategy", "memoize", "merge_intervals", "cds_backend",
+        "limit", "shards", "workers",
+    ]
+    tiers = {"backend", "cds_backend"}
+    assert not tiers & {f.name for f in dataclasses.fields(PlannerConfig)}
+    assert not tiers & {f.name for f in dataclasses.fields(Plan)}
+    assert Plan.backend is None and Plan.cds_backend is None
+    record = ExecSpec(gao=("A", "B"), workers=2).resolve().to_record()
+    assert json.dumps(record, sort_keys=True) == (
+        '{"cds_backend": "arena", "gao": ["A", "B"], "shards": 2, '
+        '"strategy": "auto", "workers": 2}'
+    )

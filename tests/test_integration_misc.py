@@ -1,44 +1,14 @@
 """Cross-cutting integration checks that fit no single module file."""
 
-import random
-
 import pytest
 
 from repro.core.engine import JoinResult, join
-from repro.core.query import Query, naive_join
+from repro.core.query import Query
 from repro.core.triangle import TriangleMinesweeper
 from repro.core.triangle_arena import ArenaTriangleMinesweeper
 from repro.datasets.instances import triangle_with_output
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
-
-
-class TestBTreeBackendEndToEnd:
-    """The index-model claim: a B-tree-backed relation joins identically."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_engine_agrees_across_backends(self, seed):
-        rng = random.Random(seed)
-        rows_r = {(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(10)}
-        rows_s = {(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(10)}
-        via_trie = Query(
-            [
-                Relation("R", ["A", "B"], rows_r, backend="trie"),
-                Relation("S", ["B", "C"], rows_s, backend="trie"),
-            ]
-        )
-        via_btree = Query(
-            [
-                Relation("R", ["A", "B"], rows_r, backend="btree"),
-                Relation("S", ["B", "C"], rows_s, backend="btree"),
-            ]
-        )
-        gao = ["A", "B", "C"]
-        assert (
-            sorted(join(via_trie, gao=gao).rows)
-            == sorted(join(via_btree, gao=gao).rows)
-            == naive_join(via_trie, gao)
-        )
 
 
 class TestDyadicInvariantAfterRealRuns:

@@ -117,7 +117,6 @@ class TestBackendFlag:
     @pytest.mark.parametrize("backend,index_type", [
         ("flat", FlatTrieRelation),
         ("trie", TrieRelation),
-        ("btree", TrieRelation),
     ])
     def test_explicit_backends(self, backend, index_type):
         rel = Relation("R", ["A", "B"], [(1, 2), (2, 1)], backend=backend)
@@ -129,15 +128,20 @@ class TestBackendFlag:
         prepared = Query([rel]).with_gao(["A", "B"])
         assert isinstance(prepared.relation("R").index, TrieRelation)
 
-    def test_with_gao_backend_override(self):
+    def test_join_refuses_an_index_tier(self):
+        """The tier is fixed where the relation is built: ``join``'s
+        ``backend`` keyword accepts only ``None``."""
         rel = Relation("R", ["A", "B"], [(1, 2)], backend="trie")
-        prepared = Query([rel]).with_gao(["A", "B"], backend="flat")
-        assert isinstance(prepared.relation("R").index, FlatTrieRelation)
+        query = Query([rel])
+        assert join(query, gao=["A", "B"], backend=None).rows == [(1, 2)]
+        for tier in ("flat", "trie", "auto"):
+            with pytest.raises(ValueError, match="no index tier"):
+                join(query, backend=tier)
 
     def test_join_backends_agree(self):
         r, s, t, _ = triangle_hard(8)
         results = {}
-        for backend in ("flat", "trie", "btree"):
+        for backend in ("flat", "trie"):
             query = Query(
                 [
                     Relation("R", ["A", "B"], r, backend=backend),
@@ -153,7 +157,7 @@ class TestBackendFlag:
                 counters=NullCounters(),
             )
             assert fast.rows == res.rows
-        assert results["flat"] == results["trie"] == results["btree"]
+        assert results["flat"] == results["trie"]
 
     @pytest.mark.parametrize("make,planted", [
         (lambda: triangle_hard(32)[:3], 0),

@@ -60,13 +60,6 @@ class TestBehaviour:
         r.index.find_gap((), 0)
         assert c.findgap == 1
 
-    def test_btree_backend_equivalent(self):
-        rows = [(3, 1), (1, 2), (2, 9), (1, 1)]
-        via_trie = Relation("R", ["A", "B"], rows, backend="trie")
-        via_btree = Relation("R", ["A", "B"], rows, backend="btree")
-        assert via_trie.tuples() == via_btree.tuples()
-        assert via_trie.index.find_gap((), 2) == via_btree.index.find_gap((), 2)
-
     def test_repr_mentions_schema(self):
         r = Relation("R", ["A", "B"], [(1, 2)])
         assert "R(A, B)" in repr(r)
