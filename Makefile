@@ -110,10 +110,12 @@ trace-smoke:
 
 # Chaos smoke: arm a worker-targeted crash fault in the environment
 # (the supervisor retries the killed attempt) and require the pooled
-# sharded join's stdout to be byte-identical to the fault-free
-# in-process (workers=0) run; then arm a hang and require the
-# --deadline-ms admission deadline to surface as a typed QueryTimeout
-# (CLI exit 4) instead of a stuck pool.  CI runs this next to
+# sharded join's stdout, and then the pooled sharded certificate
+# check's (under a 120 s timeout, so a stuck worker fails the step),
+# to be byte-identical to the fault-free in-process (workers=0) run;
+# then arm a hang and require the --deadline-ms admission deadline
+# to surface as a typed QueryTimeout (CLI exit 4) instead of a stuck
+# pool.  CI runs this next to
 # recover-smoke / trace-smoke.
 chaos-smoke:
 	printf '1,2\n2,1\n2,3\n3,2\n3,1\n1,3\n1,4\n4,1\n2,4\n4,2\n3,4\n4,3\n' \
@@ -130,6 +132,18 @@ chaos-smoke:
 	  --relation T=A,C:/tmp/repro-chaos-smoke.csv \
 	  --workers 2 --shards 2 > /tmp/repro-chaos-smoke.got
 	diff /tmp/repro-chaos-smoke.expected /tmp/repro-chaos-smoke.got
+	$(PY) -m repro.cli certificate \
+	  --relation R=A,B:/tmp/repro-chaos-smoke.csv \
+	  --relation S=B,C:/tmp/repro-chaos-smoke.csv \
+	  --relation T=A,C:/tmp/repro-chaos-smoke.csv \
+	  --workers 0 --shards 2 > /tmp/repro-chaos-smoke-cert.expected
+	REPRO_WORKER_FAULT=crash REPRO_WORKER_FAULT_TIMES=1 \
+	  timeout 120 $(PY) -m repro.cli certificate \
+	  --relation R=A,B:/tmp/repro-chaos-smoke.csv \
+	  --relation S=B,C:/tmp/repro-chaos-smoke.csv \
+	  --relation T=A,C:/tmp/repro-chaos-smoke.csv \
+	  --workers 2 --shards 2 > /tmp/repro-chaos-smoke-cert.got
+	diff /tmp/repro-chaos-smoke-cert.expected /tmp/repro-chaos-smoke-cert.got
 	REPRO_WORKER_FAULT=hang REPRO_WORKER_FAULT_TIMES=99 \
 	  REPRO_WORKER_FAULT_SECONDS=30 \
 	  $(PY) -m repro.cli join \

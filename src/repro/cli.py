@@ -458,11 +458,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _planner_config(args: argparse.Namespace):
-    """``(PlannerConfig, RetryPolicy | None)`` from the query/serve flags.
+    """``(PlannerConfig, QueryBudget | None, RetryPolicy | None)`` from
+    the query/serve flags.
 
-    The admission budget rides on the config (``PlannerConfig.budget``)
-    so the session picks it up as its per-statement default; the retry
-    policy is a session-level knob and returned separately.
+    The admission budget and the retry policy are session-level knobs
+    and returned beside the config.
     """
     from repro.planner import PlannerConfig
 
@@ -475,8 +475,7 @@ def _planner_config(args: argparse.Namespace):
         seed=args.seed,
         workers=args.workers or 0,
         shards=args.shards or 0,
-        budget=budget,
-    ), retry_policy
+    ), budget, retry_policy
 
 
 def _print_exec_result(result) -> None:
@@ -533,7 +532,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.lang import QueryError
     from repro.serve import Session
 
-    config, retry_policy = _planner_config(args)
+    config, budget, retry_policy = _planner_config(args)
     catalog = _catalog_from_specs(args.relation)
     obs = None
     if args.trace:
@@ -541,7 +540,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
         obs = Observability(trace=True)
     session = Session(
-        catalog, config=config, obs=obs, retry_policy=retry_policy
+        catalog, config=config, obs=obs, budget=budget,
+        retry_policy=retry_policy,
     )
     if args.repl:
         if args.text or args.explain:
@@ -615,7 +615,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _cmd_serve_http(args)
     if not args.script:
         raise SystemExit("serve requires --script (or --http)")
-    config, retry_policy = _planner_config(args)
+    config, budget, retry_policy = _planner_config(args)
     if args.slow_query_ms is not None and args.slow_query_ms < 0:
         raise SystemExit("--slow-query-ms must be non-negative")
     obs = None
@@ -632,7 +632,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             session = Session.durable(
                 args.data_dir, config=config, fsync=args.fsync, obs=obs,
-                retry_policy=retry_policy,
+                budget=budget, retry_policy=retry_policy,
             )
         except ValueError as exc:  # corrupt WAL / tampered snapshot
             raise SystemExit(f"cannot recover {args.data_dir}: {exc}")
@@ -643,7 +643,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit("--snapshot-on-exit requires --data-dir")
         session = Session(
             _catalog_from_specs(args.relation), config=config, obs=obs,
-            retry_policy=retry_policy,
+            budget=budget, retry_policy=retry_policy,
         )
     # Even when the script fails, a durable session must close its WAL
     # so batch-policy commits get their close-time fsync.  The one
@@ -716,7 +716,8 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
     from repro.net import TenantRegistry, serve_http
 
-    config, retry_policy = _planner_config(args)
+    # The budget flags reach each tenant through its TenantSpec defaults.
+    config, _, retry_policy = _planner_config(args)
     if args.slow_query_ms is not None and args.slow_query_ms < 0:
         raise SystemExit("--slow-query-ms must be non-negative")
     if args.snapshot_on_exit and not args.data_dir:

@@ -482,18 +482,6 @@ class Catalog:
             ).observe(time.perf_counter() - t0)  # lint: disable=determinism -- reporting-only timing; never feeds results
         return info
 
-    @classmethod
-    def recover(cls, data_dir: str, **kwargs):
-        """Rebuild a catalog: newest valid snapshot + WAL suffix replay.
-
-        Returns ``(catalog, RecoveryReport)``; see
-        :func:`repro.dynamic.durable.recover_catalog` for the knobs
-        (fsync policy, verification, whether to re-attach the WAL).
-        """
-        from repro.dynamic.durable import recover_catalog
-
-        return recover_catalog(data_dir, **kwargs)
-
     def state_roots(self) -> dict:
         """Merkle roots over the current live state (hex-encoded)."""
         from repro.dynamic import merkle

@@ -15,17 +15,19 @@ Layers:
 * :mod:`repro.parallel.planner` — split the leading attribute's domain
   into ``k`` contiguous ranges, balanced by stored tuple counts, and
   slice the prepared relations per range;
-* :mod:`repro.parallel.executor` — run one Minesweeper per shard, in a
-  ``multiprocessing`` pool (``workers >= 1``) or in-process
-  (``workers=0``, the deterministic sequential mode tests and op-count
-  parity checks rely on), and merge rows + counters;
-* :mod:`repro.parallel.supervisor` — the resilient pooled path: one
-  supervised process per shard attempt with death detection, per-shard
-  timeouts, bounded retries with backoff, and a deterministic
-  in-process fallback (see :mod:`repro.core.resilience` for the policy
-  vocabulary);
-* :mod:`repro.parallel.certify` — the same fan-out for the
-  Proposition-2.5 certificate recorder/checker.
+* :mod:`repro.parallel.executor` — build one payload per shard and
+  merge the shards' rows + counters; each shard is one Minesweeper run,
+  in worker processes (``workers >= 1``) or in-process (``workers=0``,
+  the deterministic sequential mode tests and op-count parity checks
+  rely on);
+* :mod:`repro.parallel.supervisor` — the one place worker processes
+  are started: one supervised process per shard attempt with death
+  detection, per-shard timeouts, bounded retries with backoff, and a
+  deterministic in-process fallback (see :mod:`repro.core.resilience`
+  for the policy vocabulary);
+* :mod:`repro.parallel.certify` — the Proposition-2.5 certificate
+  recorder/checker run per shard, over the executor's payloads and
+  under the same supervisor.
 
 Entry points: the ``shards`` / ``workers`` fields of
 :class:`repro.core.engine.ExecSpec` — ``join(..., workers=, shards=)``,
@@ -35,7 +37,7 @@ Entry points: the ``shards`` / ``workers`` fields of
 """
 
 from repro.parallel.executor import ShardedRun, run_sharded
-from repro.parallel.planner import Shard, plan_shards, shard_relations
+from repro.parallel.planner import Shard, plan_shards
 from repro.parallel.supervisor import ShardSupervisor
 
 __all__ = [
@@ -44,5 +46,4 @@ __all__ = [
     "ShardedRun",
     "plan_shards",
     "run_sharded",
-    "shard_relations",
 ]

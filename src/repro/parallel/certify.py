@@ -8,26 +8,26 @@ produces every shard's output, and the shards' outputs partition the
 full output along the leading attribute.  Each shard's argument is
 checked by the randomized Definition-2.3 refuter independently — the
 natural fan-out for the ``repro certificate --shards/--workers`` CLI.
+
+The shards run under the same :class:`ShardSupervisor` as a sharded
+join — same plan, same payloads, same death detection, retries and
+in-process fallback — with :func:`_certify_shard` as the per-shard
+runner.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+import functools
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from repro.certificates.recorder import record_certificate
 from repro.certificates.verifier import check_certificate
 from repro.core.engine import ExecSpec
 from repro.core.query import PreparedQuery
-from repro.parallel.planner import plan_and_slice
-from repro.storage.relation import Relation
+from repro.parallel.executor import plan_payloads
+from repro.parallel.supervisor import Row, ShardPayload, ShardSupervisor
 from repro.util.counters import OpCounters
-
-#: (relations, gao, lo, hi, samples, cds_backend) shipped to a worker.
-CertifyPayload = Tuple[
-    List[Relation], List[str], int, int, int, Optional[str]
-]
 
 
 @dataclass
@@ -42,17 +42,22 @@ class ShardCertificate:
     passed: bool
 
 
-def _certify_shard(payload: CertifyPayload) -> ShardCertificate:
-    relations, gao, lo, hi, samples, cds_backend = payload
+def _certify_shard(
+    payload: ShardPayload, samples: int
+) -> Tuple[List[Row], ShardCertificate]:
+    """Record and check one shard's certificate; the rows go back too,
+    so the supervisor validates them like a join shard's."""
     counters = OpCounters()
-    for r in relations:
+    for r in payload.relations:
         r.rebind_counters(counters)
-    prepared = PreparedQuery(list(relations), gao, counters)
-    rows, argument = record_certificate(prepared, cds_backend=cds_backend)
+    prepared = PreparedQuery(payload.relations, payload.spec.gao, counters)
+    rows, argument = record_certificate(
+        prepared, cds_backend=payload.spec.cds_backend
+    )
     counterexample = check_certificate(prepared, argument, samples=samples)
-    return ShardCertificate(
-        lo=lo,
-        hi=hi,
+    return rows, ShardCertificate(
+        lo=payload.lo,
+        hi=payload.hi,
         rows=len(rows),
         comparisons=len(argument),
         findgap=counters.findgap,
@@ -67,29 +72,21 @@ def certify_sharded(
 
     Of ``spec`` only ``shards`` / ``workers`` / ``cds_backend`` apply
     (the GAO is ``prepared``'s): ``workers=0`` runs the shards
-    sequentially in-process; ``>= 1`` uses a ``multiprocessing`` pool.
-    Results arrive in plan (range) order either way.
+    sequentially in-process; ``>= 1`` runs them in supervised worker
+    processes.  Results arrive in plan (range) order either way.
     """
-    # Resolved on the driver so pool workers agree with in-process runs.
-    spec = spec.resolve()
-    workers, cds_backend = spec.workers, spec.cds_backend
-    plan, slices = plan_and_slice(
-        prepared.relations, prepared.gao[0], spec.shards or 1
+    # Checked here: in a worker the error would be retried as a fault.
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    spec = replace(spec, gao=prepared.gao).resolve()
+    plan, payloads = plan_payloads(prepared.relations, spec, count=True)
+    supervisor = ShardSupervisor(
+        functools.partial(_certify_shard, samples=samples),
+        payloads,
+        plan,
+        spec.workers or 0,
     )
-    payloads = [
-        (
-            shard_rels,
-            list(prepared.gao),
-            shard.lo,
-            shard.hi,
-            samples,
-            cds_backend,
-        )
-        for shard, shard_rels in zip(plan, slices)
-    ]
-    if workers and payloads:
-        with multiprocessing.get_context().Pool(
-            min(workers, len(payloads))
-        ) as pool:
-            return pool.map(_certify_shard, payloads, chunksize=1)
-    return [_certify_shard(payload) for payload in payloads]
+    try:
+        return [certificate for _, certificate in supervisor.results()]
+    finally:
+        supervisor.shutdown()

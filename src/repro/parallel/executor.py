@@ -50,7 +50,7 @@ from repro.core.resilience import (
     RetryPolicy,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.parallel.planner import plan_and_slice
+from repro.parallel.planner import Shard, plan_and_slice
 from repro.parallel.supervisor import (
     ShardPayload,
     ShardResult,
@@ -91,6 +91,23 @@ def _run_shard(payload: ShardPayload) -> ShardResult:
             deadline_ms=max(1, int(payload.deadline_s * 1000))
         ).admit()
     return list(stream_rows(prepared, payload.spec, admission)), counters
+
+
+def plan_payloads(
+    relations: Sequence[Relation],
+    spec: ExecSpec,
+    count: bool,
+    admission: Optional[AdmittedQuery] = None,
+) -> Tuple[List[Shard], List[ShardPayload]]:
+    """The shard plan of ``spec`` over ``relations`` and one payload
+    per shard, each carrying the unchanged ``spec`` and the remaining
+    deadline fraction of ``admission``."""
+    plan, slices = plan_and_slice(relations, spec.gao[0], spec.shards or 1)
+    deadline_s = admission.remaining_s() if admission is not None else None
+    return plan, [
+        ShardPayload(shard_rels, spec, count, shard.lo, shard.hi, deadline_s)
+        for shard, shard_rels in zip(plan, slices)
+    ]
 
 
 def run_sharded(
@@ -140,18 +157,14 @@ def run_sharded(
     if tracer is None:
         tracer = NULL_TRACER
     limit, workers = spec.limit, spec.workers or 0
-    plan, slices = plan_and_slice(relations, spec.gao[0], spec.shards or 1)
+    plan, payloads = plan_payloads(
+        relations, spec, counters.enabled, admission
+    )
     if limit == 0 or not plan:
         # Nothing to run: limit=0 consumes no certificate at all, and an
         # empty leading domain proves emptiness from the stored tries
         # alone (an output value must occur in some leading relation).
         return ShardedRun([], counters, len(plan), 0)
-    count = counters.enabled
-    deadline_s = admission.remaining_s() if admission is not None else None
-    payloads = [
-        ShardPayload(shard_rels, spec, count, shard.lo, shard.hi, deadline_s)
-        for shard, shard_rels in zip(plan, slices)
-    ]
     rows: List[Row] = []
     stats = resilience if resilience is not None else ResilienceStats()
     supervisor = ShardSupervisor(
@@ -213,4 +226,4 @@ def run_sharded(
     return ShardedRun(rows, counters, len(payloads), discarded)
 
 
-__all__ = ["ShardPayload", "ShardedRun", "run_sharded"]
+__all__ = ["ShardPayload", "ShardedRun", "plan_payloads", "run_sharded"]

@@ -123,29 +123,18 @@ def _buildable(backend: str) -> str:
     return backend if backend in BACKENDS else DEFAULT_BACKEND
 
 
-def shard_relations(
-    relations: Sequence[Relation], attribute: str, shard: Shard
-) -> List[Relation]:
-    """The query's relations restricted to one shard.
-
-    Relations leading with ``attribute`` are sliced to the shard's
-    value range (a contiguous slice of their sorted tuples, found by
-    bisection); all others are passed through unchanged.
-    """
-    return slice_plan(relations, attribute, [shard])[0]
-
-
 def slice_plan(
     relations: Sequence[Relation],
     attribute: str,
     plan: Sequence[Shard],
-    leading_rows: Optional[Dict[str, List[Tuple[int, ...]]]] = None,
+    leading_rows: Dict[str, List[Tuple[int, ...]]],
 ) -> List[List[Relation]]:
     """Per-shard relation lists for a whole plan.
 
-    Like mapping :func:`shard_relations` over ``plan``, but each leading
-    relation's tuple list is materialized once and sliced per shard,
-    rather than re-read from the index for every range.
+    Relations leading with ``attribute`` are sliced to each shard's
+    value range — a contiguous slice of their materialized tuple list
+    (``leading_rows``), found by bisection; all others are passed
+    through unchanged.
     """
     out: List[List[Relation]] = [[] for _ in plan]
     for r in relations:
@@ -153,9 +142,7 @@ def slice_plan(
             for per_shard in out:
                 per_shard.append(r)
             continue
-        rows = (
-            leading_rows[r.name] if leading_rows is not None else r.tuples()
-        )
+        rows = leading_rows[r.name]
         backend = _buildable(r.backend)
         for per_shard, shard in zip(out, plan):
             lo_i = bisect_left(rows, (shard.lo,))

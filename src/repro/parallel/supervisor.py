@@ -1,10 +1,12 @@
 """Supervised shard execution: retries, timeouts, fallback, breaker.
 
-The pre-resilience executor drove shards through a bare
-``multiprocessing.Pool.imap`` — one dead worker (OOM kill, segfault,
-interpreter crash) and the whole query stalled or died with it, with
-no retry and no diagnosis.  The :class:`ShardSupervisor` replaces that
-with one supervised process per shard *attempt*:
+The :class:`ShardSupervisor` is the only code in the package that
+starts worker processes: sharded joins (``executor.run_sharded``) and
+sharded certificate runs (``certify.certify_sharded``) both hand it
+their payloads and a per-shard runner.  A bare ``multiprocessing.Pool``
+stalls or dies with one dead worker (OOM kill, segfault, interpreter
+crash), with no retry and no diagnosis; the supervisor runs one
+supervised process per shard *attempt* instead:
 
 * **Death detection** — each attempt reports through its own
   ``Pipe``; a worker that exits without sending (its pipe end closing
@@ -16,10 +18,10 @@ with one supervised process per shard *attempt*:
 * **Bounded retries with exponential backoff** — a failed attempt
   (crash, timeout, poisoned result, worker exception) is re-dispatched
   up to ``retries`` times; then the shard is re-executed
-  **in-process** (the deterministic fallback — the same
-  ``_run_shard`` the sequential mode runs, so results stay
-  byte-identical).  Only when all of that fails does the run raise a
-  structured :class:`~repro.core.resilience.ShardFailure`.
+  **in-process** (the deterministic fallback — the same runner the
+  sequential mode runs, so results stay byte-identical).  Only when
+  all of that fails does the run raise a structured
+  :class:`~repro.core.resilience.ShardFailure`.
 * **Result validation** — a shard's rows must lead within its
   ``[lo, hi]`` range and be ordered; a poisoned result is treated as a
   failed attempt, never silently merged.
@@ -50,6 +52,7 @@ from collections import deque
 from multiprocessing.connection import Connection, wait as connection_wait
 from multiprocessing.process import BaseProcess
 from typing import (
+    Any,
     Callable,
     Deque,
     Dict,
@@ -75,6 +78,7 @@ from repro.parallel.planner import Shard
 from repro.storage.relation import Relation
 from repro.testing.faults import (
     InjectedCrash,
+    InjectedWorkerFault,
     WorkerFault,
     apply_worker_fault,
     claim_worker_fault,
@@ -82,7 +86,6 @@ from repro.testing.faults import (
     install_from_env,
     poison_result,
 )
-from repro.util.counters import OpCounters
 
 Row = Tuple[int, ...]
 
@@ -103,11 +106,15 @@ class ShardPayload(NamedTuple):
     deadline_s: Optional[float]
 
 
-#: One completed shard: (rows, per-shard counters).
-ShardResult = Tuple[List[Row], OpCounters]
+#: One completed shard: its rows and what the runner reports beside
+#: them — per-shard counters for a join, a ``ShardCertificate`` for a
+#: certificate run.  Only the rows are validated; the second element
+#: passes through untouched.
+ShardResult = Tuple[List[Row], Any]
 
-#: The per-shard engine runner (``executor._run_shard``), injected so
-#: this module never imports the executor (which imports it).
+#: The per-shard runner (``executor._run_shard`` or
+#: ``certify._certify_shard``), injected so this module never imports
+#: its callers (which import it).
 RunShard = Callable[[ShardPayload], ShardResult]
 
 
@@ -121,7 +128,7 @@ def _attempt_main(
 ) -> None:
     """Pool-worker entry for one shard attempt.
 
-    Sends ``("ok", rows, counters)`` or ``("err", exc)`` through the
+    Sends ``("ok", rows, extra)`` or ``("err", exc)`` through the
     pipe; an armed ``crash`` fault (or a real death) sends nothing —
     the closed pipe end is the driver's signal.  ``install_from_env``
     re-arms env-configured crash points under spawn start methods
@@ -130,9 +137,9 @@ def _attempt_main(
     install_from_env()
     try:
         apply_worker_fault(fault, in_pool_worker=True)
-        rows, counters = run_shard(payload)
+        rows, extra = run_shard(payload)
         rows = poison_result(fault, rows, lo, arity)
-        conn.send(("ok", rows, counters))
+        conn.send(("ok", rows, extra))
     except BaseException as exc:  # classified driver-side
         try:
             conn.send(("err", exc))
@@ -156,36 +163,25 @@ def _valid_result(rows: List[Row], shard: Shard) -> bool:
     )
 
 
-class _Attempt:
+class _Attempt(NamedTuple):
     """One live pooled attempt: process, pipe, and its wall deadline."""
 
-    __slots__ = ("index", "attempt", "proc", "conn", "started", "deadline")
-
-    def __init__(
-        self,
-        index: int,
-        attempt: int,
-        proc: BaseProcess,
-        conn: Connection,
-        started: float,
-        deadline: Optional[float],
-    ) -> None:
-        self.index = index
-        self.attempt = attempt
-        self.proc = proc
-        self.conn = conn
-        self.started = started
-        self.deadline = deadline
+    index: int
+    attempt: int
+    proc: BaseProcess
+    conn: Connection
+    started: float
+    deadline: Optional[float]
 
 
 class ShardSupervisor:
     """Run shard payloads under a retry/timeout/fallback policy.
 
-    :meth:`results` yields ``(rows, counters)`` in plan order; the
-    caller (``run_sharded``) merges and may abandon the generator on an
-    early ``limit`` exit — :meth:`shutdown` then reaps every live
-    child.  ``workers=0`` runs attempts sequentially in-process under
-    the same policy (no processes, no pipes).
+    :meth:`results` yields each shard's :data:`ShardResult` in plan
+    order; the caller merges and may abandon the generator (an early
+    ``limit`` exit of ``run_sharded``) — :meth:`shutdown` then reaps
+    every live child.  ``workers=0`` runs attempts sequentially
+    in-process under the same policy (no processes, no pipes).
     """
 
     def __init__(
@@ -233,15 +229,20 @@ class ShardSupervisor:
     def shutdown(self) -> None:
         """Terminate and reap every live child (idempotent)."""
         for state in list(self._live.values()):
-            proc = state.proc
-            if proc.is_alive():
-                proc.terminate()
+            self._reap(state)
+
+    def _reap(self, state: _Attempt) -> None:
+        """Stop one attempt's process and close its pipe: terminate it
+        if it still runs, kill a straggler, join it either way."""
+        self._live.pop(state.index, None)
+        proc = state.proc
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=2.0)
+        if proc.is_alive():
+            proc.kill()
             proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=2.0)
-            state.conn.close()
-        self._live.clear()
+        state.conn.close()
 
     # ------------------------------------------------------------------
     # In-process mode (workers=0) — same policy, no processes
@@ -255,8 +256,6 @@ class ShardSupervisor:
             yield result
 
     def _run_inline_with_policy(self, index: int) -> ShardResult:
-        payload = self.payloads[index]
-        shard = self.plan[index]
         policy = self.policy
         faults: List[str] = []
         for attempt in range(1, policy.retries + 2):
@@ -269,40 +268,40 @@ class ShardSupervisor:
             crashpoint("shard.dispatch")
             self.stats.attempts += 1
             started = time.monotonic()  # lint: disable=determinism -- reporting-only timing; never feeds results
-            fault = claim_worker_fault(pooled=False)
             try:
-                apply_worker_fault(fault, in_pool_worker=False)
-                rows, counters = self.run_shard(payload)
-                rows = poison_result(
-                    fault, rows, shard.lo, len(payload.spec.gao)
-                )
-            except InjectedCrash:
-                raise
-            except ExecutionError:
-                raise
-            except RuntimeError as exc:
+                result = self._attempt_inline(index)
+            except InjectedWorkerFault as exc:
                 # Only *injected* faults are retryable inline — a real
                 # engine error in the driver's own process is
                 # deterministic and propagates unchanged, exactly as
                 # the pre-supervisor sequential mode behaved.
-                from repro.testing.faults import InjectedWorkerFault
-
-                if not isinstance(exc, InjectedWorkerFault):
-                    raise
                 faults.append(exc.kind)
                 self.stats.worker_errors += 1
                 self._record_attempt(
                     index, attempt, started, "fault:" + exc.kind
                 )
                 continue
-            if not _valid_result(rows, shard):
+            if result is None:
                 faults.append("poison")
                 self.stats.poisoned += 1
                 self._record_attempt(index, attempt, started, "poison")
                 continue
             self._record_attempt(index, attempt, started, "ok")
-            return rows, counters
+            return result
         return self._fallback(index, faults, None)
+
+    def _attempt_inline(self, index: int) -> Optional[ShardResult]:
+        """One in-process attempt: claim an armed fault, fire it, run
+        the shard, let a ``poison`` fault corrupt the rows; ``None``
+        when the result fails validation.  Whatever the attempt raises
+        propagates — each caller classifies it."""
+        payload = self.payloads[index]
+        shard = self.plan[index]
+        fault = claim_worker_fault(pooled=False)
+        apply_worker_fault(fault, in_pool_worker=False)
+        rows, extra = self.run_shard(payload)
+        rows = poison_result(fault, rows, shard.lo, len(payload.spec.gao))
+        return (rows, extra) if _valid_result(rows, shard) else None
 
     # ------------------------------------------------------------------
     # Pooled mode — one supervised process per attempt
@@ -393,14 +392,14 @@ class ShardSupervisor:
             message = state.conn.recv()
         except (EOFError, OSError):
             # Pipe closed with no message: the worker died abruptly.
-            self._finish_attempt(state)
+            self._reap(state)
             self.stats.worker_deaths += 1
             self._attempt_failed(state, "crash", pending)
             return
-        self._finish_attempt(state)
+        self._reap(state)
         kind = message[0]
         if kind == "ok":
-            rows, counters = message[1], message[2]
+            rows, extra = message[1], message[2]
             if not _valid_result(rows, self.plan[state.index]):
                 self.stats.poisoned += 1
                 self._attempt_failed(state, "poison", pending)
@@ -410,7 +409,7 @@ class ShardSupervisor:
             )
             if self.breaker is not None:
                 self.breaker.record_success()
-            self._done[state.index] = (rows, counters)
+            self._done[state.index] = (rows, extra)
             return
         exc = message[1]
         if isinstance(exc, KeyboardInterrupt):
@@ -430,29 +429,9 @@ class ShardSupervisor:
                     # Result arrived while we were reaping; let the
                     # next wait round classify it normally.
                     continue
-                self._terminate_attempt(state)
+                self._reap(state)
                 self.stats.timeouts += 1
                 self._attempt_failed(state, "timeout", pending)
-
-    # -- attempt lifecycle helpers -------------------------------------
-
-    def _finish_attempt(self, state: _Attempt) -> None:
-        self._live.pop(state.index, None)
-        state.proc.join(timeout=2.0)
-        if state.proc.is_alive():
-            state.proc.kill()
-            state.proc.join(timeout=2.0)
-        state.conn.close()
-
-    def _terminate_attempt(self, state: _Attempt) -> None:
-        self._live.pop(state.index, None)
-        if state.proc.is_alive():
-            state.proc.terminate()
-        state.proc.join(timeout=2.0)
-        if state.proc.is_alive():
-            state.proc.kill()
-            state.proc.join(timeout=2.0)
-        state.conn.close()
 
     def _attempt_failed(
         self,
@@ -500,11 +479,8 @@ class ShardSupervisor:
         self.stats.fallbacks += 1
         self.stats.attempts += 1
         started = time.monotonic()  # lint: disable=determinism -- reporting-only timing; never feeds results
-        fault = claim_worker_fault(pooled=False)
         try:
-            apply_worker_fault(fault, in_pool_worker=False)
-            rows, counters = self.run_shard(self.payloads[index])
-            rows = poison_result(fault, rows, shard.lo, len(self.payloads[index].spec.gao))
+            result = self._attempt_inline(index)
         except (InjectedCrash, ExecutionError):
             raise
         except Exception as exc:
@@ -515,14 +491,14 @@ class ShardSupervisor:
                 index, shard.lo, shard.hi, attempts + 1,
                 faults + ["fallback"], repr(exc),
             ) from exc
-        if not _valid_result(rows, shard):
+        if result is None:
             self.stats.poisoned += 1
             raise ShardFailure(
                 index, shard.lo, shard.hi, attempts + 1,
                 faults + ["poison"], "fallback result failed validation",
             )
         self._record_attempt(index, attempts + 1, started, "fallback-ok")
-        return rows, counters
+        return result
 
     def _record_attempt(
         self,

@@ -36,7 +36,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.explain import explain as explain_structure
 from repro.core.gao_search import candidate_gaos
 from repro.core.query import Query
-from repro.core.resilience import QueryBudget
 from repro.lang.lower import LoweredQuery
 from repro.planner.plan import (
     ENGINE_MINESWEEPER,
@@ -86,12 +85,6 @@ class PlannerConfig:
     #: Bad GAOs are exactly the ones that blow up (Ex. B.6); without a
     #: cap, *measuring* them would cost what they were meant to avoid.
     score_budget: int = 20_000
-    #: Default per-statement admission budget for sessions planned
-    #: under this config (None = unbounded).  The planner itself never
-    #: consults it — admission is an execution-time concern — but
-    #: carrying it here lets one config object configure a whole
-    #: serving stack (see ``Session.__init__``).
-    budget: Optional["QueryBudget"] = None
 
 
 def detect_triangle(query: Query) -> Optional[TriangleMapping]:

@@ -191,11 +191,8 @@ class Session:
         self.statements_prepared = 0
         #: Per-statement admission budget — every execute() admits the
         #: statement against a fresh :class:`AdmittedQuery` carved from
-        #: this budget (None / unbounded = no admission checks).  A
-        #: budget on the :class:`PlannerConfig` is the fallback.
-        self.budget = budget if budget is not None else (
-            config.budget if config is not None else None
-        )
+        #: this budget (None / unbounded = no admission checks).
+        self.budget = budget
         #: Retry/timeout/backoff policy the sharded supervisor runs
         #: under (None = :data:`DEFAULT_RETRY_POLICY`).
         self.retry_policy = retry_policy

@@ -187,8 +187,11 @@ class TestVerifier:
         message = f"samples must be >= 1, got {samples}"
         with pytest.raises(ValueError, match=message):
             check_certificate(q, Argument(), samples=samples)
-        with pytest.raises(ValueError, match=message):
-            certify_sharded(q, ExecSpec(shards=2), samples=samples)
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match=message):
+                certify_sharded(
+                    q, ExecSpec(shards=2, workers=workers), samples=samples
+                )
 
     def test_accepts_trivially_certified_instances(self):
         """A single relation's output is fully determined by shape."""

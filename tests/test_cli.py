@@ -151,7 +151,10 @@ class TestCertificate:
         assert "PASSED" in out
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
-    @pytest.mark.parametrize("sharding", [[], ["--shards", "2"]])
+    @pytest.mark.parametrize(
+        "sharding",
+        [[], ["--shards", "2"], ["--shards", "2", "--workers", "2"]],
+    )
     def test_no_refutation_attempts_is_a_usage_error(
         self, relation_files, capsys, samples, sharding
     ):

@@ -18,9 +18,10 @@ from repro.core.incremental import LiveJoin
 from repro.core.query import Query, naive_join
 from repro.datasets.instances import triangle_with_output
 from repro.parallel.certify import certify_sharded
-from repro.parallel.planner import Shard, plan_shards, shard_relations
+from repro.parallel.planner import Shard, plan_and_slice, plan_shards
 from repro.storage.delta import DeltaRelation
 from repro.storage.relation import Relation
+from repro.testing.faults import worker_faults
 from repro.util.counters import NullCounters, OpCounters
 
 edge = st.tuples(st.integers(0, 7), st.integers(0, 7))
@@ -97,11 +98,12 @@ class TestPlanner:
     def test_slicing_partitions_leading_and_passes_others(self):
         r = Relation("R", ["A", "B"], [(i, i) for i in range(6)])
         s = Relation("S", ["B", "C"], [(i, i) for i in range(6)])
-        plan = plan_shards([r, s], "A", 3)
+        plan, slices = plan_and_slice([r, s], "A", 3)
+        assert plan == plan_shards([r, s], "A", 3)
         seen = []
-        for shard in plan:
-            sliced_r, passed_s = shard_relations([r, s], "A", shard)
+        for shard, (sliced_r, passed_s) in zip(plan, slices):
             assert passed_s is s  # non-leading: passed through whole
+            assert all(row[0] in shard for row in sliced_r.tuples())
             seen.extend(sliced_r.tuples())
         assert seen == r.tuples()
 
@@ -352,6 +354,25 @@ class TestCertifySharded:
         seq = join(triangle_query(r, s, t), gao=["A", "B", "C"])
         assert sum(shard.rows for shard in results) == len(seq.rows)
         assert sum(shard.comparisons for shard in results) > 0
+
+    @pytest.mark.parametrize("kind", ["crash", "poison"])
+    def test_worker_fault_is_retried_not_hung(self, kind):
+        """A dead or poisoned certify worker is a supervised attempt:
+        detected, retried, and the certificates match the in-process
+        run's."""
+        r = [(i, (i * 3) % 5) for i in range(6)]
+        s = [((i * 3) % 5, i % 4) for i in range(6)]
+        t = [(i, i % 4) for i in range(6)]
+        prepared = triangle_query(r, s, t).with_gao(["A", "B", "C"])
+        inproc = certify_sharded(
+            prepared, ExecSpec(shards=2, workers=0), samples=5
+        )
+        with worker_faults(kind, times=1) as plan:
+            pooled = certify_sharded(
+                prepared, ExecSpec(shards=2, workers=2), samples=5
+            )
+        assert plan.claimed == 1
+        assert pooled == inproc
 
 
 class TestSingleShardPool:

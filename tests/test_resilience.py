@@ -468,11 +468,18 @@ class TestServingAdmission:
         result = session.execute("Q(x,y,z) :- R(x,y), S(y,z)")
         assert len(result.rows) == 60
 
-    def test_budget_rides_planner_config(self):
+    def test_budget_is_a_session_knob_beside_the_config(self):
+        """The planner config carries no budget; a session given both
+        admits statements against its own ``budget=``."""
+        import dataclasses
+
         from repro.planner import PlannerConfig
 
+        assert "budget" not in {
+            f.name for f in dataclasses.fields(PlannerConfig)
+        }
         session = self._session(
-            config=PlannerConfig(budget=QueryBudget(max_ops=5))
+            config=PlannerConfig(), budget=QueryBudget(max_ops=5)
         )
         with pytest.raises(BudgetExceeded):
             session.execute("Q(x,y,z) :- R(x,y), S(y,z)")
