@@ -115,8 +115,10 @@ trace-smoke:
 # to be byte-identical to the fault-free in-process (workers=0) run;
 # then arm a hang and require the --deadline-ms admission deadline
 # to surface as a typed QueryTimeout (CLI exit 4) instead of a stuck
-# pool.  CI runs this next to
-# recover-smoke / trace-smoke.
+# pool.  Last, a 20 ms deadline must stop a Yannakakis-planned 3-path
+# COUNT and a triangle-planned COUNT over a seeded 3 000-edge graph
+# (each runs 0.3-4 s unbounded) from inside the engine loop, again
+# exit 4.  CI runs this next to recover-smoke / trace-smoke.
 chaos-smoke:
 	printf '1,2\n2,1\n2,3\n3,2\n3,1\n1,3\n1,4\n4,1\n2,4\n4,2\n3,4\n4,3\n' \
 	  > /tmp/repro-chaos-smoke.csv
@@ -151,6 +153,15 @@ chaos-smoke:
 	  --relation S=B,C:/tmp/repro-chaos-smoke.csv \
 	  --relation T=A,C:/tmp/repro-chaos-smoke.csv \
 	  --workers 2 --shards 2 --deadline-ms 500; test $$? -eq 4
+	$(PY) -c "from repro.datasets.graphs import uniform_graph; \
+	  print('\n'.join(f'{a},{b}' for a, b in uniform_graph(200, 3000, seed=1)))" \
+	  > /tmp/repro-chaos-smoke-graph.csv
+	timeout 60 $(PY) -m repro.cli query --deadline-ms 20 \
+	  --relation E=A,B:/tmp/repro-chaos-smoke-graph.csv \
+	  "Q(COUNT) :- E(a, b), E(b, c), E(c, d)"; test $$? -eq 4
+	timeout 60 $(PY) -m repro.cli query --deadline-ms 20 \
+	  --relation E=A,B:/tmp/repro-chaos-smoke-graph.csv \
+	  "Q(COUNT) :- E(a, b), E(b, c), E(a, c)"; test $$? -eq 4
 
 # Serving smoke: the demo driver launches `repro serve --http` with
 # two durable tenants on an ephemeral port, loads per-tenant data over

@@ -190,9 +190,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
         print(format_explanation(explain(query, gao=gao, dry_run=True)))
         return 0
-    if args.engine == "minesweeper":
-        from repro.core.resilience import admit
+    from repro.core.resilience import admit
 
+    if args.engine == "minesweeper":
         result = run_join(
             query,
             spec,
@@ -212,10 +212,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 "--workers/--shards are Minesweeper-only (the baselines "
                 "have no sharded execution path)"
             )
-        if budget is not None or retry_policy is not None:
+        if args.engine in ("leapfrog", "generic") and (
+            budget is not None or retry_policy is not None
+        ):
             raise SystemExit(
-                "--max-ops/--deadline-ms/--max-rows/--retries are "
-                "Minesweeper-only (the baselines have no cooperative "
+                "--max-ops/--deadline-ms/--max-rows/--retries are not "
+                "supported by leapfrog and generic (they have no "
                 "admission checkpoints)"
             )
         used_gao = gao = list(spec.gao)
@@ -231,7 +233,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         elif args.engine == "yannakakis":
             from repro.baselines.yannakakis import yannakakis_join
 
-            rows = yannakakis_join(query, gao)
+            rows = yannakakis_join(query, gao, admission=admit(budget))
         else:
             raise SystemExit(f"unknown engine {args.engine!r}")
         stats = prepared.counters.snapshot()
@@ -980,7 +982,8 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-ops", type=int, metavar="N",
         help="abort with a typed BudgetExceeded (exit 4) once the query "
-        "has tallied N CDS operations (interval_ops + constraints)",
+        "has tallied N operations (interval_ops + constraints + "
+        "comparisons)",
     )
     parser.add_argument(
         "--deadline-ms", type=int, metavar="MS",

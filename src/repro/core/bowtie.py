@@ -90,11 +90,11 @@ class BowtieMinesweeper:
 
     # ------------------------------------------------------------------
 
-    def run(self, max_probes: Optional[int] = None) -> List[Tuple[int, int]]:
+    def run(self) -> List[Tuple[int, int]]:
         counters = self.counters
         output: List[Tuple[int, int]] = []
         n = len(self.r_index) + len(self.s_index) + len(self.t_index)
-        budget = max_probes if max_probes is not None else 1000 + 100 * (n + 1)
+        budget = 1000 + 100 * (n + 1)
         while True:
             probe = self.get_probe_point()
             if probe is None:

@@ -64,7 +64,6 @@ class Minesweeper:
         merge_intervals: bool = True,
         max_probes: Optional[int] = None,
         cds_backend: Optional[str] = None,
-        max_ops: Optional[int] = None,
         admission: Optional["AdmittedQuery"] = None,
     ) -> None:
         self.query = query
@@ -93,20 +92,9 @@ class Minesweeper:
             n = query.total_tuples()
             max_probes = 1000 + 64 * (2**r) * max(r, 1) * m * (n + 1)
         self.max_probes = max_probes
-        #: Optional hard cap on tallied CDS work (interval_ops +
-        #: constraints).  Unlike ``max_probes`` — a safety valve whose
-        #: default is never meant to fire — this is an opt-in abort for
-        #: callers that *measure* candidate configurations (the
-        #: planner's GAO scoring): a pathological GAO can burn
-        #: certificate-quadratic CDS work at a perfectly normal probe
-        #: count.  Requires counting counters; with
-        #: :class:`NullCounters` the tallies stay zero and the cap
-        #: never fires.
-        self.max_ops = max_ops
         #: Optional :class:`~repro.core.resilience.AdmittedQuery` — the
-        #: serving layer's admission control.  Unlike ``max_ops`` (an
-        #: internal measurement abort that raises
-        #: :class:`MinesweeperError`), admission raises the *typed*
+        #: one abort for a caller's limits (the serving layer's query
+        #: budget, the planner's scoring cap).  It raises the *typed*
         #: taxonomy (``BudgetExceeded`` / ``QueryTimeout``) that
         #: surfaces through sessions, scripts, and the CLI.  Checked
         #: cooperatively once per probe; the deadline is only read
@@ -131,7 +119,6 @@ class Minesweeper:
         counters = self.counters
         n = self.query.n
         budget = self.max_probes
-        ops_budget = self.max_ops
         admission = self.admission
         # Per-relation explorer closures, resolved once (see
         # _make_explorer): flat indexes get CSR-inlined variants with
@@ -153,19 +140,8 @@ class Minesweeper:
                     f"probe budget {budget} exhausted at t={t}; "
                     "the CDS is not making progress"
                 )
-            if (
-                ops_budget is not None
-                and counters.interval_ops + counters.constraints
-                > ops_budget
-            ):
-                raise MinesweeperError(
-                    f"op budget {ops_budget} exhausted at t={t}"
-                )
             if admission is not None:
-                admission.tick(
-                    counters.interval_ops + counters.constraints,
-                    counters.output_tuples,
-                )
+                admission.tick(counters)
             is_member = True
             discovered: List[Constraint] = []
             for explore in explorers:

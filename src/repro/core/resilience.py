@@ -29,9 +29,8 @@ Everything here is engine-agnostic plain data; ``core``, ``parallel``,
 
 Note the distinction from :class:`~repro.core.minesweeper.MinesweeperError`:
 that error means the *engine* detected a problem (progress bug, probe
-safety valve, the planner's scoring cap) and stays internal; the
-errors here mean *policy* aborted a healthy engine and are part of the
-serving API.
+safety valve) and stays internal; the errors here mean *policy*
+aborted a healthy engine and are part of the serving API.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Type
+
+from repro.util.counters import OpCounters
 
 
 class ExecutionError(RuntimeError):
@@ -142,13 +143,16 @@ class ShardFailure(ExecutionError):
 class QueryBudget:
     """Declarative per-query limits (all optional, ``None`` = unbounded).
 
-    ``max_ops`` counts tallied CDS work (``interval_ops + constraints``,
-    the same measure as ``Minesweeper.max_ops`` — ROADMAP item 1's QoS
-    knob, now surfaced as a typed :class:`BudgetExceeded` instead of an
-    internal engine error).  Like that knob it needs counting counters:
-    under :class:`~repro.util.counters.NullCounters` the tallies stay
-    zero and the cap never fires.  ``deadline_ms`` is wall-clock from
-    :meth:`admit`; ``max_rows`` bounds output tuples.
+    ``max_ops`` bounds tallied work, measured the same way for every
+    engine as ``interval_ops + constraints + comparisons``: CDS work
+    for Minesweeper and the triangle engine (which tally no
+    ``comparisons``), hash/compare units for Yannakakis (which tallies
+    nothing else).  It needs counting counters: under
+    :class:`~repro.util.counters.NullCounters` the tallies stay zero
+    and the cap never fires.  ``deadline_ms`` is wall-clock from
+    :meth:`admit`; ``max_rows`` bounds output tuples.  Every engine
+    checks all three from its own loop (:meth:`AdmittedQuery.tick`)
+    and raises :class:`BudgetExceeded` / :class:`QueryTimeout`.
     """
 
     max_ops: Optional[int] = None
@@ -230,10 +234,14 @@ class AdmittedQuery:
 
     # -- the engine hot-loop entry -------------------------------------
 
-    def tick(self, ops: int, rows: int, where: str = "engine") -> None:
-        """One cooperative checkpoint from an engine loop."""
-        self.check_ops(ops)
-        self.check_rows(rows)
+    def tick(self, counters: OpCounters, where: str = "engine") -> None:
+        """One cooperative checkpoint from an engine loop, on the run's
+        tallies so far: the ops measure of :class:`QueryBudget` and the
+        rows output."""
+        self.check_ops(
+            counters.interval_ops + counters.constraints + counters.comparisons
+        )
+        self.check_rows(counters.output_tuples)
         self._ticks += 1
         if self._ticks % self.DEADLINE_STRIDE == 0:
             self.check_deadline(where)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.resilience import AdmittedQuery
 from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.interval_list import IntervalList, interval_is_empty
 from repro.storage.trie import TrieRelation
@@ -394,8 +395,14 @@ class TriangleMinesweeper:
     # Outer loop
     # ------------------------------------------------------------------
 
-    def run(self, max_probes: Optional[int] = None) -> List[Tuple[int, int, int]]:
-        """Enumerate all triangles (a, b, c)."""
+    def run(
+        self, admission: Optional[AdmittedQuery] = None
+    ) -> List[Tuple[int, int, int]]:
+        """Enumerate all triangles (a, b, c), ascending.
+
+        Probes arrive in ascending (a, b, c) order, so the output needs
+        no sort.  ``admission`` is ticked once per probe.
+        """
         counters = self.counters
         output: List[Tuple[int, int, int]] = []
         a_values = self.a_dict.values
@@ -407,7 +414,7 @@ class TriangleMinesweeper:
             + len(self.s_index)
             + len(self.t_index)
         )
-        budget = max_probes if max_probes is not None else 1000 + 200 * (n + 1)
+        budget = 1000 + 200 * (n + 1)
         while True:
             probe = self.get_probe_point()
             if probe is None:
@@ -417,6 +424,8 @@ class TriangleMinesweeper:
                 raise RuntimeError(
                     f"triangle probe budget exhausted at {probe}"
                 )
+            if admission is not None:
+                admission.tick(counters, "triangle")
             a_rank, b_rank, c_rank = probe
             a = a_values[a_rank]
             b = b_values[b_rank]
@@ -428,7 +437,7 @@ class TriangleMinesweeper:
                 self._set_cache(
                     a_rank, self.dyadic.depth, b_rank, c_rank + 1
                 )
-        return sorted(output)
+        return output
 
     def _explore(
         self, a_rank: int, b_rank: int, c_rank: int, a: int, b: int, c: int
@@ -506,6 +515,7 @@ def triangle_join(
     counters: Optional[OpCounters] = None,
     backend: str = "auto",
     cds_backend: Optional[str] = None,
+    admission: Optional[AdmittedQuery] = None,
 ) -> List[Tuple[int, int, int]]:
     """Enumerate Q△ = R(A,B) ⋈ S(B,C) ⋈ T(A,C) with the dyadic CDS.
 
@@ -518,6 +528,10 @@ def triangle_join(
     ``IntervalList`` objects).  Rows and operation counts are invariant
     in the knob.  The arena variant requires the flat relation backend;
     the ``trie`` ablation always runs the pointer CDS.
+
+    ``admission`` (an :class:`~repro.core.resilience.AdmittedQuery`)
+    is checked once per probe and aborts the run with a typed
+    ``BudgetExceeded`` / ``QueryTimeout``.
     """
     from repro.core.cds_arena import resolve_cds_backend
 
@@ -534,4 +548,4 @@ def triangle_join(
         engine = TriangleMinesweeper(
             r_edges, s_edges, t_edges, counters, backend=backend
         )
-    return engine.run()
+    return engine.run(admission)

@@ -17,9 +17,13 @@ Given a lowered query (or a bare core ``Query``), the planner
 4. **emits** an executable :class:`~repro.planner.plan.Plan` carrying
    the winner plus everything it scored for ``explain()``.
 
-Engine choice is structural-first (triangle > Yannakakis >
-Minesweeper) because those dominances are theorems, not data accidents;
-*within* the Minesweeper regime the GAO choice is purely cost-based.
+Engine choice is structural-first: triangle-shaped queries go to the
+dyadic-tree engine (Theorem 5.4), other alpha-acyclic queries to
+Yannakakis, the rest to Minesweeper.  Only the first step is a theorem.
+The second is a rule, not a dominance: Yannakakis is Θ(N + Z), while
+Theorem 2.7 bounds Minesweeper by Õ(|C| + Z) on beta-acyclic queries,
+so where |C| ≪ N Minesweeper can win.  *Within* the Minesweeper regime
+the GAO choice is purely cost-based.
 A structural pick therefore scores one candidate — the winner — and
 the Minesweeper board it would have been compared against is built on
 demand (:meth:`Planner.comparison_board`, called by ``EXPLAIN``).
@@ -36,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.explain import explain as explain_structure
 from repro.core.gao_search import candidate_gaos
 from repro.core.query import Query
+from repro.core.resilience import AdmittedQuery, BudgetExceeded, QueryBudget
 from repro.lang.lower import LoweredQuery
 from repro.planner.plan import (
     ENGINE_MINESWEEPER,
@@ -165,6 +170,32 @@ def triangle_edges(
     return out[0], out[1], out[2]
 
 
+def structural_rows(
+    engine: str,
+    query: Query,
+    gao: Sequence[str],
+    mapping: Optional[TriangleMapping],
+    counters: OpCounters,
+    admission: Optional[AdmittedQuery] = None,
+) -> List[Row]:
+    """The rows of a triangle or Yannakakis plan, ascending in ``gao``.
+
+    ``mapping`` is the triangle role mapping (``gao`` is its ``vars``);
+    Yannakakis ignores it.  ``admission`` is checked from inside the
+    engine's own loop.
+    """
+    if engine == ENGINE_TRIANGLE:
+        from repro.core.triangle import triangle_join
+
+        assert mapping is not None
+        return triangle_join(
+            *triangle_edges(query, mapping), counters, admission=admission
+        )
+    from repro.baselines.yannakakis import yannakakis_join
+
+    return yannakakis_join(query, list(gao), counters, admission=admission)
+
+
 class Planner:
     """Stateful planner: owns the config and the op/call counters.
 
@@ -215,13 +246,7 @@ class Planner:
                 "triangle-shaped query: the specialized dyadic-tree CDS "
                 "avoids the generic CDS's Θ(|C|²) revisits (Theorem 5.4)"
             )
-            scoreboard = [
-                CandidatePlan(
-                    ENGINE_TRIANGLE, gao,
-                    self._score_triangle(sample, mapping), "findgap",
-                    "winner: structural rule",
-                )
-            ]
+            scoreboard = [self._score_structural(engine, sample, gao, mapping)]
         elif query.is_alpha_acyclic():
             # Yannakakis' work does not depend on the GAO (it only
             # orders the output), so any candidate serves: take the
@@ -233,13 +258,7 @@ class Planner:
                 "O(N + Z) with no cyclic residue to probe around "
                 "(Section 4.4)"
             )
-            scoreboard = [
-                CandidatePlan(
-                    ENGINE_YANNAKAKIS, gao,
-                    self._score_yannakakis(sample, gao), "comparisons",
-                    "winner: structural rule",
-                )
-            ]
+            scoreboard = [self._score_structural(engine, sample, gao, None)]
         else:
             engine = ENGINE_MINESWEEPER
             rationale = (
@@ -302,11 +321,13 @@ class Planner:
     ) -> List[CandidatePlan]:
         """Score GAO candidates; ranked, ties broken lexicographically.
 
-        Each candidate runs on the sample under a probe/output budget:
-        a GAO that blows it is abandoned mid-run (its partial FindGap
-        tally is a lower bound) and ranked after every fully-scored
-        candidate, so one pathological order cannot make planning cost
-        what the pathological order itself would.
+        Each candidate runs on the sample under a probe/ops/output
+        budget: a GAO that blows it is abandoned mid-run (its partial
+        FindGap tally is a lower bound) and ranked after every
+        fully-scored candidate, so one pathological order cannot make
+        planning cost what the pathological order itself would.  The
+        ops cap is an admission budget with no deadline, so scoring
+        reads no clock.
         """
         import itertools as _it
 
@@ -319,7 +340,9 @@ class Planner:
             engine = Minesweeper(
                 sample.with_gao(list(gao), counters=counters),
                 max_probes=budget,
-                max_ops=budget * SCORE_OPS_FACTOR,
+                admission=QueryBudget(
+                    max_ops=budget * SCORE_OPS_FACTOR
+                ).admit(),
             )
             capped = False
             with self.tracer.span("score", gao=",".join(gao)) as span:
@@ -331,7 +354,7 @@ class Planner:
                         1 for _ in _it.islice(engine.iterate(), budget + 1)
                     )
                     capped = rows_seen > budget
-                except MinesweeperError:
+                except (MinesweeperError, BudgetExceeded):
                     capped = True
                 span.set("estimate", counters.findgap)
                 if capped:
@@ -350,28 +373,25 @@ class Planner:
         board.sort(key=lambda c: (c.capped, c.estimate, c.gao))
         return board
 
-    def _score_triangle(self, sample: Query, mapping: TriangleMapping) -> int:
-        from repro.core.triangle import triangle_join
-
-        r, s, t = triangle_edges(sample, mapping)
+    def _score_structural(
+        self,
+        engine: str,
+        sample: Query,
+        gao: Sequence[str],
+        mapping: Optional[TriangleMapping],
+    ) -> CandidatePlan:
+        """Score a structural winner in its engine's own unit: FindGap
+        for the triangle engine, comparisons for Yannakakis."""
+        unit = "findgap" if engine == ENGINE_TRIANGLE else "comparisons"
         counters = OpCounters()
-        with self.tracer.span("score", engine=ENGINE_TRIANGLE) as span:
-            triangle_join(r, s, t, counters)
-            span.set("estimate", counters.findgap)
+        with self.tracer.span("score", engine=engine) as span:
+            structural_rows(engine, sample, gao, mapping, counters)
+            estimate = getattr(counters, unit)
+            span.set("estimate", estimate)
         self.estimate_runs += 1
-        return counters.findgap
-
-    def _score_yannakakis(
-        self, sample: Query, gao: Sequence[str]
-    ) -> int:
-        from repro.baselines.yannakakis import yannakakis_join
-
-        counters = OpCounters()
-        with self.tracer.span("score", engine=ENGINE_YANNAKAKIS) as span:
-            yannakakis_join(sample, list(gao), counters)
-            span.set("estimate", counters.comparisons)
-        self.estimate_runs += 1
-        return counters.comparisons
+        return CandidatePlan(
+            engine, tuple(gao), estimate, unit, "winner: structural rule"
+        )
 
     # ------------------------------------------------------------------
 

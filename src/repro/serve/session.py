@@ -48,12 +48,10 @@ from repro.planner.cache import (
 )
 from repro.planner.plan import (
     ENGINE_MINESWEEPER,
-    ENGINE_TRIANGLE,
-    ENGINE_YANNAKAKIS,
     Plan,
     TriangleMapping,
 )
-from repro.planner.planner import Planner, PlannerConfig, triangle_edges
+from repro.planner.planner import Planner, PlannerConfig, structural_rows
 from repro.util.counters import OpCounters
 
 Row = Tuple[int, ...]
@@ -537,25 +535,19 @@ class Session:
         """The plan's output rows over the localized ``gao`` order,
         ascending — the one engine dispatch both result shapes fold.
 
-        Batch engines (triangle, Yannakakis, sharded Minesweeper) hand
-        back a finished list; a serial Minesweeper plan streams lazily,
-        so a consumer that stops early pays only for the certificate it
-        consumed.
+        Triangle and Yannakakis plans hand back a finished list
+        (:func:`structural_rows`), as does sharded Minesweeper; a serial
+        Minesweeper plan streams lazily, so a consumer that stops early
+        pays only for the certificate it consumed.  Every engine checks
+        ``admission`` from its own loop.
         """
-        if plan.engine == ENGINE_TRIANGLE:
-            from repro.core.triangle import triangle_join
-
-            r, s, t = triangle_edges(lowered.query, triangle)
-            # Already ascending: the engine sorts its output in this order.
-            rows = triangle_join(r, s, t, counters)
-            self._post_check(admission, counters, len(rows), "triangle")
-            return iter(rows)
-        if plan.engine == ENGINE_YANNAKAKIS:
-            from repro.baselines.yannakakis import yannakakis_join
-
-            rows = yannakakis_join(lowered.query, list(gao), counters)
-            self._post_check(admission, counters, len(rows), "yannakakis")
-            return iter(rows)
+        if plan.engine != ENGINE_MINESWEEPER:
+            return iter(
+                structural_rows(
+                    plan.engine, lowered.query, gao, triangle, counters,
+                    admission,
+                )
+            )
         spec = plan.spec(gao)
         if spec.workers and not self.breaker.allow_pool():
             # Breaker open: repeated pooled shard failures downgraded
@@ -584,27 +576,6 @@ class Session:
                 resilience=self.resilience,
             ).rows
         )
-
-    @staticmethod
-    def _post_check(
-        admission: Optional[AdmittedQuery],
-        counters: OpCounters,
-        rows: int,
-        where: str,
-    ) -> None:
-        """Post-hoc admission check for batch engines that don't run
-        Minesweeper's cooperative in-loop tick (triangle/Yannakakis):
-        the budget is still enforced, just at engine granularity.
-        ``comparisons`` joins the ops measure because it is the tallied
-        cost unit of those engines (CDS ops stay zero there)."""
-        if admission is not None:
-            admission.tick(
-                counters.interval_ops
-                + counters.constraints
-                + counters.comparisons,
-                rows,
-                where=where,
-            )
 
     def _execute_rows(
         self,

@@ -932,6 +932,24 @@ class TestHTTPEndToEnd:
             )
         return client
 
+    @pytest.mark.parametrize("text", [
+        "Q(COUNT) :- E(a, b), E(b, c), E(a, c)",  # triangle plan
+        "Q(COUNT) :- E(a, b), E(b, c), E(c, d)",  # Yannakakis plan
+    ])
+    def test_deadline_is_504_on_every_planned_engine(self, client, text):
+        from repro.datasets.graphs import uniform_graph
+
+        client.script("CREATE E(A, B)", tenant="alpha")
+        client.update(
+            [f"+E {a},{b}" for a, b in uniform_graph(300, 5000, seed=1)],
+            tenant="alpha",
+            sync=True,
+        )
+        with pytest.raises(ClientError) as info:
+            client.query(text, tenant="alpha", budget={"deadline_ms": 20})
+        assert info.value.status == 504
+        assert info.value.payload["error"] == "QueryTimeout"
+
     def test_rows_match_direct_session_execution(self, client):
         self.load(client)
         direct = Catalog()

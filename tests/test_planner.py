@@ -637,16 +637,20 @@ class TestScoringBudget:
         )
 
     def test_max_ops_aborts_the_engine(self):
-        from repro.core.minesweeper import Minesweeper, MinesweeperError
+        from repro.core.minesweeper import Minesweeper
+        from repro.core.resilience import BudgetExceeded, QueryBudget
         from repro.util.counters import OpCounters
 
         q = self.cycle_query()
         counters = OpCounters()
         engine = Minesweeper(
-            q.with_gao(["x", "z", "y"], counters=counters), max_ops=500
+            q.with_gao(["x", "z", "y"], counters=counters),
+            admission=QueryBudget(max_ops=500).admit(),
         )
-        with pytest.raises(MinesweeperError, match="op budget"):
+        with pytest.raises(BudgetExceeded) as info:
             engine.run()
+        assert info.value.resource == "ops"
+        assert info.value.limit == 500
 
     def test_capped_candidates_rank_after_complete_ones(self):
         from repro.planner.planner import Planner, PlannerConfig

@@ -14,6 +14,8 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import join
 from repro.core.query import Query
@@ -29,12 +31,14 @@ from repro.core.resilience import (
     ShardFailure,
     admit,
 )
+from repro.datasets.graphs import uniform_graph
 from repro.storage.relation import Relation
 from repro.testing.faults import (
     InjectedWorkerFault,
     WorkerFault,
     worker_faults,
 )
+from repro.util.counters import OpCounters
 
 #: Hard per-test wall limit (seconds).  Generous: pooled cases spawn
 #: real processes on a possibly single-core CI box.
@@ -112,13 +116,15 @@ class TestQueryBudget:
 
     def test_ops_and_rows_checks(self):
         a = QueryBudget(max_ops=10, max_rows=3).admit()
-        a.tick(10, 3)  # at the limit: fine
+        # at the limit: fine
+        a.tick(OpCounters(interval_ops=10, output_tuples=3))
         with pytest.raises(BudgetExceeded) as info:
-            a.tick(11, 0)
+            # ops = interval_ops + constraints + comparisons
+            a.tick(OpCounters(interval_ops=5, constraints=3, comparisons=3))
         assert info.value.resource == "ops"
         assert info.value.limit == 10
         with pytest.raises(BudgetExceeded) as info:
-            a.tick(0, 4)
+            a.tick(OpCounters(output_tuples=4))
         assert info.value.resource == "rows"
 
     def test_deadline_stride(self):
@@ -126,10 +132,10 @@ class TestQueryBudget:
         time.sleep(0.01)
         # Below the stride the deadline is not consulted...
         for _ in range(AdmittedQuery.DEADLINE_STRIDE - 1):
-            a.tick(0, 0)
+            a.tick(OpCounters())
         # ... the stride-th tick reads the clock and trips.
         with pytest.raises(QueryTimeout):
-            a.tick(0, 0)
+            a.tick(OpCounters())
         assert a.expired()
 
     def test_remaining_seconds(self):
@@ -503,6 +509,105 @@ class TestServingAdmission:
         assert tree["execution"]["breaker"]["open"] is False
 
 
+# ----------------------------------------------------------------------
+# One budget path: every planned engine checks admission in its loop
+# ----------------------------------------------------------------------
+
+#: One full-row query per planned engine over one edge relation E(A, B).
+ENGINE_QUERIES = {
+    "triangle": "Q(a, b, c) :- E(a, b), E(b, c), E(a, c)",
+    "yannakakis": "Q(a, b, c, d) :- E(a, b), E(b, c), E(c, d)",
+    "minesweeper": "Q(a, b, c, d) :- E(a, b), E(b, c), E(c, d), E(d, a)",
+}
+
+#: The two COUNT queries whose deadlines once went unchecked.
+COUNT_QUERIES = {
+    "triangle": "Q(COUNT) :- E(a, b), E(b, c), E(a, c)",
+    "yannakakis": "Q(COUNT) :- E(a, b), E(b, c), E(c, d)",
+}
+
+
+def edge_session(edges, budget=None):
+    from repro.serve import Session
+
+    session = Session(budget=budget)
+    session.catalog.create_relation("E", ["A", "B"], edges)
+    return session
+
+
+def ops_measure(result):
+    """``QueryBudget``'s ops measure, read off a finished run."""
+    ops = result.ops
+    return ops["interval_ops"] + ops["constraints"] + ops["comparisons"]
+
+
+class TestEveryEngineBudget:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)),
+            min_size=1, max_size=40,
+        ),
+        engine=st.sampled_from(sorted(ENGINE_QUERIES)),
+        resource=st.sampled_from(["max_ops", "max_rows", "deadline_ms"]),
+        scale=st.floats(0.0, 2.0),
+    )
+    def test_rows_identical_or_an_abort_naming_the_limit(
+        self, edges, engine, resource, scale
+    ):
+        text = ENGINE_QUERIES[engine]
+        full = edge_session(edges).execute(text)
+        assert full.plan.engine == engine
+        if resource == "deadline_ms":
+            # Wall time is not reproducible: an expired deadline may
+            # abort, a ten-minute one never does.
+            limit = 0 if scale < 1.0 else 600_000
+            never_aborts = limit > 0
+        else:
+            measure = (
+                ops_measure(full) if resource == "max_ops"
+                else len(full.rows)
+            )
+            limit = int(measure * scale)
+            never_aborts = limit >= measure
+        session = edge_session(edges, QueryBudget(**{resource: limit}))
+        try:
+            rows = session.execute(text).rows
+        except BudgetExceeded as exc:
+            assert not never_aborts
+            assert (exc.resource, exc.limit) == (
+                resource[len("max_"):], limit
+            )
+        except QueryTimeout as exc:
+            assert not never_aborts
+            assert resource == "deadline_ms"
+            assert exc.deadline_s == limit / 1000.0
+        else:
+            assert rows == full.rows
+
+
+class TestDeadlinesHoldOnEveryEngine:
+    """Unbounded, these plans take ≈ 0.7 s (triangle) and ≈ 8 s
+    (Yannakakis) on a 2-vCPU x86 box; a 20 ms deadline stops both
+    from inside the engine loop."""
+
+    @pytest.fixture(scope="class")
+    def edges(self):
+        return uniform_graph(300, 5000, seed=1)
+
+    @pytest.mark.parametrize("engine", sorted(COUNT_QUERIES))
+    def test_deadline_raises_query_timeout(self, edges, engine):
+        text = COUNT_QUERIES[engine]
+        session = edge_session(edges, QueryBudget(deadline_ms=20))
+        plan, _ = session.prepare(text).plan()
+        assert plan.engine == engine
+        start = time.monotonic()
+        with pytest.raises(QueryTimeout) as info:
+            session.execute(text)
+        assert time.monotonic() - start < 0.3
+        assert info.value.where == engine
+
+
 class TestBreakerDowngrade:
     def test_repeated_pool_failures_trip_and_downgrade(self):
         from repro.planner import PlannerConfig
@@ -578,6 +683,36 @@ class TestCliExitCodes:
         ])
         assert code == 4
         assert "BudgetExceeded" in capsys.readouterr().err
+
+    def test_yannakakis_join_deadline_exits_4(self, tmp_path, capsys):
+        from repro.cli import main
+
+        graph = tmp_path / "E.csv"
+        graph.write_text("".join(
+            f"{a},{b}\n" for a, b in uniform_graph(300, 5000, seed=1)
+        ))
+        code = main([
+            "join", "--engine", "yannakakis",
+            "--relation", f"R=A,B:{graph}",
+            "--relation", f"S=B,C:{graph}",
+            "--relation", f"T=C,D:{graph}",
+            "--deadline-ms", "20",
+        ])
+        assert code == 4
+        assert "QueryTimeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["leapfrog", "generic"])
+    def test_budget_flags_refused_by_leapfrog_and_generic(
+        self, csvs, engine
+    ):
+        from repro.cli import main
+
+        r, s = csvs
+        with pytest.raises(SystemExit, match="leapfrog and generic"):
+            main([
+                "join", "--engine", engine, "--relation", f"R=A,B:{r}",
+                "--relation", f"S=B,C:{s}", "--max-ops", "5",
+            ])
 
     def test_join_under_budget_exits_0(self, csvs):
         from repro.cli import main

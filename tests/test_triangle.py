@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import join
 from repro.core.query import Query
@@ -116,6 +118,26 @@ class TestCorrectness:
         )
         generic = join(query, gao=["A", "B", "C"], strategy="general")
         assert triangle_join(r, s, t) == sorted(generic.rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                max_size=40,
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        st.sampled_from(["arena", "pointer"]),
+    )
+    def test_output_ascends_without_a_sort(self, edge_sets, cds_backend):
+        """Probes arrive in ascending (a, b, c) order, so ``run``
+        returns its rows strictly ascending with no final sort."""
+        r, s, t = edge_sets
+        got = triangle_join(r, s, t, cds_backend=cds_backend)
+        assert all(x < y for x, y in zip(got, got[1:]))
+        assert got == naive_triangles(r, s, t)
 
     def test_planted_triangles_found(self):
         r, s, t = triangle_with_output(30, 10, seed=1)
