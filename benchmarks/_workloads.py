@@ -4,9 +4,12 @@ Each entry of :data:`SMOKE_WORKLOADS` runs one small, deterministic
 workload over the library's default configuration with counting on and
 returns its operation-count snapshot; ``benchmarks/baselines/
 smoke_ops.json`` pins every one of them.  The ``cds/*`` family runs each
-shape under both CDS backends (``.../pointer`` and ``.../arena``), which
-must tally identically.  Only deterministic op tallies belong in a
-snapshot — never a timing.
+engine shape on both CDS tiers: ``.../arena`` is the library's own run,
+``.../pointer`` builds the plain tier (``ConstraintTree``,
+``TriangleMinesweeper``) directly, and the two must tally identically.
+The live-view row ``cds/dynamic/...`` has only its ``arena`` run: a view
+picks no tier.  Only deterministic op tallies belong in a snapshot —
+never a timing.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from functools import partial
 from typing import Callable, Dict
 
 from repro import dynamic
-from repro.core.engine import ExecSpec, join
+from repro.core.cds import ConstraintTree
+from repro.core.engine import join
 from repro.core.intersection import intersect_sorted
+from repro.core.minesweeper import Minesweeper
 from repro.core.query import Query
-from repro.core.triangle import triangle_join
+from repro.core.triangle import TriangleMinesweeper, triangle_join
 from repro.datasets import instances
 from repro.serve import Session
 from repro.storage.relation import Relation
@@ -128,14 +133,12 @@ def _star_query(m: int, n: int, seed: int = 13) -> Query:
     )
 
 
-def _cds_dynamic_ops(backend: str) -> Ops:
+def _cds_dynamic_ops() -> Ops:
     schemas, initial, batches = dynamic.triangle_stream(
         n_nodes=10, n_edges=20, n_batches=3, batch_size=8,
         insert_fraction=0.5, seed=12,
     )
-    catalog, view = dynamic.build_catalog(
-        schemas, initial, spec=ExecSpec(cds_backend=backend)
-    )
+    catalog, view = dynamic.build_catalog(schemas, initial)
     for batch in batches:
         catalog.apply_batch(batch)
     snapshot = view.counters.snapshot()
@@ -160,25 +163,27 @@ def _cds_workloads() -> Dict[str, Callable[[], Ops]]:
         ),
     }
 
-    def join_ops(query, gao, strategy, backend) -> Ops:
-        return _ops(
-            join, query(), gao=gao, strategy=strategy, cds_backend=backend
-        )
+    def arena_join_ops(query, gao, strategy) -> Ops:
+        return _ops(join, query(), gao=gao, strategy=strategy)
 
-    def dyadic_ops(backend) -> Ops:
-        return _ops(
-            triangle_join, *instances.triangle_hard(8)[:3],
-            cds_backend=backend,
-        )
+    def pointer_join_ops(query, gao, strategy) -> Ops:
+        counters = OpCounters()
+        prepared = query().with_gao(gao, counters)
+        cds = ConstraintTree(prepared.n, counters=counters)
+        Minesweeper(prepared, strategy=strategy, cds=cds).run()
+        return counters.snapshot()
 
+    def pointer_triangle(r, s, t, counters) -> None:
+        TriangleMinesweeper(r, s, t, counters).run()
+
+    hard = instances.triangle_hard(8)[:3]
     out: Dict[str, Callable[[], Ops]] = {}
-    for backend in ("pointer", "arena"):
-        for shape, spec in shapes.items():
-            out[f"cds/{shape}/{backend}"] = partial(join_ops, *spec, backend)
-        out[f"cds/dynamic/triangle/e=20/{backend}"] = partial(
-            _cds_dynamic_ops, backend
-        )
-        out[f"cds/dyadic/hard/n=8/{backend}"] = partial(dyadic_ops, backend)
+    for shape, spec in shapes.items():
+        out[f"cds/{shape}/arena"] = partial(arena_join_ops, *spec)
+        out[f"cds/{shape}/pointer"] = partial(pointer_join_ops, *spec)
+    out["cds/dynamic/triangle/e=20/arena"] = _cds_dynamic_ops
+    out["cds/dyadic/hard/n=8/arena"] = partial(_ops, triangle_join, *hard)
+    out["cds/dyadic/hard/n=8/pointer"] = partial(_ops, pointer_triangle, *hard)
     return out
 
 

@@ -4,9 +4,9 @@ Runs every smoke workload (``_workloads.SMOKE_WORKLOADS``) and compares
 the op snapshots against ``benchmarks/baselines/smoke_ops.json``.  The
 paper's evaluation currency is operation counts, and the arena CDS's
 contract is *exact* count equality with the pointer tree — so the
-registry's ``cds/*`` family runs every shape under both backends
+registry's ``cds/*`` family runs every engine shape on both tiers
 (``cds/<shape>/pointer`` and ``cds/<shape>/arena``) and this check also
-compares each pair; any drift (between backends, or against history)
+compares each pair; any drift (between tiers, or against history)
 fails loudly.
 
 Refresh intentionally after an algorithmic change (prints the same

@@ -39,11 +39,11 @@ def main() -> None:
     print(f"constraints inserted        : {stats['constraints']}")
 
     # --- Index tier -------------------------------------------------------
-    # Relations are indexed by the flat (CSR array-backed) trie by default.
-    # Relation(..., backend="trie") builds the pointer-node reference index
-    # instead; both answer every index probe identically — only the
-    # constant factors differ.  The tier is chosen here, once: no join
-    # option rebuilds a relation's index.
+    # Relation(...) always indexes by the flat (CSR array-backed) trie.
+    # The pointer-node reference trie (repro.TrieRelation) answers every
+    # index probe identically — only the constant factors differ — and
+    # exists for tests, which wrap one with Relation.from_index.  No
+    # Relation or join option picks a tier.
     from repro import FlatTrieRelation
 
     flat_backed = Relation("F", ["U", "V"], follows.tuples())

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.baselines.yannakakis import full_reduce
 from repro.core.query import Query
-from repro.hypergraph.acyclicity import gyo_reduction
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
 
@@ -51,41 +51,20 @@ def full_reducer(
 ) -> Query:
     """Remove all dangling tuples of an alpha-acyclic query.
 
-    Classic two-pass reducer over the GYO join forest.  Raises ValueError
-    for cyclic queries (use :func:`pairwise_reduce` there).
+    Yannakakis' two semijoin passes over the GYO join forest, run by
+    :func:`repro.baselines.yannakakis.full_reduce` (the planned
+    Yannakakis engine's own reducer); the reduced rows are wrapped in
+    :class:`Relation` objects once, at the end.  Raises ValueError for
+    cyclic queries (use :func:`pairwise_reduce` there).
     """
     counters = counters if counters is not None else OpCounters()
-    acyclic, parent = gyo_reduction(query.hypergraph())
-    if not acyclic:
-        raise ValueError("full reduction requires an alpha-acyclic query")
-    relations: Dict[str, Relation] = {r.name: r for r in query.relations}
-    children: Dict[str, List[str]] = {name: [] for name in relations}
-    roots: List[str] = []
-    for name in relations:
-        up = parent.get(name)
-        if up is None:
-            roots.append(name)
-        else:
-            children[up].append(name)
-
-    def reduce_up(name: str) -> None:
-        for child in children[name]:
-            reduce_up(child)
-            relations[name] = semijoin(
-                relations[name], relations[child], counters
-            )
-
-    def reduce_down(name: str) -> None:
-        for child in children[name]:
-            relations[child] = semijoin(
-                relations[child], relations[name], counters
-            )
-            reduce_down(child)
-
-    for root in roots:
-        reduce_up(root)
-        reduce_down(root)
-    return Query([relations[r.name] for r in query.relations])
+    nodes, _ = full_reduce(query, counters)
+    return Query(
+        [
+            Relation(r.name, r.attributes, nodes[r.name].rows)
+            for r in query.relations
+        ]
+    )
 
 
 def pairwise_reduce(

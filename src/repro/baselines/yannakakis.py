@@ -87,20 +87,15 @@ def _join(
     return left_attrs + [right_attrs[i] for i in extra], out
 
 
-def yannakakis_join(
+def full_reduce(
     query: Query,
-    gao: Sequence[str],
-    counters: Optional[OpCounters] = None,
+    counters: OpCounters,
     admission: Optional[AdmittedQuery] = None,
-) -> List[Row]:
-    """Full-reducer + tree join; raises ValueError on cyclic queries.
-
-    Rows come back ascending in ``gao`` order.  ``admission`` (an
-    :class:`~repro.core.resilience.AdmittedQuery`) is checked once per
-    row of every semijoin and join pass, and once more on the exact
-    output size before the final deduplication and sort.
-    """
-    counters = counters if counters is not None else OpCounters()
+) -> Tuple[Dict[str, _Node], List[_Node]]:
+    """Yannakakis' full reducer, the one copy: the GYO join forest of
+    ``query`` with every node's rows reduced by the bottom-up, then the
+    top-down semijoin pass.  Returns ``(node per relation name, roots)``
+    and raises ValueError on a cyclic query."""
     acyclic, parent = gyo_reduction(query.hypergraph())
     if not acyclic:
         raise ValueError("Yannakakis requires an alpha-acyclic query")
@@ -126,6 +121,28 @@ def yannakakis_join(
             _semijoin(child, node, counters, admission)
             reduce_down(child)
 
+    for root in roots:
+        reduce_up(root)
+        reduce_down(root)
+    return nodes, roots
+
+
+def yannakakis_join(
+    query: Query,
+    gao: Sequence[str],
+    counters: Optional[OpCounters] = None,
+    admission: Optional[AdmittedQuery] = None,
+) -> List[Row]:
+    """Full-reducer + tree join; raises ValueError on cyclic queries.
+
+    Rows come back ascending in ``gao`` order.  ``admission`` (an
+    :class:`~repro.core.resilience.AdmittedQuery`) is checked once per
+    row of every semijoin and join pass, and once more on the exact
+    output size before the final deduplication and sort.
+    """
+    counters = counters if counters is not None else OpCounters()
+    _, roots = full_reduce(query, counters, admission)
+
     def join_subtree(node: _Node) -> Tuple[List[str], List[Row]]:
         attrs, rows = list(node.attributes), list(node.rows)
         for child in node.children:
@@ -134,9 +151,6 @@ def yannakakis_join(
             )
         return attrs, rows
 
-    for root in roots:
-        reduce_up(root)
-        reduce_down(root)
     attrs: List[str] = []
     rows: List[Row] = [()]
     for root in roots:

@@ -30,9 +30,9 @@ from repro.storage.relation import Relation
 class CertificateRecorder:
     """Run Minesweeper while extracting the comparisons it performs."""
 
-    def __init__(self, query: PreparedQuery, **engine_kwargs) -> None:
+    def __init__(self, query: PreparedQuery, strategy: str = "auto") -> None:
         self.query = query
-        self.engine = Minesweeper(query, **engine_kwargs)
+        self.engine = Minesweeper(query, strategy=strategy)
         self.engine.gap_hook = self._on_gap
         self.argument = Argument()
         # (attribute, value) -> every variable observed holding value.
@@ -124,7 +124,7 @@ class CertificateRecorder:
 
 
 def record_certificate(
-    query: PreparedQuery, **engine_kwargs
+    query: PreparedQuery, strategy: str = "auto"
 ) -> Tuple[List[Tuple[int, ...]], Argument]:
     """Convenience wrapper: run the recorder, return (rows, argument)."""
-    return CertificateRecorder(query, **engine_kwargs).run()
+    return CertificateRecorder(query, strategy).run()

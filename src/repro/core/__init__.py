@@ -5,11 +5,7 @@ from repro.core.cds_arena import (
     ArenaChainProbeStrategy,
     ArenaConstraintTree,
     ArenaGeneralProbeStrategy,
-    CDS_BACKENDS,
-    DEFAULT_CDS_BACKEND,
-    make_cds,
     make_probe_strategy,
-    resolve_cds_backend,
 )
 from repro.core.constraints import (
     WILDCARD,
@@ -49,11 +45,7 @@ __all__ = [
     "ArenaConstraintTree",
     "ArenaGeneralProbeStrategy",
     "ArenaTriangleMinesweeper",
-    "CDS_BACKENDS",
-    "DEFAULT_CDS_BACKEND",
-    "make_cds",
     "make_probe_strategy",
-    "resolve_cds_backend",
     "CDSNode",
     "ConstraintTree",
     "WILDCARD",

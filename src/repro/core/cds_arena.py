@@ -74,25 +74,7 @@ from repro.storage.interval_pool import IntervalPool
 from repro.util.counters import OpCounters
 from repro.util.sentinels import ExtendedValue
 
-#: Recognized CDS backends: ``"pointer"`` is the per-node-object
-#: ConstraintTree, ``"arena"`` this module's flat tree.
-CDS_BACKENDS = ("pointer", "arena")
-
-#: Default backend for every engine that takes a ``cds_backend`` flag.
-DEFAULT_CDS_BACKEND = "arena"
-
 _EQ_MIN_CAP = 4
-
-
-def resolve_cds_backend(name: Optional[str]) -> str:
-    """Map ``None`` / ``"auto"`` to the default; validate."""
-    if name is None or name == "auto":
-        return DEFAULT_CDS_BACKEND
-    if name not in CDS_BACKENDS:
-        raise ValueError(
-            f"unknown cds_backend {name!r}; expected one of {CDS_BACKENDS}"
-        )
-    return name
 
 
 class ArenaConstraintTree:
@@ -101,8 +83,8 @@ class ArenaConstraintTree:
     API-compatible with :class:`~repro.core.cds.ConstraintTree` up to
     the node representation: every method that takes or returns a
     ``CDSNode`` here takes or returns an ``int``.  Only the merged
-    interval representation is supported — the E13 naive-list ablation
-    keeps using the pointer backend.
+    interval representation exists here; the E13 naive-list ablation
+    builds the pointer tree over ``NaiveIntervalList`` instead.
     """
 
     is_arena = True
@@ -111,15 +93,9 @@ class ArenaConstraintTree:
         self,
         n_attributes: int,
         counters: Optional[OpCounters] = None,
-        merge_intervals: bool = True,
     ) -> None:
         if n_attributes < 1:
             raise ValueError("need at least one attribute")
-        if not merge_intervals:
-            raise ValueError(
-                "the arena CDS stores merged intervals only; run the E13 "
-                "naive-list ablation with cds_backend='pointer'"
-            )
         self.n = n_attributes
         self.counters = counters if counters is not None else OpCounters()
         self._counting = self.counters.enabled
@@ -1222,29 +1198,9 @@ class ArenaChainProbeStrategy(ArenaGeneralProbeStrategy):
         )
 
 
-def make_cds(
-    n_attributes: int,
-    counters: Optional[OpCounters] = None,
-    merge_intervals: bool = True,
-    cds_backend: Optional[str] = None,
-):
-    """Construct a CDS of the resolved backend.
-
-    ``merge_intervals=False`` (the E13 naive-list ablation) always pins
-    the pointer tree: the arena stores merged intervals only.
-    """
-    backend = resolve_cds_backend(cds_backend)
-    if backend == "arena" and merge_intervals:
-        return ArenaConstraintTree(n_attributes, counters=counters)
-    from repro.core.cds import ConstraintTree
-
-    return ConstraintTree(
-        n_attributes, counters=counters, merge_intervals=merge_intervals
-    )
-
-
 def make_probe_strategy(cds, strategy: str, memoize: bool = True):
-    """Probe strategy matching ``cds``'s backend and ``strategy`` name."""
+    """Probe strategy matching ``cds``'s type (arena or pointer tree)
+    and the ``strategy`` name."""
     if isinstance(cds, ArenaConstraintTree):
         if strategy == "chain":
             return ArenaChainProbeStrategy(cds, memoize=memoize)
@@ -1265,9 +1221,5 @@ __all__ = [
     "ArenaChainProbeStrategy",
     "ArenaConstraintTree",
     "ArenaGeneralProbeStrategy",
-    "CDS_BACKENDS",
-    "DEFAULT_CDS_BACKEND",
-    "make_cds",
     "make_probe_strategy",
-    "resolve_cds_backend",
 ]

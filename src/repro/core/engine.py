@@ -21,7 +21,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.cds_arena import resolve_cds_backend
 from repro.core.minesweeper import Minesweeper
 from repro.core.query import PreparedQuery, Query
 from repro.core.resilience import (
@@ -56,9 +55,10 @@ class ExecSpec:
     as-is to whatever executes it — including pool workers and the
     WAL/snapshot records of live views.  Rows are invariant in every
     field but ``gao`` (column order) and ``limit`` (prefix length); op
-    counts are additionally invariant in ``cds_backend`` and
-    ``workers``.  The index tier is not a run knob: each relation keeps
-    the one its ``Relation(..., backend=...)`` built.
+    counts are additionally invariant in ``workers``.  No field picks a
+    tier: every run uses the arena CDS over the relations' flat tries,
+    and only tests and the E13 ablation build the plain tier, directly
+    (see :class:`~repro.core.minesweeper.Minesweeper`'s ``cds``).
     """
 
     #: Global attribute order; empty = chosen per the paper (a nested
@@ -68,11 +68,6 @@ class ExecSpec:
     strategy: str = "auto"
     #: False disables Algorithm 4/7 gap memoization (ablation E12).
     memoize: bool = True
-    #: False stores CDS intervals unmerged (ablation E13; the naive
-    #: list exists only in the pointer tree, so this pins it).
-    merge_intervals: bool = True
-    #: ConstraintTree storage: ``"arena"`` (default) or ``"pointer"``.
-    cds_backend: Optional[str] = None
     #: Stop after this many output tuples (GAO order); the counters
     #: then reflect only the certificate actually consumed (§6.3).
     limit: Optional[int] = None
@@ -92,11 +87,10 @@ class ExecSpec:
         """The fully-decided spec for ``query`` (idempotent).
 
         The one place that range-checks ``limit`` / ``workers`` /
-        ``shards``, defaults ``shards`` from ``workers``, resolves the
-        CDS backend, picks the GAO and turns ``strategy="auto"`` into
-        ``chain`` / ``general``.  Without a ``query`` only the
-        query-independent half runs (how the CLI validates flags before
-        any relation is loaded).
+        ``shards``, defaults ``shards`` from ``workers``, picks the GAO
+        and turns ``strategy="auto"`` into ``chain`` / ``general``.
+        Without a ``query`` only the query-independent half runs (how
+        the CLI validates flags before any relation is loaded).
         """
         if self.limit is not None and self.limit < 0:
             raise ValueError(
@@ -108,9 +102,6 @@ class ExecSpec:
         shards = self.shards if self.shards is not None else workers or 1
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        cds_backend = resolve_cds_backend(self.cds_backend)
-        if not self.merge_intervals:
-            cds_backend = "pointer"
         gao, strategy = self.gao, self.strategy
         if query is not None:
             if gao:
@@ -122,7 +113,6 @@ class ExecSpec:
             self,
             gao=gao,
             strategy=strategy,
-            cds_backend=cds_backend,
             shards=shards,
             workers=workers,
         )
@@ -138,25 +128,25 @@ class ExecSpec:
         return (self.shards or 1) > 1 or (self.workers or 0) >= 1
 
     def to_record(self) -> Dict[str, Any]:
-        """The five keys a live view's ``!view`` WAL record and snapshot
+        """The four keys a live view's ``!view`` WAL record and snapshot
         manifest entry store (the rest are per-call, never persisted)."""
         return {
             "gao": list(self.gao),
             "strategy": self.strategy,
             "shards": self.shards,
             "workers": self.workers,
-            "cds_backend": self.cds_backend,
         }
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "ExecSpec":
-        """Inverse of :meth:`to_record` (other keys are ignored)."""
+        """Inverse of :meth:`to_record`.  Other keys are ignored,
+        among them the ``cds_backend`` that records written before the
+        CDS tier stopped being a run option still carry."""
         return cls(
             gao=record["gao"],
             strategy=record["strategy"],
             shards=record["shards"],
             workers=record["workers"],
-            cds_backend=record["cds_backend"],
         )
 
 
@@ -242,8 +232,6 @@ def stream_rows(
         prepared,
         strategy=spec.strategy,
         memoize=spec.memoize,
-        merge_intervals=spec.merge_intervals,
-        cds_backend=spec.cds_backend,
         admission=admission,
     ).iterate()
     if spec.limit is not None:
@@ -289,7 +277,6 @@ def join(
     gao: Optional[Sequence[str]] = None,
     strategy: str = "auto",
     memoize: bool = True,
-    merge_intervals: bool = True,
     counters: Optional[OpCounters] = None,
     backend: Optional[str] = None,
     limit: Optional[int] = None,
@@ -304,14 +291,17 @@ def join(
 ) -> JoinResult:
     """Evaluate a natural join with Minesweeper.
 
-    The eight run knobs are the fields of :class:`ExecSpec` (documented
-    there); this is the keyword facade over :func:`run_join`.
+    The six run knobs are the fields of :class:`ExecSpec` (documented
+    there); this is the keyword facade over :func:`run_join`.  The run
+    uses the arena CDS over the relations' flat tries; a comparison
+    against the plain tier builds it directly (``Minesweeper(...,
+    cds=ConstraintTree(...))`` over ``TrieRelation`` indexes).
 
-    ``backend`` is not a knob: any value but ``None`` raises
-    ``ValueError`` (a relation's index tier is fixed by its
-    ``Relation(...)``).  The keyword stays only because the frozen perf
-    ledger's ``benchmarks/ledger/layers.py::_engine_call`` passes
-    ``backend=plan.backend``; ROADMAP item 1(b) removes it.
+    ``backend`` and ``cds_backend`` are not knobs: any value but
+    ``None`` raises ``ValueError``.  The keywords stay only because the
+    frozen perf ledger's ``benchmarks/ledger/layers.py::_engine_call``
+    passes ``backend=plan.backend, cds_backend=plan.cds_backend``;
+    ROADMAP items 2(b) and 7(a) remove them.
 
     ``counters`` receives the run's tally (pass ``NullCounters()`` to
     evaluate without paying for operation counting).  The remaining
@@ -328,15 +318,16 @@ def join(
     """
     if backend is not None:
         raise ValueError(
-            f"join() takes no index tier (got backend={backend!r}); "
-            "build the relations with Relation(..., backend=...)"
+            f"join() takes no index tier (got backend={backend!r})"
+        )
+    if cds_backend is not None:
+        raise ValueError(
+            f"join() takes no CDS tier (got cds_backend={cds_backend!r})"
         )
     spec = ExecSpec(
         gao=tuple(gao or ()),
         strategy=strategy,
         memoize=memoize,
-        merge_intervals=merge_intervals,
-        cds_backend=cds_backend,
         limit=limit,
         shards=shards,
         workers=workers,

@@ -200,7 +200,7 @@ class _SecondaryOrder:
         )
         self.relation = Relation.from_index(
             base.name, attributes,
-            FlatTrieRelation((), arity=base.arity), backend="flat",
+            FlatTrieRelation((), arity=base.arity),
         )
 
     def build(self, tuples: Iterable[Row]) -> None:
@@ -311,9 +311,9 @@ class LiveJoin:
             spec, gao=tuple(gao), limit=None
         ).resolve(query)
         #: The view's configuration as `!view` WAL records and snapshot
-        #: manifests round-trip it: GAO, shards/workers and CDS backend
-        #: pinned (replay must not re-run today's heuristics), the
-        #: strategy as declared.
+        #: manifests round-trip it: GAO and shards/workers pinned
+        #: (replay must not re-run today's heuristics), the strategy as
+        #: declared.
         self.spec = replace(self._run_spec, strategy=spec.strategy)
         self.gao = self.spec.gao
         #: The view-owned column orders the term GAOs need, one per

@@ -11,9 +11,10 @@ Theorem 3.2), so the algorithm makes progress and terminates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.cds_arena import make_cds, make_probe_strategy
+from repro.core.cds import ConstraintTree
+from repro.core.cds_arena import ArenaConstraintTree, make_probe_strategy
 from repro.core.constraints import Constraint, WILDCARD
 from repro.core.query import PreparedQuery
 from repro.core.resilience import AdmittedQuery
@@ -22,6 +23,9 @@ from repro.storage.flat_trie import FlatTrieRelation
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
 from repro.util.sentinels import NEG_INF, POS_INF
+
+#: Either tier of the constraint data structure.
+CDS = Union[ArenaConstraintTree, ConstraintTree]
 
 LOW, HIGH = 0, 1  # the paper's  l / h  exploration symbols
 
@@ -44,16 +48,15 @@ class Minesweeper:
     memoize:
         Pass False to disable Algorithm 4/7 gap-inference memoization
         (ablation E12).
-    merge_intervals:
-        Pass False to store CDS intervals unmerged (ablation E13).
-        The naive list exists only in the pointer tree, so this pins
-        ``cds_backend="pointer"``.
-    cds_backend:
-        ``"arena"`` (flat array-backed ConstraintTree, the default) or
-        ``"pointer"`` (per-node objects); ``None`` / ``"auto"`` resolve
-        to :data:`repro.core.cds_arena.DEFAULT_CDS_BACKEND`.  Rows and
-        operation counts are invariant in this knob — only wall-clock
-        changes.
+    cds:
+        The constraint data structure to run over, empty and tallying
+        into ``query.counters``.  ``None`` (every production caller)
+        builds a fresh :class:`~repro.core.cds_arena.ArenaConstraintTree`.
+        Tests and ablations pass the plain tier's
+        :class:`~repro.core.cds.ConstraintTree` instead (E13 passes one
+        over unmerged interval lists); the probe strategy follows the
+        object's type.  Rows and operation counts are the same on
+        either tree — only wall-clock differs.
     """
 
     def __init__(
@@ -61,18 +64,16 @@ class Minesweeper:
         query: PreparedQuery,
         strategy: str = "auto",
         memoize: bool = True,
-        merge_intervals: bool = True,
         max_probes: Optional[int] = None,
-        cds_backend: Optional[str] = None,
+        cds: Optional[CDS] = None,
         admission: Optional["AdmittedQuery"] = None,
     ) -> None:
         self.query = query
         self.counters: OpCounters = query.counters
-        self.cds = make_cds(
-            query.n,
-            counters=self.counters,
-            merge_intervals=merge_intervals,
-            cds_backend=cds_backend,
+        self.cds: CDS = (
+            cds
+            if cds is not None
+            else ArenaConstraintTree(query.n, counters=self.counters)
         )
         if strategy == "auto":
             strategy = "chain" if query.is_neo_gao() else "general"

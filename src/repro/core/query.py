@@ -22,7 +22,7 @@ from repro.hypergraph.elimination import (
     min_fill_order,
 )
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.storage.relation import BACKENDS, DEFAULT_BACKEND, Relation
+from repro.storage.relation import Relation
 from repro.util.counters import OpCounters
 
 
@@ -104,9 +104,10 @@ class Query:
     ) -> "PreparedQuery":
         """Re-index every relation consistently with ``gao``.
 
-        Column permutation rebuilds each trie; the result is a
-        :class:`PreparedQuery` whose relations all share ``counters``.
-        Each relation keeps the index tier it was constructed with.
+        A relation already in GAO order is kept as-is (its index
+        included); a column permutation re-indexes the relation into a
+        fresh flat trie.  The result is a :class:`PreparedQuery` whose
+        relations all share ``counters``.
         """
         gao = list(gao)
         self.check_gao(gao)
@@ -123,22 +124,8 @@ class Query:
             column_of = {a: i for i, a in enumerate(r.attributes)}
             perm = [column_of[a] for a in ordered_attrs]
             rows = [tuple(row[i] for i in perm) for row in r.tuples()]
-            if r.backend in BACKENDS:
-                rebuilt_backend = r.backend
-            else:
-                # A wrapped live index (Relation.from_index, e.g. a
-                # DeltaRelation): its label is not a buildable backend,
-                # so the re-indexed copy — a static snapshot of the
-                # current contents — uses the default one.
-                rebuilt_backend = DEFAULT_BACKEND
             prepared.append(
-                Relation(
-                    r.name,
-                    ordered_attrs,
-                    rows,
-                    counters=shared,
-                    backend=rebuilt_backend,
-                )
+                Relation(r.name, ordered_attrs, rows, counters=shared)
             )
         return PreparedQuery(prepared, gao, shared)
 

@@ -150,7 +150,10 @@ class QueryBudget:
     nothing else).  It needs counting counters: under
     :class:`~repro.util.counters.NullCounters` the tallies stay zero
     and the cap never fires.  ``deadline_ms`` is wall-clock from
-    :meth:`admit`; ``max_rows`` bounds output tuples.  Every engine
+    :meth:`admit`.  ``max_rows`` bounds the engine's ``output_tuples``
+    tally: tuples of the full body join, counted before any projection
+    or aggregate, so a projected or ``COUNT`` query can exceed it while
+    its answer has a handful of rows.  Every engine
     checks all three from its own loop (:meth:`AdmittedQuery.tick`)
     and raises :class:`BudgetExceeded` / :class:`QueryTimeout`.
     """

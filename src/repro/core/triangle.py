@@ -513,7 +513,6 @@ def triangle_join(
     s_edges: Sequence[Edge],
     t_edges: Sequence[Edge],
     counters: Optional[OpCounters] = None,
-    backend: str = "auto",
     cds_backend: Optional[str] = None,
     admission: Optional[AdmittedQuery] = None,
 ) -> List[Tuple[int, int, int]]:
@@ -523,29 +522,28 @@ def triangle_join(
     would be unreachable through this interface anyway); pass an
     :class:`OpCounters` to collect the Section-5.2 numbers.
 
-    ``cds_backend`` picks the specialized CDS's storage: ``"arena"``
-    (one pooled interval store, the default) or ``"pointer"`` (per-node
-    ``IntervalList`` objects).  Rows and operation counts are invariant
-    in the knob.  The arena variant requires the flat relation backend;
-    the ``trie`` ablation always runs the pointer CDS.
+    The run is :class:`~repro.core.triangle_arena.ArenaTriangleMinesweeper`
+    over flat tries.  A comparison against the plain tier builds
+    :class:`TriangleMinesweeper` directly (``backend="trie"`` for the
+    pointer-trie indexes); rows and operation counts are the same.
+    ``cds_backend`` is not a knob: any value but ``None`` raises
+    ``ValueError``.  It stays only because the frozen perf ledger's
+    ``benchmarks/ledger/layers.py::_engine_call`` passes
+    ``cds_backend=plan.cds_backend``; ROADMAP items 2(b) and 7(a)
+    remove it.
 
     ``admission`` (an :class:`~repro.core.resilience.AdmittedQuery`)
     is checked once per probe and aborts the run with a typed
     ``BudgetExceeded`` / ``QueryTimeout``.
     """
-    from repro.core.cds_arena import resolve_cds_backend
+    from repro.core.triangle_arena import ArenaTriangleMinesweeper
 
+    if cds_backend is not None:
+        raise ValueError(
+            "triangle_join() takes no CDS tier "
+            f"(got cds_backend={cds_backend!r})"
+        )
     if counters is None:
         counters = NullCounters()
-    resolved = resolve_cds_backend(cds_backend)
-    if resolved == "arena" and backend in ("auto", "flat"):
-        from repro.core.triangle_arena import ArenaTriangleMinesweeper
-
-        engine: TriangleMinesweeper = ArenaTriangleMinesweeper(
-            r_edges, s_edges, t_edges, counters, backend=backend
-        )
-    else:
-        engine = TriangleMinesweeper(
-            r_edges, s_edges, t_edges, counters, backend=backend
-        )
+    engine = ArenaTriangleMinesweeper(r_edges, s_edges, t_edges, counters)
     return engine.run(admission)

@@ -19,7 +19,8 @@ hits/misses, interval ops, and rows are identical — asserted by the
 backend-parity suite.
 
 Only the flat (CSR) relation backend is supported; ``triangle_join``
-falls back to the pointer CDS for the ``trie`` ablation.
+always runs this class, and a comparison over trie indexes builds the
+plain :class:`~repro.core.triangle.TriangleMinesweeper` directly.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
         if not isinstance(self.r_index, FlatTrieRelation):
             raise ValueError(
                 "the arena triangle CDS requires the flat relation backend; "
-                "use cds_backend='pointer' with trie indexes"
+                "run TriangleMinesweeper over trie indexes"
             )
         # The tally gate and the CSR explorer's rank lookups.
         self._counting = self.counters.enabled

@@ -240,7 +240,7 @@ class Catalog:
             spec,
             seed=not self._replaying,
         )
-        # Log the *resolved* configuration (gao / cds_backend picked by
+        # Log the *resolved* configuration (gao / shards picked by
         # the view), so replaying the record reconstructs this exact
         # view even if auto-selection heuristics change later.
         self._log_control(

@@ -108,12 +108,7 @@ def lower(statement: QueryStatement, source) -> LoweredQuery:
         used_aliases.add(alias)
         alias_of[alias] = atom.relation
         relations.append(
-            Relation.from_index(
-                alias,
-                atom.args,
-                stored.index,
-                backend=stored.backend,
-            )
+            Relation.from_index(alias, atom.args, stored.index)
         )
     return LoweredQuery(
         statement=statement, query=Query(relations), alias_of=alias_of

@@ -51,9 +51,7 @@ def _certify_shard(
     for r in payload.relations:
         r.rebind_counters(counters)
     prepared = PreparedQuery(payload.relations, payload.spec.gao, counters)
-    rows, argument = record_certificate(
-        prepared, cds_backend=payload.spec.cds_backend
-    )
+    rows, argument = record_certificate(prepared)
     counterexample = check_certificate(prepared, argument, samples=samples)
     return rows, ShardCertificate(
         lo=payload.lo,
@@ -70,7 +68,7 @@ def certify_sharded(
 ) -> List[ShardCertificate]:
     """Record and check one certificate per shard of the plan.
 
-    Of ``spec`` only ``shards`` / ``workers`` / ``cds_backend`` apply
+    Of ``spec`` only ``shards`` / ``workers`` apply
     (the GAO is ``prepared``'s): ``workers=0`` runs the shards
     sequentially in-process; ``>= 1`` runs them in supervised worker
     processes.  Results arrive in plan (range) order either way.

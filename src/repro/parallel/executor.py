@@ -126,7 +126,7 @@ def run_sharded(
     ``relations`` already indexed consistently with ``spec.gao`` — the
     caller, :func:`repro.core.engine.run_join`, guarantees both; the
     spec is shipped unchanged to every shard, so all of them (and the
-    unsharded engine) agree on strategy and CDS backend.  Returns a
+    unsharded engine) agree on GAO and strategy.  Returns a
     :class:`ShardedRun`; ``rows`` are in global GAO order and
     ``counters`` is the provided counters object with every shard's
     tally merged in.  ``spec.workers == 0`` runs the shards

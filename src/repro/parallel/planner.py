@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.storage.relation import BACKENDS, DEFAULT_BACKEND, Relation
+from repro.storage.relation import Relation
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,6 @@ def plan_shards(
     return plan
 
 
-def _buildable(backend: str) -> str:
-    """A backend name ``Relation()`` can construct a slice with.
-
-    Live-index labels (e.g. ``"delta"``) are not buildable; the slice —
-    a static snapshot of a contiguous range — uses the default backend,
-    mirroring ``Query.with_gao``'s re-index rule.
-    """
-    return backend if backend in BACKENDS else DEFAULT_BACKEND
-
-
 def slice_plan(
     relations: Sequence[Relation],
     attribute: str,
@@ -133,8 +123,8 @@ def slice_plan(
 
     Relations leading with ``attribute`` are sliced to each shard's
     value range — a contiguous slice of their materialized tuple list
-    (``leading_rows``), found by bisection; all others are passed
-    through unchanged.
+    (``leading_rows``), found by bisection and indexed as a fresh flat
+    trie; all others are passed through unchanged.
     """
     out: List[List[Relation]] = [[] for _ in plan]
     for r in relations:
@@ -143,18 +133,10 @@ def slice_plan(
                 per_shard.append(r)
             continue
         rows = leading_rows[r.name]
-        backend = _buildable(r.backend)
         for per_shard, shard in zip(out, plan):
             lo_i = bisect_left(rows, (shard.lo,))
             hi_i = bisect_left(rows, (shard.hi + 1,))
-            per_shard.append(
-                Relation(
-                    r.name,
-                    r.attributes,
-                    rows[lo_i:hi_i],
-                    backend=backend,
-                )
-            )
+            per_shard.append(Relation(r.name, r.attributes, rows[lo_i:hi_i]))
     return out
 
 

@@ -74,11 +74,10 @@ class Plan:
     engine: str
     gao: Tuple[str, ...]
     strategy: str = "auto"
-    #: Not plan fields: a plan picks no index or CDS tier (the index
-    #: tier is fixed by each ``Relation(...)``, the CDS tier is the
-    #: engine default).  Kept as constants only because the frozen perf
-    #: ledger's ``benchmarks/ledger/layers.py::_engine_call`` reads them;
-    #: ROADMAP item 1(b) removes them.
+    #: Not plan fields: a plan picks no index or CDS tier (every run
+    #: uses the fast tier).  Kept as ``None`` constants only because the
+    #: frozen perf ledger's ``benchmarks/ledger/layers.py::_engine_call``
+    #: reads them; ROADMAP items 2(b) and 7(a) remove them.
     backend: ClassVar[Optional[str]] = None
     cds_backend: ClassVar[Optional[str]] = None
     shards: int = 1

@@ -11,13 +11,11 @@ from repro.storage.interval_list import (
     interval_is_empty,
 )
 from repro.storage.interval_pool import IntervalPool
-from repro.storage.relation import BACKENDS, DEFAULT_BACKEND, Relation
+from repro.storage.relation import Relation
 from repro.storage.sorted_list import SortedList
 from repro.storage.trie import TrieRelation
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "DeltaRelation",
     "FlatTrieRelation",
     "INSERT_DISJOINT",

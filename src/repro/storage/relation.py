@@ -15,14 +15,13 @@ level-by-level descent, or the paper's index-tuple API (``find_gap`` /
 :class:`repro.storage.index_tuple.IndexTupleAPI`) derived from it —
 plus full-tuple iteration for the baselines, which model scans.
 
-The index tier is chosen here, once, by the ``backend`` argument
-(``"auto"`` is the default); no later run option rebuilds it:
-
-* ``"flat"`` — :class:`repro.storage.flat_trie.FlatTrieRelation`, the
-  CSR array-backed index of the fast tier (what ``"auto"`` resolves to);
-* ``"trie"`` — the pointer-node :class:`repro.storage.trie.TrieRelation`,
-  the plain tier's index (the reference the flat trie is
-  property-checked against).
+``Relation(...)`` always builds a
+:class:`repro.storage.flat_trie.FlatTrieRelation`, the CSR array-backed
+index of the fast tier; no argument or run option picks another.  The
+plain tier's pointer-node :class:`repro.storage.trie.TrieRelation` (the
+reference the flat trie is property-checked against) is built only by
+code that compares against it, and wrapped with
+:meth:`Relation.from_index`.
 """
 
 from __future__ import annotations
@@ -30,14 +29,7 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.storage.flat_trie import FlatTrieRelation
-from repro.storage.trie import TrieRelation
 from repro.util.counters import OpCounters
-
-#: Accepted values for ``Relation(..., backend=...)``.
-BACKENDS = ("auto", "flat", "trie")
-
-#: What ``"auto"`` resolves to — the array-backed engine.
-DEFAULT_BACKEND = "flat"
 
 
 def _validate_schema(name: str, attributes: Sequence[str]) -> Tuple[str, ...]:
@@ -61,11 +53,8 @@ class Relation:
         attributes: Sequence[str],
         tuples: Iterable[Sequence[int]],
         counters: Optional[OpCounters] = None,
-        backend: str = "auto",
     ) -> None:
         attrs = _validate_schema(name, attributes)
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; pick from {BACKENDS}")
         rows = [tuple(t) for t in tuples]
         for row in rows:
             if len(row) != len(attrs):
@@ -74,17 +63,10 @@ class Relation:
                 )
         self.name = name
         self.attributes: Tuple[str, ...] = attrs
-        self.backend = backend
         self.counters = counters if counters is not None else OpCounters()
-        resolved = DEFAULT_BACKEND if backend == "auto" else backend
-        if resolved == "trie":
-            self.index = TrieRelation(
-                rows, arity=len(attrs), counters=self.counters
-            )
-        else:
-            self.index = FlatTrieRelation(
-                rows, arity=len(attrs), counters=self.counters
-            )
+        self.index: Any = FlatTrieRelation(
+            rows, arity=len(attrs), counters=self.counters
+        )
 
     @classmethod
     def from_index(
@@ -95,18 +77,17 @@ class Relation:
         # DeltaRelation; importing it here would cycle the layer).
         index: Any,
         counters: Optional[OpCounters] = None,
-        backend: str = "delta",
     ) -> "Relation":
         """Wrap an existing (possibly live) index without copying it.
 
         Used by the dynamic subsystem to expose a writable
         :class:`repro.storage.delta.DeltaRelation` to the engines: the
         wrapper shares the index object, so updates applied to the index
-        are visible through the relation immediately.  ``backend`` is a
-        label only; the index is taken as-is.  Note that if
-        ``Query.with_gao`` must re-index such a relation (a column
-        reorder), the rebuilt copy is a
-        *static snapshot* of the live contents at that moment.
+        are visible through the relation immediately.  Tests wrap a
+        plain-tier :class:`repro.storage.trie.TrieRelation` the same
+        way.  Note that if ``Query.with_gao`` must re-index such a
+        relation (a column reorder), the rebuilt copy is a flat trie
+        holding a *static snapshot* of the contents at that moment.
         """
         attrs = _validate_schema(name, attributes)
         if len(attrs) != index.arity:
@@ -116,7 +97,6 @@ class Relation:
         self = cls.__new__(cls)
         self.name = name
         self.attributes = attrs
-        self.backend = backend
         if counters is None:
             counters = (
                 index.counters if index.counters is not None else OpCounters()

@@ -2,10 +2,12 @@
 
 The arena contract is *exact*: byte-identical rows, identical operation
 counts, identical tree contents, identical probe-point sequences under
-every strategy — the backend flag may only change wall-clock.  These
-tests drive randomized interleaved InsConstraint + probe workloads
-through both backends and assert that contract, plus the arena-only
-mechanics (slab recycling, plain-array pickling, per-depth epochs).
+every strategy — the tier may only change wall-clock.  No run option
+picks the tier: these tests build the plain tier (``ConstraintTree``,
+``TriangleMinesweeper``) directly, drive randomized interleaved
+InsConstraint + probe workloads through both, and assert that contract,
+plus the arena-only mechanics (slab recycling, plain-array pickling,
+per-depth epochs).
 """
 
 import pickle
@@ -18,22 +20,21 @@ from repro.core.cds_arena import (
     ArenaChainProbeStrategy,
     ArenaConstraintTree,
     ArenaGeneralProbeStrategy,
-    CDS_BACKENDS,
-    DEFAULT_CDS_BACKEND,
-    make_cds,
-    resolve_cds_backend,
+    make_probe_strategy,
 )
 from repro.core.constraints import Constraint, WILDCARD
-from repro.core.engine import ExecSpec, join
+from repro.core.engine import join
 from repro.core.minesweeper import Minesweeper
 from repro.core.probe_acyclic import ChainProbeStrategy, NotAChainError
 from repro.core.probe_general import GeneralProbeStrategy
-from repro.core.query import Query
-from repro.core.triangle import triangle_join
+from repro.core.query import PreparedQuery, Query
+from repro.core.triangle import TriangleMinesweeper, triangle_join
 from repro.datasets.instances import triangle_hard, triangle_with_output
+from repro.parallel.planner import plan_and_slice
 from repro.storage.interval_pool import IntervalPool
-from repro.storage.interval_list import IntervalList
+from repro.storage.interval_list import IntervalList, NaiveIntervalList
 from repro.storage.relation import Relation
+from repro.storage.trie import TrieRelation
 from repro.util.counters import NullCounters, OpCounters
 from repro.util.sentinels import NEG_INF, POS_INF
 
@@ -190,20 +191,33 @@ class TestArenaTreeEquivalence:
         assert before > 1
 
     def test_merge_intervals_false_is_pointer_only(self):
-        with pytest.raises(ValueError):
+        """The unmerged (verbatim) interval list exists only in the
+        pointer tree; the arena takes no such switch."""
+        with pytest.raises(TypeError):
             ArenaConstraintTree(2, merge_intervals=False)
-        assert isinstance(
-            make_cds(2, merge_intervals=False, cds_backend="arena"),
-            ConstraintTree,
-        )
+        tree = ConstraintTree(2, merge_intervals=False)
+        assert isinstance(tree.root.intervals, NaiveIntervalList)
 
     def test_resolve_backend(self):
-        for name in CDS_BACKENDS:
-            assert resolve_cds_backend(name) == name
-        assert resolve_cds_backend(None) == DEFAULT_CDS_BACKEND
-        assert resolve_cds_backend("auto") == DEFAULT_CDS_BACKEND
+        """The CDS object picks its probe strategy by type, and the
+        engine's default CDS is the arena."""
+        arena, pointer = ArenaConstraintTree(2), ConstraintTree(2)
+        for strategy, fast, plain in (
+            ("chain", ArenaChainProbeStrategy, ChainProbeStrategy),
+            ("general", ArenaGeneralProbeStrategy, GeneralProbeStrategy),
+        ):
+            assert type(make_probe_strategy(arena, strategy)) is fast
+            assert type(make_probe_strategy(pointer, strategy)) is plain
         with pytest.raises(ValueError):
-            resolve_cds_backend("bogus")
+            make_probe_strategy(arena, "bogus")
+        prepared = Query(
+            [Relation("R", ["A", "B"], [(1, 2)])]
+        ).with_gao(["A", "B"])
+        assert isinstance(Minesweeper(prepared).cds, ArenaConstraintTree)
+        engine = Minesweeper(
+            prepared, cds=ConstraintTree(2, counters=prepared.counters)
+        )
+        assert type(engine.probe) is ChainProbeStrategy
 
     def test_pickle_round_trip_plain_arrays(self):
         rng = random.Random(7)
@@ -458,28 +472,59 @@ class TestProbeEquivalence:
         rows = {}
         for counters in (None, NullCounters()):
             prepared = q.with_gao(["A", "B", "C"], counters=counters)
-            engine = Minesweeper(
-                prepared, strategy="general", cds_backend="arena"
-            )
+            engine = Minesweeper(prepared, strategy="general")
             rows[type(counters).__name__] = engine.run()
         assert rows["NoneType"] == rows["NullCounters"]
 
 
-def _engine_outcome(query, gao, strategy, cds_backend, **kwargs):
+def _pointer_run(prepared, strategy, memoize=True):
+    """Minesweeper over the plain tier's pointer ConstraintTree."""
+    cds = ConstraintTree(prepared.n, counters=prepared.counters)
+    return Minesweeper(
+        prepared, strategy=strategy, memoize=memoize, cds=cds
+    ).run()
+
+
+def _engine_outcome(query, gao, strategy, tier, shards=None, memoize=True):
+    """``(rows, op snapshot)`` of one join on the arena (the library's
+    run) or the pointer tree (built here, shard by shard when
+    ``shards`` is set, the way the sharded executor plans them)."""
     counters = OpCounters()
-    result = join(
-        query,
-        gao=gao,
-        strategy=strategy,
-        counters=counters,
-        cds_backend=cds_backend,
-        **kwargs,
-    )
-    return result.rows, counters.snapshot()
+    if tier == "arena":
+        rows = join(
+            query, gao=gao, strategy=strategy, counters=counters,
+            shards=shards, memoize=memoize,
+        ).rows
+        return rows, counters.snapshot()
+    prepared = query.with_gao(gao, counters)
+    if shards is None:
+        return _pointer_run(prepared, strategy, memoize), counters.snapshot()
+    rows = []
+    _, slices = plan_and_slice(prepared.relations, gao[0], shards)
+    for relations in slices:
+        shard_counters = OpCounters()
+        for r in relations:
+            r.rebind_counters(shard_counters)
+        shard = PreparedQuery(relations, gao, shard_counters)
+        rows += _pointer_run(shard, strategy, memoize)
+        counters.merge(shard_counters)
+    return rows, counters.snapshot()
+
+
+def _dyadic_outcome(r, s, t, plain):
+    """``(rows, op snapshot)`` of the triangle engine: the library's
+    arena run, or the plain :class:`TriangleMinesweeper` built here."""
+    counters = OpCounters()
+    if plain:
+        rows = TriangleMinesweeper(r, s, t, counters).run()
+    else:
+        rows = triangle_join(r, s, t, counters)
+    return rows, counters.snapshot()
 
 
 class TestEngineEquivalence:
-    """End-to-end joins: rows and op counts invariant in cds_backend."""
+    """End-to-end joins: rows and op counts are the same on the arena
+    and on the pointer tree built directly."""
 
     def _triangle_query(self, r, s, t):
         return Query(
@@ -539,50 +584,60 @@ class TestEngineEquivalence:
         assert a == b
 
     def test_merge_intervals_off_pins_pointer(self):
+        """The E13 ablation's unmerged lists live in the pointer tree;
+        the engine runs over the tree it is handed and answers the
+        same."""
         r, s, t, _ = triangle_hard(8)
         q = self._triangle_query(r, s, t)
         prepared = q.with_gao(["A", "B", "C"])
-        engine = Minesweeper(
-            prepared, merge_intervals=False, cds_backend="arena"
+        unmerged = ConstraintTree(
+            prepared.n, counters=prepared.counters, merge_intervals=False
         )
-        assert isinstance(engine.cds, ConstraintTree)
+        engine = Minesweeper(prepared, cds=unmerged)
+        assert engine.cds is unmerged
+        assert type(engine.probe) is GeneralProbeStrategy
+        assert engine.run() == join(q, gao=["A", "B", "C"]).rows
 
     @pytest.mark.parametrize("n", [24, 48])
     def test_dyadic_triangle_backends(self, n):
         r, s, t, _ = triangle_hard(n)
-        out = {}
-        for backend in ("pointer", "arena"):
-            counters = OpCounters()
-            rows = triangle_join(r, s, t, counters, cds_backend=backend)
-            out[backend] = (rows, counters.snapshot())
-        assert out["pointer"] == out["arena"]
+        assert _dyadic_outcome(r, s, t, plain=True) == _dyadic_outcome(
+            r, s, t, plain=False
+        )
 
     def test_dyadic_triangle_planted(self):
         r, s, t = triangle_with_output(120, 30, seed=5)
-        out = {}
-        for backend in ("pointer", "arena"):
-            counters = OpCounters()
-            rows = triangle_join(r, s, t, counters, cds_backend=backend)
-            out[backend] = (rows, counters.snapshot())
-        assert out["pointer"] == out["arena"]
+        assert _dyadic_outcome(r, s, t, plain=True) == _dyadic_outcome(
+            r, s, t, plain=False
+        )
 
     def test_dynamic_live_join_backends(self):
+        """A live view (arena, the only tier a view runs on) holds,
+        after every batch, exactly the rows the plain tier computes
+        from scratch: the pointer ConstraintTree over pointer tries."""
         from repro import dynamic
 
         schemas, initial, batches = dynamic.triangle_stream(
             n_nodes=12, n_edges=40, n_batches=3, batch_size=5,
             insert_fraction=0.5, seed=3,
         )
-        states = {}
-        for backend in ("pointer", "arena"):
-            catalog, view = dynamic.build_catalog(
-                schemas, initial, spec=ExecSpec(cds_backend=backend)
+        catalog, view = dynamic.build_catalog(schemas, initial)
+        for batch in batches:
+            catalog.apply_batch(batch)
+            plain = Query(
+                [
+                    Relation.from_index(
+                        name, attrs,
+                        TrieRelation(
+                            catalog.relation(name).index.tuples(),
+                            arity=len(attrs),
+                        ),
+                    )
+                    for name, attrs in schemas.items()
+                ]
             )
-            ops = OpCounters()
-            for batch in batches:
-                catalog.apply_batch(batch)
-            states[backend] = (view.rows(), view.counters.snapshot())
-        assert states["pointer"] == states["arena"]
+            expected = _pointer_run(plain.with_gao(view.gao), "auto")
+            assert sorted(view.rows()) == sorted(expected)
 
     def test_hash_seed_invariant(self):
         """Probe sequences agree across PYTHONHASHSEEDs and backends."""
@@ -593,7 +648,9 @@ class TestEngineEquivalence:
 
         program = (
             "import json\n"
+            "from repro.core.cds import ConstraintTree\n"
             "from repro.core.engine import join\n"
+            "from repro.core.minesweeper import Minesweeper\n"
             "from repro.core.query import Query\n"
             "from repro.storage.relation import Relation\n"
             "from repro.datasets.instances import triangle_hard\n"
@@ -603,11 +660,13 @@ class TestEngineEquivalence:
             "           Relation('S', ['B', 'C'], s),\n"
             "           Relation('T', ['A', 'C'], t)])\n"
             "out = {}\n"
-            "for backend in ('pointer', 'arena'):\n"
-            "    c = OpCounters()\n"
-            "    res = join(q, gao=['A', 'B', 'C'], counters=c,\n"
-            "               cds_backend=backend)\n"
-            "    out[backend] = [res.rows, c.snapshot()]\n"
+            "c = OpCounters()\n"
+            "out['arena'] = [join(q, gao=['A', 'B', 'C'], counters=c).rows,\n"
+            "                c.snapshot()]\n"
+            "c = OpCounters()\n"
+            "p = q.with_gao(['A', 'B', 'C'], c)\n"
+            "rows = Minesweeper(p, cds=ConstraintTree(3, counters=c)).run()\n"
+            "out['pointer'] = [rows, c.snapshot()]\n"
             "print(json.dumps(out, sort_keys=True))\n"
         )
         outputs = set()

@@ -56,6 +56,47 @@ class TestJoin:
             )
         assert len(set(map(tuple, outputs.values()))) == 1
 
+    @pytest.mark.parametrize("engine", ["leapfrog", "generic", "yannakakis"])
+    def test_baseline_prints_the_counts_it_tallied(
+        self, relation_files, capsys, engine
+    ):
+        """A baseline's ``# comparisons:`` / ``# findgap:`` lines are
+        what a direct call tallies on the same input."""
+        from repro.baselines.generic_join import generic_join
+        from repro.baselines.leapfrog import leapfrog_triejoin
+        from repro.baselines.yannakakis import yannakakis_join
+        from repro.core.query import Query
+        from repro.storage.relation import Relation
+        from repro.util.counters import OpCounters
+
+        r_spec, s_spec = relation_files
+        code, _, err = run_cli(
+            ["join", "--relation", r_spec, "--relation", s_spec,
+             "--gao", "A,B,C", "--engine", engine],
+            capsys,
+        )
+        assert code == 0
+        printed = {}
+        for line in err.splitlines():
+            key, sep, value = line[2:].partition(": ")
+            if line.startswith("# ") and sep:
+                printed[key] = int(value)
+
+        query = Query([
+            Relation("R", ["A", "B"], [(1, 2), (2, 3), (3, 1)]),
+            Relation("S", ["B", "C"], [(2, 10), (3, 20)]),
+        ])
+        gao = ["A", "B", "C"]
+        counters = OpCounters()
+        if engine == "yannakakis":
+            yannakakis_join(query, gao, counters)
+        else:
+            run = leapfrog_triejoin if engine == "leapfrog" else generic_join
+            run(query.with_gao(gao, counters), counters)
+        tallied = {k: v for k, v in counters.snapshot().items() if v}
+        assert printed == tallied
+        assert printed.get("comparisons", 0) + printed.get("findgap", 0) > 0
+
     def test_missing_relation_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["join"])

@@ -6,6 +6,7 @@ the triangle engine (on triangle shapes), and the naive evaluator.
 """
 
 import dataclasses
+import inspect
 import json
 import pickle
 
@@ -17,8 +18,11 @@ from repro.baselines.generic_join import generic_join
 from repro.baselines.hash_join import hash_join_plan
 from repro.baselines.leapfrog import leapfrog_triejoin
 from repro.baselines.yannakakis import yannakakis_join
+from repro.certificates.recorder import record_certificate
+from repro.core.cds import ConstraintTree
 from repro.core.engine import ExecSpec, iterate_join, join
 from repro.core.incremental import LiveJoin
+from repro.core.minesweeper import Minesweeper
 from repro.core.query import Query, naive_join
 from repro.core.triangle import triangle_join
 from repro.datasets.instances import triangle_with_output
@@ -96,9 +100,11 @@ def test_memoization_and_merging_do_not_change_results(case):
     _, query, gao = case
     expected = naive_join(query, gao)
     assert sorted(join(query, gao=gao, memoize=False).rows) == expected
-    assert (
-        sorted(join(query, gao=gao, merge_intervals=False).rows) == expected
+    prepared = query.with_gao(gao)
+    unmerged = ConstraintTree(
+        prepared.n, counters=prepared.counters, merge_intervals=False
     )
+    assert sorted(Minesweeper(prepared, cds=unmerged).run()) == expected
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +182,6 @@ def test_passed_counters_start_from_zero_on_a_prepared_query(route):
     ({"limit": -1}, "limit must be non-negative, got -1"),
     ({"workers": -1}, "workers must be non-negative, got -1"),
     ({"shards": 0}, "shards must be >= 1, got 0"),
-    ({"cds_backend": "bogus"}, "unknown cds_backend 'bogus'"),
 ])
 def test_out_of_range_knobs_are_rejected_in_one_voice(knobs, message):
     def live_relations():
@@ -207,13 +212,11 @@ def test_resolve_is_idempotent_and_decides_everything():
     resolved = ExecSpec(workers=2).resolve(query)
     assert resolved == ExecSpec(
         gao=tuple(query.choose_gao()[0]), strategy="general",
-        cds_backend="arena", shards=2, workers=2,
+        shards=2, workers=2,
     )
     assert resolved.resolve(query) == resolved
     assert resolved.sharded and not ExecSpec().resolve(query).sharded
     assert ExecSpec(workers=1).resolve(query).sharded  # a real 1-pool
-    unmerged = ExecSpec(merge_intervals=False, cds_backend="arena")
-    assert unmerged.resolve(query).cds_backend == "pointer"
     assert ExecSpec.from_record(
         {**resolved.to_record(), "name": "V", "relations": ["R"]}
     ) == resolved
@@ -221,21 +224,40 @@ def test_resolve_is_idempotent_and_decides_everything():
 
 
 def test_tiers_are_not_run_knobs():
-    """The index tier is fixed by ``Relation(...)``; the CDS tier has
-    one seam, ``ExecSpec.cds_backend``; no plan or planner field picks
-    either, and a live view's record keeps its five keys."""
+    """No run option picks an index or CDS tier: ``ExecSpec`` has six
+    fields, a live view's record four keys, and neither ``Relation``,
+    ``Relation.from_index``, ``Minesweeper`` nor ``record_certificate``
+    takes a tier name.  The three ledger shims accept only ``None``."""
     from repro.planner import Plan, PlannerConfig
 
     assert [f.name for f in dataclasses.fields(ExecSpec)] == [
-        "gao", "strategy", "memoize", "merge_intervals", "cds_backend",
-        "limit", "shards", "workers",
+        "gao", "strategy", "memoize", "limit", "shards", "workers",
     ]
-    tiers = {"backend", "cds_backend"}
+    tiers = {"backend", "cds_backend", "merge_intervals"}
     assert not tiers & {f.name for f in dataclasses.fields(PlannerConfig)}
     assert not tiers & {f.name for f in dataclasses.fields(Plan)}
     assert Plan.backend is None and Plan.cds_backend is None
     record = ExecSpec(gao=("A", "B"), workers=2).resolve().to_record()
     assert json.dumps(record, sort_keys=True) == (
-        '{"cds_backend": "arena", "gao": ["A", "B"], "shards": 2, '
-        '"strategy": "auto", "workers": 2}'
+        '{"gao": ["A", "B"], "shards": 2, "strategy": "auto", "workers": 2}'
     )
+    for callable_ in (
+        Relation, Relation.from_index, Minesweeper, record_certificate,
+    ):
+        named = set(inspect.signature(callable_).parameters)
+        assert not tiers & named, (callable_, named)
+    # The one CDS argument is the object itself, not a name for it.
+    assert "cds" in inspect.signature(Minesweeper).parameters
+
+    query = _planted_query()
+    r, s, t = triangle_with_output(40, 10, seed=5)
+    shims = [
+        lambda tier: join(query, backend=tier),
+        lambda tier: join(query, cds_backend=tier),
+        lambda tier: triangle_join(r, s, t, cds_backend=tier),
+    ]
+    for shim in shims:
+        shim(None)
+        for tier in ("auto", "arena", "pointer", "flat", "trie"):
+            with pytest.raises(ValueError, match="takes no"):
+                shim(tier)

@@ -77,16 +77,14 @@ def _query_resilient(catalog):
         pass  # the expected typed abort — never a hang or bad rows
 
 
-def _ops(cds_backend=None):
-    """The scenario: one durability-relevant operation per entry (the
-    view evaluates on ``cds_backend``; None = the default)."""
+def _ops():
+    """The scenario: one durability-relevant operation per entry."""
     return [
         ("create-R", lambda c: c.create_relation(
             "R", ["A", "B"], [(1, 2), (2, 3)])),
         ("create-S", lambda c: c.create_relation(
             "S", ["B", "C"], [(2, 9), (3, 7)])),
-        ("view-V", lambda c: c.register_view(
-            "V", ["R", "S"], ExecSpec(cds_backend=cds_backend))),
+        ("view-V", lambda c: c.register_view("V", ["R", "S"], ExecSpec())),
         ("query-sharded", _query_sharded),
         ("query-resilient", _query_resilient),
         ("batch-1", lambda c: c.apply_batch([
@@ -125,20 +123,20 @@ def state_of(catalog):
     )
 
 
-def run_clean(data_dir, cds_backend=None):
+def run_clean(data_dir):
     """Run every op; returns the checkpoint states (one per boundary)."""
     catalog, _ = open_catalog(
         data_dir, fsync=FSYNC, segment_limit=SEGMENT_LIMIT
     )
     checkpoints = [state_of(catalog)]
-    for _label, op in _ops(cds_backend):
+    for _label, op in _ops():
         op(catalog)
         checkpoints.append(state_of(catalog))
     catalog.wal.close()
     return checkpoints
 
 
-def run_crashing(data_dir, fs=None, cds_backend=None):
+def run_crashing(data_dir, fs=None):
     """Run the scenario until an injected crash (or completion).
 
     The catalog is abandoned, not closed — every crash point fires
@@ -148,7 +146,7 @@ def run_crashing(data_dir, fs=None, cds_backend=None):
     catalog, _ = open_catalog(
         data_dir, fsync=FSYNC, segment_limit=SEGMENT_LIMIT, fs=fs
     )
-    for _label, op in _ops(cds_backend):
+    for _label, op in _ops():
         op(catalog)
     catalog.wal.close()
 
@@ -243,25 +241,20 @@ class TestCrashEveryPoint:
             # completed, so recovery must see the *final* state.
             assert got == checkpoints[-1]
 
-    @pytest.mark.parametrize("cds_backend", ["arena", "pointer"])
-    def test_crash_after_wal_commit_preserves_batch(
-        self, tmp_path, cds_backend
-    ):
+    def test_crash_after_wal_commit_preserves_batch(self, tmp_path):
         # Sharper than "pre or post": once the WAL append returned,
         # the batch MUST survive.  catalog.apply.mutate sits exactly
-        # after append_batch and before any memory mutation.  Run on
-        # both CDS backends: the view is rebuilt from its logged spec,
-        # and replay maintains it through that backend.
-        checkpoints = run_clean(str(tmp_path / "clean"), cds_backend)
+        # after append_batch and before any memory mutation.  The view
+        # is rebuilt from its logged spec, and replay maintains it.
+        checkpoints = run_clean(str(tmp_path / "clean"))
         data_dir = str(tmp_path / "crash")
         injector = FaultInjector().crash_at("catalog.apply.mutate", hit=1)
         with injected(injector):
             with pytest.raises(InjectedCrash):
-                run_crashing(data_dir, cds_backend=cds_backend)
+                run_crashing(data_dir)
         recovered, _ = recover_catalog(data_dir, attach=False)
         # batch-1 is the first apply_batch: checkpoint index 6.
         assert state_of(recovered) == checkpoints[6]
-        assert recovered.view("V").spec.cds_backend == cds_backend
 
     def test_crash_before_wal_append_loses_batch(self, tmp_path):
         checkpoints = run_clean(str(tmp_path / "clean"))

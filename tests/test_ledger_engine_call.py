@@ -2,8 +2,9 @@
 
 ``benchmarks/ledger/layers.py::_engine_call`` times a plan's engine
 called directly, bypassing the session.  It still reads the plan's
-``backend`` / ``cds_backend`` names and passes ``backend=`` to
-``join``, so it is the one reader of those compatibility shims; only
+``backend`` / ``cds_backend`` names and passes them to ``join`` and
+``triangle_join``, so it is the one reader of those ``None``-only
+compatibility shims; only
 the slow ledger smoke would otherwise reach it.  This loads the module
 by path and checks, for a triangle, a Minesweeper and a Yannakakis
 plan taken from a :class:`~repro.serve.Session`, that the direct call

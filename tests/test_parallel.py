@@ -21,14 +21,16 @@ from repro.parallel.certify import certify_sharded
 from repro.parallel.planner import Shard, plan_and_slice, plan_shards
 from repro.storage.delta import DeltaRelation
 from repro.storage.relation import Relation
+from repro.storage.trie import TrieRelation
 from repro.testing.faults import worker_faults
 from repro.util.counters import NullCounters, OpCounters
 
 edge = st.tuples(st.integers(0, 7), st.integers(0, 7))
 edges = st.lists(edge, min_size=0, max_size=18)
 
-#: The "pointer" backend is the reference trie; "delta" wraps the rows
-#: in a writable LSM index via Relation.from_index.
+#: The indexes a relation can sit on: "flat" is what ``Relation(...)``
+#: builds, "trie" the plain tier's pointer trie and "delta" a writable
+#: index; the last two are wrapped with Relation.from_index.
 BACKENDS = ("flat", "trie", "delta")
 
 
@@ -38,7 +40,11 @@ def triangle_query(r, s, t, backend="flat"):
             return Relation.from_index(
                 name, attrs, DeltaRelation(rows, arity=2)
             )
-        return Relation(name, attrs, rows, backend=backend)
+        if backend == "trie":
+            return Relation.from_index(
+                name, attrs, TrieRelation(rows, arity=2)
+            )
+        return Relation(name, attrs, rows)
 
     return Query(
         [

@@ -3,8 +3,9 @@
 * ``_check_sorted_sets`` empty-set short-circuit (intersection semantics);
 * the counting-free intersection fast path vs the instrumented loop;
 * NullCounters protocol;
-* the Relation/PreparedQuery backend flag, and trie-vs-flat parity of
-  rows *and* op counts through ``join`` and ``triangle_join``;
+* the index tier (``Relation`` always builds the flat trie; the pointer
+  trie is wrapped with ``Relation.from_index``), and trie-vs-flat parity
+  of rows *and* op counts through ``join`` and the triangle engines;
 * the galloping search helpers.
 """
 
@@ -21,7 +22,7 @@ from repro.core.intersection import (
     partition_certificate,
 )
 from repro.core.query import Query
-from repro.core.triangle import triangle_join
+from repro.core.triangle import TriangleMinesweeper, triangle_join
 from repro.datasets.instances import (
     intersection_with_overlap,
     triangle_hard,
@@ -105,34 +106,54 @@ class TestNullCounters:
         assert null.findgap == 0  # the guarded hot path never counted
 
 
+def _relation(name, attrs, rows, tier):
+    """A relation on the fast tier (what ``Relation(...)`` always
+    builds) or on the plain tier's pointer trie, wrapped with
+    ``Relation.from_index`` — no argument picks the tier."""
+    if tier == "flat":
+        return Relation(name, attrs, rows)
+    return Relation.from_index(
+        name, attrs, TrieRelation(rows, arity=len(attrs))
+    )
+
+
 class TestBackendFlag:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        """``Relation`` takes no tier name at all."""
+        with pytest.raises(TypeError):
             Relation("R", ["A"], [(1,)], backend="rocksdb")
 
     def test_auto_resolves_to_flat(self):
         rel = Relation("R", ["A", "B"], [(1, 2)])
         assert isinstance(rel.index, FlatTrieRelation)
+        assert not hasattr(rel, "backend")
 
     @pytest.mark.parametrize("backend,index_type", [
         ("flat", FlatTrieRelation),
         ("trie", TrieRelation),
     ])
     def test_explicit_backends(self, backend, index_type):
-        rel = Relation("R", ["A", "B"], [(1, 2), (2, 1)], backend=backend)
+        rel = _relation("R", ["A", "B"], [(1, 2), (2, 1)], backend)
         assert isinstance(rel.index, index_type)
-        assert rel.backend == backend
+        assert rel.tuples() == [(1, 2), (2, 1)]
 
-    def test_with_gao_preserves_backend(self):
-        rel = Relation("R", ["B", "A"], [(1, 2)], backend="trie")
-        prepared = Query([rel]).with_gao(["A", "B"])
-        assert isinstance(prepared.relation("R").index, TrieRelation)
+    def test_with_gao_builds_the_fast_tier(self):
+        """``with_gao`` keeps a relation already in GAO order as it is,
+        pointer trie included, and re-indexes a permuted one into a
+        flat trie."""
+        kept = _relation("R", ["A", "B"], [(1, 2)], "trie")
+        permuted = _relation("S", ["B", "A"], [(1, 2)], "trie")
+        prepared = Query([kept, permuted]).with_gao(["A", "B"])
+        assert prepared.relation("R") is kept
+        assert isinstance(kept.index, TrieRelation)
+        rebuilt = prepared.relation("S")
+        assert isinstance(rebuilt.index, FlatTrieRelation)
+        assert rebuilt.tuples() == [(2, 1)]
 
     def test_join_refuses_an_index_tier(self):
         """The tier is fixed where the relation is built: ``join``'s
         ``backend`` keyword accepts only ``None``."""
-        rel = Relation("R", ["A", "B"], [(1, 2)], backend="trie")
-        query = Query([rel])
+        query = Query([_relation("R", ["A", "B"], [(1, 2)], "trie")])
         assert join(query, gao=["A", "B"], backend=None).rows == [(1, 2)]
         for tier in ("flat", "trie", "auto"):
             with pytest.raises(ValueError, match="no index tier"):
@@ -144,9 +165,9 @@ class TestBackendFlag:
         for backend in ("flat", "trie"):
             query = Query(
                 [
-                    Relation("R", ["A", "B"], r, backend=backend),
-                    Relation("S", ["B", "C"], s, backend=backend),
-                    Relation("T", ["A", "C"], t, backend=backend),
+                    _relation("R", ["A", "B"], r, backend),
+                    _relation("S", ["B", "C"], s, backend),
+                    _relation("T", ["A", "C"], t, backend),
                 ]
             )
             res = join(query, gao=["A", "B", "C"], strategy="general")
@@ -166,17 +187,18 @@ class TestBackendFlag:
         (lambda: triangle_with_output(300, 75, seed=5), 75),
     ], ids=["hard-32", "hard-48", "planted-100", "planted-300"])
     def test_triangle_join_backends_agree(self, make, planted):
-        """The dyadic engine over the pointer trie and over the flat
-        (CSR) trie: same rows, same op snapshot; and the counting-free
-        run returns those rows too."""
+        """The plain dyadic engine over the pointer trie, built here,
+        and ``triangle_join``'s arena engine over the flat (CSR) trie:
+        same rows, same op snapshot; and the counting-free run returns
+        those rows too."""
         r, s, t = make()
-        outcomes = {}
-        for backend in ("trie", "flat"):
-            counters = OpCounters()
-            rows = triangle_join(r, s, t, counters, backend=backend)
-            outcomes[backend] = (rows, counters.snapshot())
-        assert outcomes["trie"] == outcomes["flat"]
-        rows, snapshot = outcomes["flat"]
+        counters = OpCounters()
+        plain = TriangleMinesweeper(r, s, t, counters, backend="trie").run()
+        plain_outcome = (plain, counters.snapshot())
+        counters = OpCounters()
+        rows = triangle_join(r, s, t, counters)
+        snapshot = counters.snapshot()
+        assert plain_outcome == (rows, snapshot)
         assert snapshot["findgap"] > 0
         assert len(rows) >= planted
         assert triangle_join(r, s, t, NullCounters()) == rows

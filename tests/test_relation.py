@@ -24,7 +24,8 @@ class TestValidation:
             Relation("R", [], [])
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError):
+        """No tier name is accepted: ``Relation`` has no such argument."""
+        with pytest.raises(TypeError):
             Relation("R", ["A"], [(1,)], backend="rocksdb")
 
     def test_set_semantics(self):

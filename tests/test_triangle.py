@@ -129,13 +129,18 @@ class TestCorrectness:
             min_size=3,
             max_size=3,
         ),
-        st.sampled_from(["arena", "pointer"]),
+        st.booleans(),
     )
-    def test_output_ascends_without_a_sort(self, edge_sets, cds_backend):
+    def test_output_ascends_without_a_sort(self, edge_sets, plain):
         """Probes arrive in ascending (a, b, c) order, so ``run``
-        returns its rows strictly ascending with no final sort."""
+        returns its rows strictly ascending with no final sort — on
+        ``triangle_join``'s arena engine and on the plain
+        :class:`TriangleMinesweeper` built directly."""
         r, s, t = edge_sets
-        got = triangle_join(r, s, t, cds_backend=cds_backend)
+        if plain:
+            got = TriangleMinesweeper(r, s, t).run()
+        else:
+            got = triangle_join(r, s, t)
         assert all(x < y for x, y in zip(got, got[1:]))
         assert got == naive_triangles(r, s, t)
 

@@ -485,24 +485,22 @@ class TestDurableRecovery:
 
 class TestViewSpecOnDisk:
     """A view's ExecSpec round-trips through `!view` WAL records and
-    snapshot manifests in the byte layout pinned here (taken from the
-    commit before ExecSpec existed, so old directories keep recovering
-    and new ones stay readable by old code)."""
+    snapshot manifests in the byte layout pinned here: the layout from
+    before ExecSpec existed, less the ``cds_backend`` key a view no
+    longer has.  Records that still carry that key keep recovering."""
 
     VIEW_RECORDS = [
-        '!view {"cds_backend":"arena","gao":["A","B","C"],"name":"V",'
+        '!view {"gao":["A","B","C"],"name":"V",'
         '"relations":["R","S"],"shards":1,"strategy":"auto","workers":0}\n',
-        '!view {"cds_backend":"pointer","gao":["A","B","C"],"name":"W",'
+        '!view {"gao":["A","B","C"],"name":"W",'
         '"relations":["R","S","T"],"shards":2,"strategy":"general",'
         '"workers":0}\n',
     ]
     MANIFEST_VIEWS = {
         "V": {"relations": ["R", "S"], "gao": ["A", "B", "C"],
-              "strategy": "auto", "shards": 1, "workers": 0,
-              "cds_backend": "arena"},
+              "strategy": "auto", "shards": 1, "workers": 0},
         "W": {"relations": ["R", "S", "T"], "gao": ["A", "B", "C"],
-              "strategy": "general", "shards": 2, "workers": 0,
-              "cds_backend": "pointer"},
+              "strategy": "general", "shards": 2, "workers": 0},
     }
 
     def build(self, tmp_path):
@@ -513,8 +511,7 @@ class TestViewSpecOnDisk:
         catalog.create_relation("T", ["A", "C"], [(1, 9), (2, 7)])
         catalog.register_view("V", ["R", "S"])
         catalog.register_view("W", ["R", "S", "T"], ExecSpec(
-            gao=["A", "B", "C"], strategy="general", shards=2,
-            workers=0, cds_backend="pointer",
+            gao=["A", "B", "C"], strategy="general", shards=2, workers=0,
         ))
         return data_dir, catalog
 
@@ -547,9 +544,58 @@ class TestViewSpecOnDisk:
             n: recovered.view(n).spec for n in recovered.view_names()
         } == want
         assert want["W"] == ExecSpec(
-            gao=("A", "B", "C"), strategy="general", shards=2,
-            workers=0, cds_backend="pointer",
+            gao=("A", "B", "C"), strategy="general", shards=2, workers=0,
         )
         assert {
             n: recovered.view(n).rows() for n in recovered.view_names()
         } == rows
+
+    def test_a_record_carrying_a_tier_recovers_and_is_maintained(
+        self, tmp_path
+    ):
+        """A `!view` record as older builds wrote it, with a
+        ``cds_backend`` key, recovers into a view with the four-field
+        spec, and that view keeps being maintained: after more batches
+        (and a second recovery) its rows equal a fresh recompute."""
+        data_dir = str(tmp_path / "data")
+        catalog, _ = open_catalog(data_dir, fsync="off")
+        catalog.create_relation("R", ["A", "B"], [(1, 2), (2, 3), (4, 2)])
+        catalog.create_relation("S", ["B", "C"], [(2, 9), (3, 7)])
+        catalog.wal.append_control("view", {
+            "cds_backend": "pointer", "gao": ["A", "B", "C"], "name": "W",
+            "relations": ["R", "S"], "shards": 2, "strategy": "general",
+            "workers": 0,
+        })
+        catalog.wal.close()
+        wal = os.path.join(data_dir, "wal")
+        lines = []
+        for name in sorted(os.listdir(wal)):
+            with open(os.path.join(wal, name), newline="") as handle:
+                lines += [ln for ln in handle if ln.startswith("!view ")]
+        assert lines == [
+            '!view {"cds_backend":"pointer","gao":["A","B","C"],"name":"W",'
+            '"relations":["R","S"],"shards":2,"strategy":"general",'
+            '"workers":0}\n'
+        ]
+
+        recovered, _ = recover_catalog(data_dir, fsync="off")
+        view = recovered.view("W")
+        assert view.spec == ExecSpec(
+            gao=("A", "B", "C"), strategy="general", shards=2, workers=0,
+        )
+        assert sorted(view.rows()) == [(1, 2, 9), (2, 3, 7), (4, 2, 9)]
+        recovered.apply_batch([
+            Update("R", "+", (5, 3)),
+            Update("S", "-", (2, 9)),
+            Update("S", "+", (2, 8)),
+        ])
+        recovered.apply_batch([Update("R", "-", (2, 3))])
+        assert view.verify()
+        want = sorted(view.rows())
+        assert want == [(1, 2, 8), (4, 2, 8), (5, 3, 7)]
+        recovered.wal.close()
+
+        again, _ = recover_catalog(data_dir, attach=False)
+        assert again.view("W").spec == view.spec
+        assert sorted(again.view("W").rows()) == want
+        assert again.view("W").verify()
