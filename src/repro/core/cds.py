@@ -156,21 +156,13 @@ class ConstraintTree:
     def insert_many(self, constraints) -> None:
         """InsConstraint for a batch (one engine probe's discoveries).
 
-        Semantically ``for c in constraints: self.insert(c)``; the arena
-        backend overlaps this with hot-path local binding, so engines
-        call it for every non-member probe.
+        Semantically ``for c in constraints: self.insert(c)``, which is
+        all this tier does.  The arena tree runs its single InsConstraint
+        walk here, with the hot-path locals bound once per batch, and
+        its ``insert`` is the one-constraint case of that walk.
         """
         for constraint in constraints:
             self.insert(constraint)
-
-    def insert_point(self, prefix: Tuple[int, ...], value: int) -> bool:
-        """Rule out exactly ``prefix + (value,)`` — the output-tuple gap.
-
-        Semantically ``insert(⟨prefix, (value-1, value+1)⟩)``, which is
-        what engines insert after emitting an output; the arena backend
-        skips the Constraint wrapper on this per-output path.
-        """
-        return self.insert(Constraint.trusted(prefix, value - 1, value + 1))
 
     def insert_interval_at(
         self, node: CDSNode, low: ExtendedValue, high: ExtendedValue

@@ -13,8 +13,12 @@ rather than a Python object:
   IntervalPool` slice per node, with the :mod:`interval_list` int
   encoding of ±inf so every hot comparison is a C-level int compare.
 
-Subtrees subsumed on insert (the covered-label invariant) return their
-node slots and slabs to free lists instead of churning the GC.
+There is one InsConstraint walk (Algorithm 5), :meth:`ArenaConstraintTree.
+insert_many`; ``insert`` is its one-constraint case, and every interval
+lands through :meth:`IntervalPool.insert_encoded`, whose ``INSERT_*``
+code drives the epochs below.  Subtrees subsumed on insert (the
+covered-label invariant) return their node slots and slabs to free
+lists instead of churning the GC.
 
 Beyond layout, the arena exploits two structural facts the pointer tree
 cannot express cheaply:
@@ -67,12 +71,13 @@ from repro.core.constraints import (
 from repro.core.probe_acyclic import NotAChainError
 from repro.storage.interval_list import (
     ENC_POS,
+    INSERT_DISJOINT,
+    INSERT_NOCHANGE,
     _ENC_LIMIT,
     _encode,
 )
 from repro.storage.interval_pool import IntervalPool
 from repro.util.counters import OpCounters
-from repro.util.sentinels import ExtendedValue
 
 _EQ_MIN_CAP = 4
 
@@ -272,82 +277,20 @@ class ArenaConstraintTree:
     def insert(self, constraint: Constraint) -> bool:
         """Insert a constraint; returns False when subsumed or empty.
 
-        Mirrors the pointer tree exactly, including the covered-label
-        invariant shortcut: the covers probe runs only on the
-        node-creation path (an existing equality child is never covered
-        by its parent's intervals).
+        The one-constraint case of :meth:`insert_many`'s walk.
         """
-        if self._counting:
-            self.counters.constraints += 1
-        self.constraints_inserted += 1
-        if constraint.is_empty():
-            return False
-        if constraint.interval_position >= self.n:
-            raise ValueError(
-                f"constraint dimension {constraint.interval_position} "
-                f"exceeds attribute count {self.n}"
-            )
-        u = self.root
-        pool = self.pool
-        ivh = self._ivh
-        star = self._star
-        eq_start = self._eq_start
-        eq_len = self._eq_len
-        ekey = self._ekey
-        echild = self._echild
-        plows = pool.lows
-        phighs = pool.highs
-        pstart = pool.start
-        plength = pool.length
-        for component in constraint.prefix:
-            if component is WILDCARD:
-                child = star[u]
-            else:
-                m = eq_len[u]
-                if m:
-                    s = eq_start[u]
-                    e = s + m
-                    i = bisect_left(ekey, component, s, e)
-                    if i < e and ekey[i] == component:
-                        child = echild[i]
-                    else:
-                        child = -1
-                else:
-                    child = -1
-            if child < 0:
-                if component is not WILDCARD:
-                    h = ivh[u]
-                    m = plength[h]
-                    if m:
-                        s = pstart[h]
-                        i = bisect_left(plows, component, s, s + m)
-                        if i > s and phighs[i - 1] > component:
-                            # subsumed by an existing, more general gap
-                            return False
-                child = self._make_child(u, component)
-            u = child
-        low = constraint.low
-        high = constraint.high
-        self._insert_interval_encoded(
-            u,
-            low
-            if type(low) is int and -_ENC_LIMIT < low < _ENC_LIMIT
-            else _encode(low),
-            high
-            if type(high) is int and -_ENC_LIMIT < high < _ENC_LIMIT
-            else _encode(high),
-        )
-        return True
+        return self.insert_many((constraint,)) == 1
 
-    def insert_many(self, constraints) -> None:
-        """InsConstraint for a batch (one engine probe's discoveries).
+    def insert_many(self, constraints) -> int:
+        """InsConstraint (Algorithm 5) for a batch, in order.
 
-        Equivalent to ``for c in constraints: self.insert(c)`` — same
-        walk, same tallies, same subsumption answers — with the arena's
-        hot-path locals bound once for the whole batch rather than once
-        per constraint.  Only the per-level lookup arrays are bound; the
-        rare paths (missing child: covers probe + node creation) go
-        through ``self``.
+        Equivalent to ``for c in constraints: insert(c)`` on the pointer
+        tree — same walk, same tallies, same subsumption answers — with
+        the hot-path locals bound once per batch (engines call it once
+        per non-member probe).  The covers probe runs only on the
+        node-creation path: an existing equality child is never covered
+        by its parent's intervals.  Returns how many constraints reached
+        their interval node (neither empty nor subsumed on the way).
         """
         counting = self._counting
         counters = self.counters
@@ -358,6 +301,7 @@ class ArenaConstraintTree:
         ekey = self._ekey
         echild = self._echild
         insert_encoded = self._insert_interval_encoded
+        landed = 0
         for constraint in constraints:
             if counting:
                 counters.constraints += 1
@@ -387,7 +331,6 @@ class ArenaConstraintTree:
                     f"exceeds attribute count {n}"
                 )
             u = 0  # root
-            subsumed = False
             for component in prefix:
                 if component is WILDCARD:
                     child = star[u]
@@ -404,142 +347,37 @@ class ArenaConstraintTree:
                     else:
                         child = -1
                 if child < 0:
-                    if component is not WILDCARD:
-                        pool = self.pool
-                        h = self._ivh[u]
-                        m = pool.length[h]
-                        if m:
-                            s = pool.start[h]
-                            i = bisect_left(pool.lows, component, s, s + m)
-                            if i > s and pool.highs[i - 1] > component:
-                                subsumed = True
-                                break
+                    if component is not WILDCARD and self.pool.covers(
+                        self._ivh[u], component
+                    ):
+                        break  # subsumed by an existing, more general gap
                     child = self._make_child(u, component)
                 u = child
-            if not subsumed:
-                insert_encoded(u, lo, hi)
-
-    def insert_point(self, prefix: Tuple[int, ...], value: int) -> bool:
-        """Rule out exactly ``prefix + (value,)`` — the output-tuple gap.
-
-        Tally-identical to ``insert(⟨prefix, (value-1, value+1)⟩)`` (the
-        interval is never empty and the prefix is all-equality engine
-        data), without the Constraint wrapper.
-        """
-        if self._counting:
-            self.counters.constraints += 1
-        self.constraints_inserted += 1
-        if len(prefix) >= self.n:
-            raise ValueError(
-                f"constraint dimension {len(prefix)} "
-                f"exceeds attribute count {self.n}"
-            )
-        star = self._star
-        eq_start = self._eq_start
-        eq_len = self._eq_len
-        ekey = self._ekey
-        echild = self._echild
-        u = 0  # root
-        for component in prefix:
-            if component is WILDCARD:
-                child = star[u]
             else:
-                m = eq_len[u]
-                if m:
-                    s = eq_start[u]
-                    e = s + m
-                    i = bisect_left(ekey, component, s, e)
-                    if i < e and ekey[i] == component:
-                        child = echild[i]
-                    else:
-                        child = -1
-                else:
-                    child = -1
-            if child < 0:
-                if component is not WILDCARD:
-                    pool = self.pool
-                    h = self._ivh[u]
-                    m = pool.length[h]
-                    if m:
-                        s = pool.start[h]
-                        i = bisect_left(pool.lows, component, s, s + m)
-                        if i > s and pool.highs[i - 1] > component:
-                            return False
-                child = self._make_child(u, component)
-            u = child
-        self._insert_interval_encoded(u, value - 1, value + 1)
-        return True
-
-    def insert_interval_at(
-        self, u: int, low: ExtendedValue, high: ExtendedValue
-    ) -> None:
-        """Insert (low, high) at node ``u``, pruning covered eq children."""
-        self._insert_interval_encoded(u, _encode(low), _encode(high))
+                insert_encoded(u, lo, hi)
+                landed += 1
+        return landed
 
     def _insert_interval_encoded(self, u: int, lo: int, hi: int) -> None:
-        """The encoded-endpoint core of :meth:`insert_interval_at`.
+        """Insert encoded (lo, hi) at node ``u``, pruning covered eq children.
 
-        Tally placement matches the pointer tree: one interval op per
-        call, counted before the insert is attempted.  The pool insert
-        is inlined (this is the hottest mutation in every engine);
-        semantics are exactly :meth:`IntervalPool.insert_encoded`.
+        Tally placement matches the pointer tree's ``insert_interval_at``:
+        one interval op per call, counted before the insert is attempted.
+        The merge is :meth:`IntervalPool.insert_encoded`; its ``INSERT_*``
+        code drives the epochs.
         """
         if self._counting:
             self.counters.interval_ops += 1
-        if hi - lo <= 1:
-            return
-        orig_lo = lo
-        orig_hi = hi
         pool = self.pool
         h = self._ivh[u]
-        m = pool.length[h]
-        lows = pool.lows
-        highs = pool.highs
-        s = pool.start[h]
-        e = s + m
-        i = bisect_left(lows, lo, s, e)
-        if i > s and highs[i - 1] > lo:
-            i -= 1
-        j = i
-        while j < e and lows[j] < hi:
-            v = lows[j]
-            if v < lo:
-                lo = v
-            v = highs[j]
-            if v > hi:
-                hi = v
-            j += 1
-        if i == j:
-            # Disjoint insert at position i.
-            if m == pool.cap[h]:
-                off = i - s
-                pool._grow(h, m + 1)
-                s = pool.start[h]
-                i = s + off
-                e = s + m
-            if i < e:
-                lows[i + 1 : e + 1] = lows[i:e]
-                highs[i + 1 : e + 1] = highs[i:e]
-            lows[i] = lo
-            highs[i] = hi
-            pool.length[h] = m + 1
-            pool.epoch[h] += 1
-            if not m:
-                # The node just entered every principal filter containing
-                # its pattern: probe chains cached for this depth go stale.
-                self.depth_epoch[self._depth[u]] += 1
-                self.version += 1
-        else:
-            if j - i == 1 and lows[i] == lo and highs[i] == hi:
-                return  # subsumed by a single stored interval
-            lows[i] = lo
-            highs[i] = hi
-            removed = j - i - 1
-            if removed:
-                lows[i + 1 : e - removed] = lows[j:e]
-                highs[i + 1 : e - removed] = highs[j:e]
-                pool.length[h] = m - removed
-            pool.epoch[h] += 1
+        code = pool.insert_encoded(h, lo, hi)
+        if code == INSERT_NOCHANGE:
+            return
+        if code == INSERT_DISJOINT and pool.length[h] == 1:
+            # The node just entered every principal filter containing
+            # its pattern: probe chains cached for this depth go stale.
+            self.depth_epoch[self._depth[u]] += 1
+            self.version += 1
         m = self._eq_len[u]
         if not m:  # no equality children to prune (common case)
             return
@@ -548,8 +386,8 @@ class ArenaConstraintTree:
         s = self._eq_start[u]
         e = s + m
         ekey = self._ekey
-        a = bisect_right(ekey, orig_lo, s, e)
-        b = bisect_left(ekey, orig_hi, s, e)
+        a = bisect_right(ekey, lo, s, e)
+        b = bisect_left(ekey, hi, s, e)
         if a >= b:
             return
         echild = self._echild
@@ -596,42 +434,9 @@ class ArenaConstraintTree:
         ivh = self._ivh
         return [u for u in frontier if pool_length[ivh[u]]]
 
-    def frontier(self, prefix: Tuple[int, ...]) -> List[Tuple[int, Pattern]]:
-        """All nodes whose pattern generalizes the all-equality prefix."""
-        out = [(self.root, ())]
-        star = self._star
-        for value in prefix:
-            extended: List[Tuple[int, Pattern]] = []
-            for u, pattern in out:
-                c = self._eq_child(u, value)
-                if c >= 0:
-                    extended.append((c, pattern + (value,)))
-                if star[u] >= 0:
-                    extended.append((star[u], pattern + (WILDCARD,)))
-            out = extended
-        return out
-
-    def filter_nodes(
-        self, prefix: Tuple[int, ...]
-    ) -> List[Tuple[int, Pattern]]:
-        """The principal filter G(prefix): frontier nodes with intervals."""
-        pool_length = self.pool.length
-        ivh = self._ivh
-        return [
-            (u, pattern)
-            for u, pattern in self.frontier(prefix)
-            if pool_length[ivh[u]]
-        ]
-
     # ------------------------------------------------------------------
     # Introspection (tests, debugging, serialization)
     # ------------------------------------------------------------------
-
-    def pattern_of(self, u: int) -> Pattern:
-        return self._pattern[u]
-
-    def depth_of(self, u: int) -> int:
-        return self._depth[u]
 
     def intervals_at(self, u: int):
         """Decoded (low, high) pairs stored at node ``u``."""
@@ -899,6 +704,13 @@ class ArenaGeneralProbeStrategy:
                 continue
             nodes = entries.nodes
             k = len(nodes)
+            # The k == 1 and k == 2 unrollings stay on measurement: with
+            # every chain sent through _next_shadow_chain_val instead,
+            # the perf ledger read x1.14 engine_paper and x1.18
+            # serve_read_cyclic op_p50 (capacity x0.88), over 5
+            # alternating A/B runs on a 2-core Xeon, CPython 3.11.  They
+            # can go once a faster walk (generated per-shape kernels)
+            # takes their place, not by plain deletion.
             if k == 1:
                 # One level {u}: one Next from -1, no memoize.
                 if counting:

@@ -129,7 +129,7 @@ class Minesweeper:
         explorers = [self._make_explorer(rel) for rel in self.query.relations]
         cds = self.cds
         insert_many = cds.insert_many
-        insert_point = cds.insert_point
+        insert = cds.insert
         get_probe_point = self.probe.get_probe_point
         while True:
             t = get_probe_point()
@@ -153,7 +153,8 @@ class Minesweeper:
                     discovered.extend(constraints)
             if is_member:
                 counters.output_tuples += 1
-                insert_point(t[: n - 1], t[n - 1])
+                v = t[n - 1]
+                insert(Constraint.trusted(t[: n - 1], v - 1, v + 1))
                 yield t
             else:
                 # Insert order is the per-relation exploration order, as

@@ -227,10 +227,6 @@ class IntervalPool:
             return False
         return self.highs[i - 1] > value
 
-    def covers_all_encoded(self, h: int, lo: int, hi: int) -> bool:
-        """True iff every integer v with lo <= v (< hi) is covered."""
-        return self.next_encoded(h, lo) >= hi
-
     def _overlapping(self, h: int, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Stored intervals whose integer sets intersect open (lo, hi)."""
         s = self.start[h]
@@ -288,9 +284,6 @@ class IntervalPool:
     # Introspection (tests, serialization helpers)
     # ------------------------------------------------------------------
 
-    def is_empty(self, h: int) -> bool:
-        return not self.length[h]
-
     def intervals(self, h: int) -> List[Interval]:
         """Decoded (low, high) pairs of handle ``h`` in sorted order."""
         s = self.start[h]
@@ -299,15 +292,6 @@ class IntervalPool:
             (_decode(lo), _decode(hi))
             for lo, hi in zip(self.lows[s:e], self.highs[s:e])
         ]
-
-    def live_slots(self) -> int:
-        """Total occupied slots (tests: slab recycling keeps this tight)."""
-        free = set(self._free_handles)
-        return sum(
-            self.length[h]
-            for h in range(len(self.start))
-            if h not in free
-        )
 
     def __repr__(self) -> str:
         handles = len(self.start) - len(self._free_handles)

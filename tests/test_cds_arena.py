@@ -238,6 +238,54 @@ class TestArenaTreeEquivalence:
         )
 
 
+def _filters(tree, domain):
+    """Every principal filter over ``domain`` labels, as the chain cache
+    sees it: (node, pattern, interval handle) in frontier order."""
+    out = {}
+    prefixes = [()]
+    for _ in range(tree.n):
+        for prefix in prefixes:
+            out[prefix] = [
+                (u, tree._pattern[u], tree._ivh[u])
+                for u in tree._filter_ids(prefix)
+            ]
+        prefixes = [p + (v,) for p in prefixes for v in range(domain)]
+    return out
+
+
+class TestDepthEpochs:
+    """The per-depth epoch contract the probe chain cache relies on: the
+    principal filter of a length-d prefix never changes unless
+    ``depth_epoch[d]`` does.  The epochs are derived from the
+    ``INSERT_*`` codes of :meth:`IntervalPool.insert_encoded`."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_filter_change_moves_its_depth_epoch(self, seed):
+        rng = random.Random(seed)
+        n_attr = rng.randint(1, 4)
+        domain = 4  # label 3 is never drawn: filters that stay empty
+        tree = ArenaConstraintTree(n_attr)
+        before = _filters(tree, domain)
+        for _ in range(60):
+            epochs = list(tree.depth_epoch)
+            if rng.random() < 0.7:
+                tree.insert(random_constraint(rng, n_attr, domain=3))
+            else:
+                # A memoization insert: straight onto a (shadow) node
+                # that may hold no interval yet.
+                pattern = random_constraint(rng, n_attr, domain=3).prefix
+                low = rng.randrange(-2, 4)
+                tree._insert_interval_encoded(
+                    tree.ensure_node(pattern), low, low + rng.randint(0, 4)
+                )
+            after = _filters(tree, domain)
+            for prefix, ids in after.items():
+                if ids != before[prefix]:
+                    d = len(prefix)
+                    assert tree.depth_epoch[d] != epochs[d], (prefix, ids)
+            before = after
+
+
 def _probe_all(strategy_cls, tree, memoize=True):
     """Drain probe points, inserting a point gap after each (a run skeleton
     that exercises get_probe_point + insert interleaving)."""
@@ -248,7 +296,7 @@ def _probe_all(strategy_cls, tree, memoize=True):
         if t is None:
             break
         points.append(t)
-        tree.insert_point(t[:-1], t[-1])
+        tree.insert(Constraint.trusted(t[:-1], t[-1] - 1, t[-1] + 1))
     return points
 
 
