@@ -13,9 +13,10 @@ Probes are counted in ``counters.findgap`` and candidate enumeration in
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.query import PreparedQuery
+from repro.core.resilience import AdmittedQuery
 from repro.util.counters import OpCounters
 
 Row = Tuple[int, ...]
@@ -24,54 +25,66 @@ Row = Tuple[int, ...]
 def generic_join(
     query: PreparedQuery,
     counters: Optional[OpCounters] = None,
+    admission: Optional[AdmittedQuery] = None,
 ) -> List[Row]:
-    """Evaluate a prepared query with generic join; output in GAO order."""
-    counters = counters if counters is not None else OpCounters()
-    gao = query.gao
-    relations = query.relations
-    participation: Dict[str, List[int]] = {
-        r.name: list(query.gao_positions[r.name]) for r in relations
-    }
-    tries = {r.name: r.index for r in relations}
-    output: List[Row] = []
+    """Evaluate a prepared query with generic join; output in GAO order.
 
-    def search(depth: int, binding: List[int], nodes: Dict[str, object]) -> None:
-        if depth == len(gao):
+    The search enumerates each depth's candidates in ascending order, so
+    rows come out distinct and lexicographically sorted.  ``admission``
+    (an :class:`~repro.core.resilience.AdmittedQuery`) is ticked once per
+    candidate value, and checked once more on the output size and the
+    deadline before the rows are returned.
+    """
+    counters = counters if counters is not None else OpCounters()
+    n = len(query.gao)
+    relations = query.relations
+    tries = [r.index for r in relations]
+    #: Per GAO depth: the positions (in ``relations``) of the atoms that
+    #: bind that depth's attribute, in relation order.
+    parts_at = [
+        [
+            i
+            for i, r in enumerate(relations)
+            if depth in query.gao_positions[r.name]
+        ]
+        for depth in range(n)
+    ]
+    output: List[Row] = []
+    binding: List[int] = []
+
+    def search(depth: int, nodes: List[object]) -> None:
+        if depth == n:
             output.append(tuple(binding))
             counters.output_tuples += 1
             return
-        parts = [r.name for r in relations if depth in participation[r.name]]
-        key_lists = {
-            name: tries[name].node_keys(nodes[name]) for name in parts
-        }
-        smallest = min(parts, key=lambda name: len(key_lists[name]))
-        for value in key_lists[smallest]:
+        parts = parts_at[depth]
+        key_lists = [tries[i].node_keys(nodes[i]) for i in parts]
+        smallest = min(range(len(parts)), key=lambda j: len(key_lists[j]))
+        others = [j for j in range(len(parts)) if j != smallest]
+        lead = parts[smallest]
+        for position, value in enumerate(key_lists[smallest], 1):
             counters.comparisons += 1
-            in_all = True
-            for name in parts:
-                if name == smallest:
-                    continue
+            if admission is not None:
+                admission.tick(counters, "generic")
+            found = []
+            for j in others:
                 counters.findgap += 1
-                keys = key_lists[name]
-                i = bisect.bisect_left(keys, value)
-                if i >= len(keys) or keys[i] != value:
-                    in_all = False
+                keys = key_lists[j]
+                k = bisect.bisect_left(keys, value)
+                if k >= len(keys) or keys[k] != value:
                     break
-            if not in_all:
-                continue
-            next_nodes = dict(nodes)
-            for name in parts:
-                trie = tries[name]
-                keys = key_lists[name]
-                position = bisect.bisect_left(keys, value) + 1
-                child = trie.child_at(nodes[name], position)
-                if child is None:
-                    next_nodes.pop(name, None)
-                else:
-                    next_nodes[name] = child
-            binding.append(value)
-            search(depth + 1, binding, next_nodes)
-            binding.pop()
+                found.append((parts[j], k + 1))
+            else:
+                next_nodes = list(nodes)
+                next_nodes[lead] = tries[lead].child_at(nodes[lead], position)
+                for i, k in found:
+                    next_nodes[i] = tries[i].child_at(nodes[i], k)
+                binding.append(value)
+                search(depth + 1, next_nodes)
+                binding.pop()
 
-    search(0, [], {r.name: tries[r.name].root_handle() for r in relations})
-    return sorted(output)
+    search(0, [trie.root_handle() for trie in tries])
+    if admission is not None:
+        admission.check_rows(len(output))
+        admission.check_deadline("generic")
+    return output

@@ -213,13 +213,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 "--workers/--shards are Minesweeper-only (the baselines "
                 "have no sharded execution path)"
             )
-        if args.engine in ("leapfrog", "generic") and (
+        if args.engine == "leapfrog" and (
             budget is not None or retry_policy is not None
         ):
             raise SystemExit(
                 "--max-ops/--deadline-ms/--max-rows/--retries are not "
-                "supported by leapfrog and generic (they have no "
-                "admission checkpoints)"
+                "supported by leapfrog (it has no admission checkpoints)"
             )
         used_gao = gao = list(spec.gao)
         # The baselines tally into the counters printed below: their
@@ -232,7 +231,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
         elif args.engine == "generic":
             from repro.baselines.generic_join import generic_join
 
-            rows = generic_join(query.with_gao(gao, counters), counters)
+            rows = generic_join(
+                query.with_gao(gao, counters), counters,
+                admission=admit(budget),
+            )
         elif args.engine == "yannakakis":
             from repro.baselines.yannakakis import yannakakis_join
 

@@ -129,7 +129,6 @@ class Minesweeper:
         explorers = [self._make_explorer(rel) for rel in self.query.relations]
         cds = self.cds
         insert_many = cds.insert_many
-        insert = cds.insert
         get_probe_point = self.probe.get_probe_point
         while True:
             t = get_probe_point()
@@ -154,7 +153,7 @@ class Minesweeper:
             if is_member:
                 counters.output_tuples += 1
                 v = t[n - 1]
-                insert(Constraint.trusted(t[: n - 1], v - 1, v + 1))
+                insert_many((Constraint.trusted(t[: n - 1], v - 1, v + 1),))
                 yield t
             else:
                 # Insert order is the per-relation exploration order, as

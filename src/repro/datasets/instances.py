@@ -359,6 +359,46 @@ def triangle_with_output(n: int, n_triangles: int, seed: int = 0) -> Tuple[
     return sorted(r_edges), sorted(s_edges), sorted(t_edges)
 
 
+def disjoint_ranges_triangle(n: int, planted: int = 0) -> Tuple[
+    List[Row], List[Row], List[Row]
+]:
+    """Example B.1 lifted to R(A,B) ⋈ S(B,C) ⋈ T(A,C).
+
+    R's A values are ``0..n-1`` and T's are ``n..2n-1``, so apart from
+    the ``planted`` triangles ``(2n+i, i, 3i mod n)`` the output is
+    empty with an O(1) certificate: the dyadic triangle engine
+    (Theorem 5.4) probes a few gaps, while generic join enumerates
+    about ``n + planted`` A values before it learns that.
+    """
+    r = [(a, (3 * a) % n) for a in range(n)]
+    s = [(b, (3 * b) % n) for b in range(n)]
+    t = [(n + a, (5 * a) % n) for a in range(n)]
+    for i in range(planted):
+        r.append((2 * n + i, i))
+        t.append((2 * n + i, (3 * i) % n))
+    return sorted(r), sorted(s), sorted(t)
+
+
+def disjoint_ranges_cycle4(n: int, planted: int = 0) -> Tuple[
+    List[Row], List[Row], List[Row], List[Row]
+]:
+    """Example B.1 lifted to R(A,B) ⋈ S(B,C) ⋈ T(C,D) ⋈ U(D,A).
+
+    R's A values are ``0..n-1`` and U's are ``n..2n-1``; the output is
+    the ``planted`` 4-cycles ``(2n+i, i, 3i mod n, 15i mod n)``.  Under
+    an A-first GAO Minesweeper certifies the disjoint ranges with a
+    few gaps; generic join enumerates about ``n + planted`` A values.
+    """
+    r = [(a, (7 * a) % n) for a in range(n)]
+    s = [(b, (3 * b) % n) for b in range(n)]
+    t = [(c, (5 * c) % n) for c in range(n)]
+    u = [((11 * a) % n, n + a) for a in range(n)]
+    for i in range(planted):
+        r.append((2 * n + i, i))
+        u.append(((15 * i) % n, 2 * n + i))
+    return sorted(r), sorted(s), sorted(t), sorted(set(u))
+
+
 # ----------------------------------------------------------------------
 # Set-intersection families (Appendix H / DLM)
 # ----------------------------------------------------------------------

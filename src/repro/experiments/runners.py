@@ -808,8 +808,9 @@ def run_planner(seed: int = 7, n: int = 24, m: int = 70) -> ExperimentResult:
     plain Minesweeper over the same data under (a) the first-appearance
     attribute order — what a user who never thinks about GAOs gets —
     and (b) the paper's structural ``choose_gao`` rule.  ``planner_ops``
-    is the executed plan's actual probe cost (FindGap count;
-    comparisons for a Yannakakis plan, marked by ``metric``).
+    is the executed plan's actual probe cost (FindGap count — generic
+    join's probes for a generic-join plan; comparisons for a Yannakakis
+    plan, marked by ``metric``).
     """
     from repro.dynamic import Catalog
     from repro.lang import lower, parse
@@ -889,17 +890,20 @@ def run_planner(seed: int = 7, n: int = 24, m: int = 70) -> ExperimentResult:
 
 
 def check_planner(result: ExperimentResult) -> None:
-    """The structural engines are picked where the theorems say so
-    (triangle CDS; Yannakakis on the acyclic shapes); on the cyclic
-    4-cycle the planner's measured GAO costs no more FindGaps than the
-    first-appearance order."""
+    """Yannakakis is picked on the acyclic shapes, as Section 4.4's rule
+    says; the cyclic shapes are unsampled random instances whose
+    Minesweeper certificate estimate is several times N, the regime
+    where Thm 5.1/5.4 lose to a worst-case-optimal join, and the
+    planner's measured work picks generic join for both, with fewer
+    probes than Minesweeper's FindGaps under the first-appearance
+    order."""
     by_shape = {row["shape"]: row for row in result.rows}
-    assert by_shape["triangle"]["engine"] == "triangle"
     for shape in ("bowtie", "3-path", "star"):
         assert by_shape[shape]["engine"] == "yannakakis", by_shape[shape]
-    cycle = by_shape["4-cycle"]
-    assert cycle["engine"] == "minesweeper", cycle
-    assert cycle["planner_ops"] <= cycle["fixed_gao_findgap"], cycle
+    for shape in ("triangle", "4-cycle"):
+        row = by_shape[shape]
+        assert row["engine"] == "generic", row
+        assert row["planner_ops"] <= row["fixed_gao_findgap"], row
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The second layer of the query subsystem (ISSUE 5): the
 :class:`Planner` turns a lowered query into an executable
 :class:`Plan` — specialized triangle engine, Yannakakis for
-alpha-acyclic inputs, or sharded/serial Minesweeper under the
-cheapest *measured* GAO — and the :class:`PlanCache` amortizes that
+alpha-acyclic inputs, generic join, or sharded/serial Minesweeper
+under the cheapest *measured* GAO — and the :class:`PlanCache` amortizes that
 decision across repeated traffic *and across writes*: keyed by the
 statement's renaming-invariant signature, built once per key however
 many readers miss together, and rebuilt only when the data a
@@ -13,6 +13,7 @@ cost-based plan was measured on has drifted.
 
 from repro.planner.cache import PlanCache
 from repro.planner.plan import (
+    ENGINE_GENERIC,
     ENGINE_MINESWEEPER,
     ENGINE_TRIANGLE,
     ENGINE_YANNAKAKIS,
@@ -30,6 +31,7 @@ from repro.planner.planner import (
 )
 
 __all__ = [
+    "ENGINE_GENERIC",
     "ENGINE_MINESWEEPER",
     "ENGINE_TRIANGLE",
     "ENGINE_YANNAKAKIS",

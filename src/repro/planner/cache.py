@@ -9,8 +9,9 @@ plan after it.  The cache therefore keys plans by the statement's
 renaming-invariant signature alone and calls an entry stale only when
 :meth:`Plan.drifted <repro.planner.plan.Plan.drifted>` says the data
 has moved far enough (some body relation 2× bigger or smaller, or to
-or from empty) to change what a cost-based planner would pick.  Plans
-whose engine a structural rule picked never go stale.
+or from empty) to change what a cost-based planner would pick: a
+Minesweeper GAO, or any engine picked by comparing measured weighted
+work.  Plans whose engine a structural rule picked never go stale.
 
 :meth:`PlanCache.resolve` is the whole lifecycle — look up, validate,
 build, publish — so that it can make two promises per key:

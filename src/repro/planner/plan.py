@@ -2,10 +2,11 @@
 
 A plan is everything the serving layer needs to run a query without
 re-deciding anything: the engine (specialized triangle CDS, Yannakakis
-for alpha-acyclic inputs, or sharded/serial Minesweeper), the GAO and
-the shard/worker split — plus the evidence the planner gathered
-(classification facts and the scored candidate scoreboard), so
-``explain()`` can show *why* this plan won.
+for alpha-acyclic inputs, generic join, or sharded/serial Minesweeper),
+the GAO and the shard/worker split — plus the evidence the planner
+gathered (classification facts and the scored candidate scoreboard,
+with each candidate's raw ops and weighted work), so ``explain()`` can
+show *why* this plan won.
 
 Plans are value objects: they hold no relation data, only names and
 knobs, which is what makes them cacheable across executions (keyed by
@@ -24,6 +25,7 @@ from repro.core.explain import Explanation, format_explanation
 ENGINE_TRIANGLE = "triangle"
 ENGINE_YANNAKAKIS = "yannakakis"
 ENGINE_MINESWEEPER = "minesweeper"
+ENGINE_GENERIC = "generic"
 
 #: A cost-based plan is stale once some body relation holds this many
 #: times more — or fewer — rows than when the plan was built (or went
@@ -56,19 +58,37 @@ class CandidatePlan:
     gao: Tuple[str, ...]
     estimate: int
     #: What ``estimate`` counts: ``findgap`` (the Figure-2 certificate
-    #: proxy) for Minesweeper/triangle candidates, ``comparisons`` for
-    #: Yannakakis (its work is input-bound, not certificate-bound).
+    #: proxy; generic join's probes) for Minesweeper, triangle and
+    #: generic candidates, ``comparisons`` for Yannakakis (its work is
+    #: input-bound, not certificate-bound).  ``estimate`` ranks
+    #: Minesweeper GAOs against each other when no other engine is in
+    #: the running; engines are compared by ``work``.
     metric: str = "findgap"
     note: str = ""
-    #: True when the scoring run hit the probe/output budget and was
-    #: abandoned — ``estimate`` is then a lower bound, and the
+    #: True when the scoring run hit its budget and was abandoned —
+    #: ``estimate``, ``ops`` and ``work`` are then lower bounds, and the
     #: candidate ranks after every fully-scored one.
     capped: bool = False
+    #: The run's tallied ops in its engine's work unit (see
+    #: :func:`repro.planner.planner.engine_ops`).
+    ops: int = 0
+    #: ``ops`` weighted by the engine's committed ns/op constant
+    #: (:data:`repro.planner.planner.NS_PER_OP`), in ns; ``None`` for
+    #: an engine without one (Yannakakis).
+    work: Optional[int] = None
 
 
 @dataclass
 class Plan:
-    """An executable engine configuration for one query signature."""
+    """An executable engine configuration for one query signature.
+
+    ``engine`` is the planner's pick: on an unsampled, unsharded cyclic
+    query, the candidate (generic join, the triangle engine or a
+    Minesweeper GAO) with the least measured weighted work on the
+    data; otherwise the structural pick (triangle engine, Yannakakis)
+    or the Minesweeper GAO with the fewest sampled FindGaps.
+    ``scoreboard`` is what was scored, ranked, winner first.
+    """
 
     signature: str
     engine: str
@@ -97,16 +117,23 @@ class Plan:
     sampled: bool = False
     sample_limit: int = 0
 
+    @property
+    def compared_by_work(self) -> bool:
+        """True when the planner picked the engine by comparing measured
+        weighted work (generic join was scored against the others)."""
+        return any(c.engine == ENGINE_GENERIC for c in self.scoreboard)
+
     def drifted(self, sizes: Mapping[str, int]) -> bool:
         """True when the data has moved enough to re-plan.
 
-        Only a Minesweeper plan can drift: its GAO was picked by
-        measured cost, and cost follows the data.  The triangle and
-        Yannakakis picks are theorems about the query's shape
-        (Theorem 5.4, Section 4.4) that no data change overturns.
+        A plan drifts when measured cost picked it: a Minesweeper GAO,
+        or any engine whose board compared engines by weighted work —
+        cost follows the data.  A structural pick (Yannakakis, or the
+        triangle engine on a sampled input) is a rule about the query's
+        shape (Theorem 5.4, Section 4.4) that no data change overturns.
         ``sizes`` maps each body relation to its current row count.
         """
-        if self.engine != ENGINE_MINESWEEPER:
+        if self.engine != ENGINE_MINESWEEPER and not self.compared_by_work:
             return False
         for name, then in self.cardinalities.items():
             small, large = sorted((then, sizes[name]))
@@ -155,10 +182,12 @@ class Plan:
         lists every candidate the planner scored, ranked, with the
         winner marked — the Ex.-B.6 point made visible: the best GAO is
         data-dependent, so the planner *measured* instead of guessing.
-        When a structural rule picked the engine only the winner was
-        scored; ``comparison`` is the Minesweeper board the caller
-        scored on demand (:meth:`Planner.comparison_board`), listed
-        beneath it.
+        Each row shows the candidate's estimate, its raw ops and its
+        weighted work (ops × the engine's ns/op constant), the figure
+        engines are compared by.  When a structural rule picked the
+        engine only the winner was scored; ``comparison`` is the
+        Minesweeper board the caller scored on demand
+        (:meth:`Planner.comparison_board`), listed beneath it.
 
         Everything the plan carries describes the data *as of plan
         time*, and plans outlive writes — so the report says when that
@@ -228,10 +257,15 @@ class Plan:
 
             def row(marker: str, cand: CandidatePlan) -> str:
                 note = f"  {cand.note}" if cand.note else ""
+                work = (
+                    "" if cand.work is None
+                    else f" {cand.work / 1000:>9.1f} µs work"
+                )
                 return (
                     f"  {marker} {cand.engine:<12s} "
                     f"{','.join(cand.gao):<{width}s}  "
-                    f"{cand.estimate:>8d} {cand.metric}{note}"
+                    f"{cand.estimate:>8d} {cand.metric:<11s} "
+                    f"{cand.ops:>8d} ops{work}{note}"
                 )
 
             for i, cand in enumerate(self.scoreboard):

@@ -6,30 +6,40 @@ Given a lowered query (or a bare core ``Query``), the planner
    acyclicity, elimination width (via :mod:`repro.hypergraph`);
 2. **enumerates** candidate plans — the specialized dyadic-tree
    triangle engine when the shape fits (Theorem 5.4), Yannakakis for
-   alpha-acyclic inputs, and sharded/serial Minesweeper under GAO
-   candidates from :func:`repro.core.gao_search.candidate_gaos` (NEOs,
-   min-fill, seeded random permutations);
-3. **scores** every candidate by *measuring* it on a deterministic
+   alpha-acyclic inputs, NPRR generic join for cyclic ones, and
+   sharded/serial Minesweeper under GAO candidates from
+   :func:`repro.core.gao_search.candidate_gaos` (NEOs, min-fill,
+   seeded random permutations);
+3. **scores** candidates by *measuring* them on a deterministic
    stride sample of the data — the paper's Ex. B.6 point is that no
    structural rule always finds the best GAO, so the planner runs the
-   engine on a sample and reads the certificate estimate (FindGap
-   count) off the counters;
+   engine on a sample and reads its tallies off the counters;
 4. **emits** an executable :class:`~repro.planner.plan.Plan` carrying
    the winner plus everything it scored for ``explain()``.
 
-Engine choice is structural-first: triangle-shaped queries go to the
-dyadic-tree engine (Theorem 5.4), other alpha-acyclic queries to
-Yannakakis, the rest to Minesweeper.  Only the first step is a theorem.
-The second is a rule, not a dominance: Yannakakis is Θ(N + Z), while
-Theorem 2.7 bounds Minesweeper by Õ(|C| + Z) on beta-acyclic queries,
-so where |C| ≪ N Minesweeper can win.  *Within* the Minesweeper regime
-the GAO choice is purely cost-based.
-A structural pick therefore scores one candidate — the winner — and
-the Minesweeper board it would have been compared against is built on
-demand (:meth:`Planner.comparison_board`, called by ``EXPLAIN``).
-Everything is deterministic: sampling is stride-based, random GAO
-candidates come from a seeded generator, and ties break
-lexicographically.
+Engine choice is by measured work where the planner sees all the data.
+On a cyclic (non-alpha-acyclic) query whose relations all fit the
+sample and whose plan would not be sharded, generic join is scored
+once under the first candidate GAO, then the triangle engine
+(triangle-shaped queries) or every Minesweeper GAO (the rest), each
+capped at an ops budget worth generic join's weighted work; the least
+weighted work wins, ties going to the certificate-bound engine.
+Weighted work is the run's tallied ops (:func:`engine_ops`) times one
+committed ns/op constant per engine (:data:`NS_PER_OP`), so no clock
+is read.  The paper's cyclic bounds (Thm 5.1, Õ(|C|^{w+1} + Z); Thm
+5.4, Õ(|C|^{3/2} + Z)) beat the worst-case-optimal joins only where
+|C| ≪ N, and only a measurement tells which regime an instance is in.
+Elsewhere the pick is structural: triangle-shaped sampled queries go
+to the dyadic-tree engine, alpha-acyclic queries to Yannakakis, the
+rest to the Minesweeper GAO with the fewest sampled FindGaps.  The
+Yannakakis rule is not a dominance: it is Θ(N + Z), while Theorem 2.7
+bounds Minesweeper by Õ(|C| + Z) on beta-acyclic queries, so where
+|C| ≪ N Minesweeper can win.  A structural pick scores one candidate —
+the winner — and the Minesweeper board it would have been compared
+against is built on demand (:meth:`Planner.comparison_board`, called
+by ``EXPLAIN``).  Everything is deterministic: sampling is
+stride-based, random GAO candidates come from a seeded generator, and
+ties break lexicographically.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from repro.core.query import Query
 from repro.core.resilience import AdmittedQuery, BudgetExceeded, QueryBudget
 from repro.lang.lower import LoweredQuery
 from repro.planner.plan import (
+    ENGINE_GENERIC,
     ENGINE_MINESWEEPER,
     ENGINE_TRIANGLE,
     ENGINE_YANNAKAKIS,
@@ -65,6 +76,30 @@ RANDOM_CANDIDATES = 4
 #: The CDS-op multiple of ``PlannerConfig.score_budget`` allowed per
 #: candidate (op tallies run far above probe counts even on good GAOs).
 SCORE_OPS_FACTOR = 8
+
+#: Weighted work: ns per tallied op (:func:`engine_ops`), one constant
+#: per engine whose board compares engines.  Measured in-process, warm,
+#: as wall time over tallied ops (min of 5 runs, three sweeps on a
+#: shared 2-core x86 box, CPython 3.11) on the ledger's serving
+#: instances — ``cycle4`` (48 random edges over 24 nodes, one relation
+#: closing a 4-cycle on itself), ``tri_rows`` (3 × 200 random edges over
+#: 40 nodes) and ``count_tri`` (70 random edges over 30 nodes,
+#: self-joined), Minesweeper under the three GAOs with fewest ops:
+#:
+#: * Minesweeper: 2.0–4.3 µs per (interval_ops + constraints), median
+#:   about 2.9;
+#: * triangle engine: 0.75–1.4 µs per interval op, median about 1.0;
+#: * generic join: 0.65–1.9 µs per (comparisons + findgap), median
+#:   about 1.2 (the smallest runs carry a fixed re-indexing cost).
+#:
+#: On the disjoint-range instances of ``tests/test_engine_regimes.py``
+#: (a few dozen ops) fixed setup dominates every engine's wall time, so
+#: they were not used to fit these.
+NS_PER_OP = {
+    ENGINE_MINESWEEPER: 2800,
+    ENGINE_TRIANGLE: 1000,
+    ENGINE_GENERIC: 1000,
+}
 
 
 @dataclass
@@ -170,6 +205,19 @@ def triangle_edges(
     return out[0], out[1], out[2]
 
 
+def engine_ops(engine: str, counters: OpCounters) -> int:
+    """The tallied ops ``engine``'s weighted work counts.
+
+    Generic join tallies candidate values (``comparisons``) and probes
+    (``findgap``); the CDS engines' measure is
+    :class:`~repro.core.resilience.QueryBudget`'s own, so an ops budget
+    of ``work // NS_PER_OP[engine]`` stops them exactly past ``work``.
+    """
+    if engine == ENGINE_GENERIC:
+        return counters.comparisons + counters.findgap
+    return counters.interval_ops + counters.constraints + counters.comparisons
+
+
 def structural_rows(
     engine: str,
     query: Query,
@@ -178,11 +226,12 @@ def structural_rows(
     counters: OpCounters,
     admission: Optional[AdmittedQuery] = None,
 ) -> List[Row]:
-    """The rows of a triangle or Yannakakis plan, ascending in ``gao``.
+    """The rows of a triangle, generic-join or Yannakakis plan,
+    ascending in ``gao``.
 
     ``mapping`` is the triangle role mapping (``gao`` is its ``vars``);
-    Yannakakis ignores it.  ``admission`` is checked from inside the
-    engine's own loop.
+    the other engines ignore it.  ``admission`` is checked from inside
+    the engine's own loop.
     """
     if engine == ENGINE_TRIANGLE:
         from repro.core.triangle import triangle_join
@@ -190,6 +239,14 @@ def structural_rows(
         assert mapping is not None
         return triangle_join(
             *triangle_edges(query, mapping), counters, admission=admission
+        )
+    if engine == ENGINE_GENERIC:
+        from repro.baselines.generic_join import generic_join
+
+        return generic_join(
+            query.with_gao(list(gao), counters=counters),
+            counters,
+            admission=admission,
         )
     from repro.baselines.yannakakis import yannakakis_join
 
@@ -239,14 +296,37 @@ class Planner:
         mapping = detect_triangle(query)
         sample, sampled = sample_query(query, config.sample_limit)
 
-        if mapping is not None:
+        if (
+            not sampled
+            and not query.is_alpha_acyclic()
+            and self._resources(ENGINE_MINESWEEPER, query) == (1, 0)
+        ):
+            rival = (
+                "the triangle engine" if mapping is not None
+                else "Minesweeper's GAOs"
+            )
+            scoreboard = self._score_by_work(sample, query, mapping)
+            engine, gao = scoreboard[0].engine, scoreboard[0].gao
+            if engine != ENGINE_TRIANGLE:
+                mapping = None
+            rationale = (
+                "cyclic query on unsampled data: the least weighted work "
+                f"of generic join and {rival}, measured (Thm 5.1/5.4 beat "
+                "a worst-case-optimal join only where |C| ≪ N)"
+            )
+        elif mapping is not None:
             gao = mapping.vars
             engine = ENGINE_TRIANGLE
             rationale = (
                 "triangle-shaped query: the specialized dyadic-tree CDS "
                 "avoids the generic CDS's Θ(|C|²) revisits (Theorem 5.4)"
             )
-            scoreboard = [self._score_structural(engine, sample, gao, mapping)]
+            scoreboard = [
+                self._score_run(
+                    engine, sample, gao, mapping,
+                    note="winner: structural rule",
+                )
+            ]
         elif query.is_alpha_acyclic():
             # Yannakakis' work does not depend on the GAO (it only
             # orders the output), so any candidate serves: take the
@@ -258,7 +338,12 @@ class Planner:
                 "O(N + Z) with no cyclic residue to probe around "
                 "(Section 4.4)"
             )
-            scoreboard = [self._score_structural(engine, sample, gao, None)]
+            scoreboard = [
+                self._score_run(
+                    engine, sample, gao, None,
+                    note="winner: structural rule",
+                )
+            ]
         else:
             engine = ENGINE_MINESWEEPER
             rationale = (
@@ -316,8 +401,47 @@ class Planner:
             seed=self.config.seed,
         )
 
+    def _score_by_work(
+        self,
+        sample: Query,
+        full: Query,
+        mapping: Optional[TriangleMapping],
+    ) -> List[CandidatePlan]:
+        """Generic join, then the triangle engine or every Minesweeper
+        GAO, ranked by weighted work; ties go to the CDS engine.
+
+        Generic join is scored once, under the first candidate GAO (the
+        pick Yannakakis takes too).  Its weighted work is the budget
+        every later candidate runs under, in that engine's ops, so a
+        loser is abandoned as soon as it has cost more: cold planning
+        costs at most about (candidates + 1) generic runs.
+        """
+        generic = self._score_run(
+            ENGINE_GENERIC, sample, self._candidates(full)[0], None
+        )
+        assert generic.work is not None
+        if mapping is not None:
+            rivals = [
+                self._score_run(
+                    ENGINE_TRIANGLE, sample, mapping.vars, mapping,
+                    work_cap=generic.work,
+                )
+            ]
+        else:
+            rivals = self._score_minesweeper(
+                sample, full, work_cap=generic.work
+            )
+        board = [generic, *rivals]
+        board.sort(
+            key=lambda c: (
+                c.capped, c.work, c.engine == ENGINE_GENERIC,
+                c.estimate, c.gao,
+            )
+        )
+        return board
+
     def _score_minesweeper(
-        self, sample: Query, full: Query
+        self, sample: Query, full: Query, work_cap: Optional[int] = None
     ) -> List[CandidatePlan]:
         """Score GAO candidates; ranked, ties broken lexicographically.
 
@@ -327,22 +451,24 @@ class Planner:
         fully-scored candidate, so one pathological order cannot make
         planning cost what the pathological order itself would.  The
         ops cap is an admission budget with no deadline, so scoring
-        reads no clock.
+        reads no clock; ``work_cap`` (weighted work, ns) tightens it to
+        the ops that much work buys.
         """
         import itertools as _it
 
         from repro.core.minesweeper import Minesweeper, MinesweeperError
 
         budget = self.config.score_budget
+        max_ops = budget * SCORE_OPS_FACTOR
+        if work_cap is not None:
+            max_ops = min(max_ops, work_cap // NS_PER_OP[ENGINE_MINESWEEPER])
         board: List[CandidatePlan] = []
         for gao in self._candidates(full):
             counters = OpCounters()
             engine = Minesweeper(
                 sample.with_gao(list(gao), counters=counters),
                 max_probes=budget,
-                admission=QueryBudget(
-                    max_ops=budget * SCORE_OPS_FACTOR
-                ).admit(),
+                admission=QueryBudget(max_ops=max_ops).admit(),
             )
             capped = False
             with self.tracer.span("score", gao=",".join(gao)) as span:
@@ -361,37 +487,47 @@ class Planner:
                     span.set("capped", True)
             self.estimate_runs += 1
             board.append(
-                CandidatePlan(
-                    ENGINE_MINESWEEPER,
-                    gao,
-                    counters.findgap,
-                    "findgap",
-                    note="aborted at scoring budget" if capped else "",
-                    capped=capped,
+                _candidate(
+                    ENGINE_MINESWEEPER, gao, counters, capped, work_cap
                 )
             )
         board.sort(key=lambda c: (c.capped, c.estimate, c.gao))
         return board
 
-    def _score_structural(
+    def _score_run(
         self,
         engine: str,
         sample: Query,
         gao: Sequence[str],
         mapping: Optional[TriangleMapping],
+        work_cap: Optional[int] = None,
+        note: str = "",
     ) -> CandidatePlan:
-        """Score a structural winner in its engine's own unit: FindGap
-        for the triangle engine, comparisons for Yannakakis."""
-        unit = "findgap" if engine == ENGINE_TRIANGLE else "comparisons"
+        """One triangle, generic-join or Yannakakis run on the sample,
+        scored in its engine's own unit: FindGap for the triangle engine
+        and generic join, comparisons for Yannakakis.  Under
+        ``work_cap`` (weighted work, ns) the run is abandoned once it
+        has cost more."""
         counters = OpCounters()
-        with self.tracer.span("score", engine=engine) as span:
-            structural_rows(engine, sample, gao, mapping, counters)
-            estimate = getattr(counters, unit)
-            span.set("estimate", estimate)
-        self.estimate_runs += 1
-        return CandidatePlan(
-            engine, tuple(gao), estimate, unit, "winner: structural rule"
+        admission = (
+            None if work_cap is None
+            else QueryBudget(max_ops=work_cap // NS_PER_OP[engine]).admit()
         )
+        capped = False
+        with self.tracer.span("score", engine=engine) as span:
+            try:
+                structural_rows(
+                    engine, sample, gao, mapping, counters, admission
+                )
+            except BudgetExceeded:
+                capped = True
+                span.set("capped", True)
+            candidate = _candidate(
+                engine, gao, counters, capped, work_cap, note
+            )
+            span.set("estimate", candidate.estimate)
+        self.estimate_runs += 1
+        return candidate
 
     # ------------------------------------------------------------------
 
@@ -419,6 +555,41 @@ class Planner:
             "plans_built": self.plans_built,
             "estimate_runs": self.estimate_runs,
         }
+
+
+def _candidate(
+    engine: str,
+    gao: Sequence[str],
+    counters: OpCounters,
+    capped: bool,
+    work_cap: Optional[int] = None,
+    note: str = "",
+) -> CandidatePlan:
+    """A scored run as a board entry: its estimate, raw ops and (for an
+    engine with an ns/op constant) weighted work."""
+    ops = engine_ops(engine, counters)
+    if capped:
+        note = (
+            "abandoned past generic join's work"
+            if work_cap is not None
+            and ops * NS_PER_OP[engine] > work_cap
+            else "aborted at scoring budget"
+        )
+    if engine == ENGINE_YANNAKAKIS:
+        return CandidatePlan(
+            engine, tuple(gao), counters.comparisons, "comparisons", note,
+            ops=ops,
+        )
+    return CandidatePlan(
+        engine,
+        tuple(gao),
+        counters.findgap,
+        "findgap",
+        note=note,
+        capped=capped,
+        ops=ops,
+        work=ops * NS_PER_OP[engine],
+    )
 
 
 def plan_query(

@@ -133,8 +133,9 @@ class PreparedStatement:
 
         A surviving plan's evidence describes the data as of plan
         time, so the report carries the generation and cardinalities
-        then and now; the Minesweeper board a structural pick never
-        scored is scored here, against the current data.
+        then and now; the Minesweeper board a plan never scored (a
+        structural pick, or a triangle-shaped query's measured pick) is
+        scored here, against the current data.
         """
         session, statement = self.session, self.statement
         plan, origin = session._plan_for(statement, self.signature)
@@ -142,7 +143,7 @@ class PreparedStatement:
             session.planner.comparison_board(
                 lower(statement.canonicalize(), session.catalog)
             )
-            if plan.engine != ENGINE_MINESWEEPER
+            if all(c.engine != ENGINE_MINESWEEPER for c in plan.scoreboard)
             else ()
         )
         # Render in the statement's own variable names, not the
@@ -535,11 +536,11 @@ class Session:
         """The plan's output rows over the localized ``gao`` order,
         ascending — the one engine dispatch both result shapes fold.
 
-        Triangle and Yannakakis plans hand back a finished list
-        (:func:`structural_rows`), as does sharded Minesweeper; a serial
-        Minesweeper plan streams lazily, so a consumer that stops early
-        pays only for the certificate it consumed.  Every engine checks
-        ``admission`` from its own loop.
+        Triangle, generic-join and Yannakakis plans hand back a
+        finished list (:func:`structural_rows`), as does sharded
+        Minesweeper; a serial Minesweeper plan streams lazily, so a
+        consumer that stops early pays only for the certificate it
+        consumed.  Every engine checks ``admission`` from its own loop.
         """
         if plan.engine != ENGINE_MINESWEEPER:
             return iter(

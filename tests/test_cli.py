@@ -494,18 +494,20 @@ class TestQuery:
 
 class TestServe:
     def test_script_end_to_end(self, tmp_path, capsys):
+        from repro.datasets.instances import disjoint_ranges_triangle
+
+        # R's and T's A ranges are disjoint apart from one planted
+        # triangle: the triangle engine's regime.
+        lines = ["CREATE E(A, B)", "CREATE S(B, C)", "CREATE T(A, C)"]
+        for name, rows in zip("EST", disjoint_ranges_triangle(128, 1)):
+            lines += [f"+{name} {a},{b}" for a, b in rows]
+        lines += ["commit"] + 2 * ["T(x, y, z) :- E(x, y), S(y, z), T(x, z)"]
         script = tmp_path / "demo.script"
-        script.write_text(
-            "CREATE E(A, B)\n"
-            "+E 1,2\n+E 2,3\n+E 1,3\n"
-            "commit\n"
-            "T(x, y, z) :- E(x, y), E(y, z), E(x, z)\n"
-            "T(x, y, z) :- E(x, y), E(y, z), E(x, z)\n"
-        )
+        script.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(["serve", "--script", str(script)], capsys)
         assert code == 0
         assert "# created E(A, B)" in out
-        assert "1,2,3" in out
+        assert "256,0,0" in out
         assert "cached plan" in out  # second execution hit the cache
         assert "engine=triangle" in out
         assert "# served 2 queries: 1 planned, 1 from cache" in err

@@ -126,14 +126,15 @@ class TestRunners:
         shapes = result.column("shape")
         assert shapes == ["triangle", "bowtie", "3-path", "star", "4-cycle"]
         engines = dict(zip(shapes, result.column("engine")))
-        assert engines["triangle"] == "triangle"
         assert engines["bowtie"] == "yannakakis"
-        assert engines["4-cycle"] == "minesweeper"
-        # the cyclic shape's measured-GAO plan is no worse than the
-        # naive fixed order
+        # unsampled random cyclic shapes (|C| several times N): the
+        # measured pick is generic join, probing less than Minesweeper
+        # under the naive fixed order
+        assert engines["triangle"] == engines["4-cycle"] == "generic"
         by_shape = {row["shape"]: row for row in result.rows}
-        cyc = by_shape["4-cycle"]
-        assert cyc["planner_ops"] <= cyc["fixed_gao_findgap"]
+        for shape in ("triangle", "4-cycle"):
+            row = by_shape[shape]
+            assert row["planner_ops"] <= row["fixed_gao_findgap"]
 
 
 @pytest.fixture(scope="module")

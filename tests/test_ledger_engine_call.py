@@ -6,9 +6,14 @@ called directly, bypassing the session.  It still reads the plan's
 ``triangle_join``, so it is the one reader of those ``None``-only
 compatibility shims; only
 the slow ledger smoke would otherwise reach it.  This loads the module
-by path and checks, for a triangle, a Minesweeper and a Yannakakis
-plan taken from a :class:`~repro.serve.Session`, that the direct call
-returns the rows ``Session.execute`` does.
+by path and checks, for a triangle, a Minesweeper, a Yannakakis and a
+generic-join plan taken from a :class:`~repro.serve.Session`, that the
+direct call returns the rows ``Session.execute`` does.  The ledger
+knows no generic-join engine: such a plan falls through to Minesweeper
+``join(..., strategy=plan.strategy, backend=plan.backend,
+cds_backend=plan.cds_backend)`` under the plan's GAO, which must give
+the same rows.  Each statement runs on an instance in its engine's
+regime (planner picks are by measured work).
 """
 
 import importlib.util
@@ -19,7 +24,12 @@ import pytest
 
 from repro.dynamic import Catalog
 from repro.lang import lower, parse
+from repro.datasets.instances import (
+    disjoint_ranges_cycle4,
+    disjoint_ranges_triangle,
+)
 from repro.planner import (
+    ENGINE_GENERIC,
     ENGINE_MINESWEEPER,
     ENGINE_TRIANGLE,
     ENGINE_YANNAKAKIS,
@@ -36,9 +46,15 @@ SIBLINGS = ("gen", "harness", "oracle", "spec", "suite", "workloads")
 EDGES = [(1, 2), (2, 3), (3, 1), (1, 3), (3, 4), (4, 1), (2, 4), (4, 2)]
 #: engine -> a statement the planner hands to it
 STATEMENTS = {
-    ENGINE_TRIANGLE: "Q(x, y, z) :- R(x, y), S(y, z), T(x, z)",
-    ENGINE_MINESWEEPER: "Q(a, b, c, d) :- R(a, b), R(b, c), R(c, d), R(d, a)",
+    # R3/T3's A ranges are disjoint apart from one planted triangle
+    ENGINE_TRIANGLE: "Q(x, y, z) :- R3(x, y), S3(y, z), T3(x, z)",
+    # ... and R4/U4's apart from one planted 4-cycle
+    ENGINE_MINESWEEPER: (
+        "Q(a, b, c, d) :- R4(a, b), S4(b, c), T4(c, d), U4(d, a)"
+    ),
     ENGINE_YANNAKAKIS: "Q(x, z) :- R(x, y), S(y, z)",
+    # a dense 4-cycle over eight edges: |C| ≈ N
+    ENGINE_GENERIC: "Q(a, b, c, d) :- R(a, b), R(b, c), R(c, d), R(d, a)",
 }
 
 
@@ -67,6 +83,12 @@ def catalog():
     catalog = Catalog()
     for name in ("R", "S", "T"):
         catalog.create_relation(name, ["A", "B"], EDGES)
+    for name, rows in zip(("R3", "S3", "T3"), disjoint_ranges_triangle(128, 1)):
+        catalog.create_relation(name, ["A", "B"], rows)
+    for name, rows in zip(
+        ("R4", "S4", "T4", "U4"), disjoint_ranges_cycle4(250, 1)
+    ):
+        catalog.create_relation(name, ["A", "B"], rows)
     return catalog
 
 
@@ -79,7 +101,9 @@ def test_engine_call_returns_the_session_rows(layers, catalog, engine):
     statement = parse(text)
     canonical = lower(statement.canonicalize(), catalog)
 
-    _, _, call = layers._engine_call(plan, canonical)
+    layer, name, call = layers._engine_call(plan, canonical)
+    if engine == ENGINE_GENERIC:
+        assert (layer, name) == ("core", "join")
     rows = list(call())
 
     # The engine's columns: the triangle roles, else the plan's GAO —

@@ -27,9 +27,11 @@ from repro.planner.cache import (
 )
 from repro.planner.plan import DRIFT_FACTOR
 from repro.planner import (
+    ENGINE_GENERIC,
     ENGINE_MINESWEEPER,
     ENGINE_TRIANGLE,
     ENGINE_YANNAKAKIS,
+    CandidatePlan,
     Plan,
     PlanCache,
     Planner,
@@ -40,6 +42,19 @@ from repro.planner import (
 )
 from repro.serve import Session
 from repro.storage.relation import Relation
+
+
+def disjoint_triangle_relations(n=128):
+    """A triangle in the triangle engine's regime: R's and T's A ranges
+    are disjoint (``instances.disjoint_ranges_triangle``)."""
+    from repro.datasets.instances import disjoint_ranges_triangle
+
+    r, s, t = disjoint_ranges_triangle(n)
+    return {
+        "R": Relation("R", ["A", "B"], r),
+        "S": Relation("S", ["B", "C"], s),
+        "T": Relation("T", ["A", "C"], t),
+    }
 
 
 def triangle_relations(n=40, k=10, seed=5):
@@ -138,14 +153,44 @@ class TestSampleQuery:
 
 class TestEngineSelection:
     def test_triangle_selects_triangle_engine(self):
+        # Disjoint A ranges: an O(1) certificate the dyadic engine
+        # reads off in a few gaps, while generic join enumerates every
+        # A value.
+        lowered = lower(
+            parse("Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"),
+            disjoint_triangle_relations(),
+        )
+        plan = plan_query(lowered)
+        assert plan.engine == ENGINE_TRIANGLE
+        assert plan.triangle is not None
+        assert [c.engine for c in plan.scoreboard] == [
+            ENGINE_TRIANGLE, ENGINE_GENERIC,
+        ]
+
+    def test_dense_random_triangle_selects_generic_join(self):
+        # |C| ≈ N: the certificate-bound engine has nothing to skip.
         lowered = lower(
             parse("Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"),
             triangle_relations(),
         )
         plan = plan_query(lowered)
+        assert plan.engine == ENGINE_GENERIC
+        assert plan.triangle is None
+        loser = plan.scoreboard[1]
+        assert loser.engine == ENGINE_TRIANGLE
+        assert loser.capped and loser.work > plan.scoreboard[0].work
+
+    def test_sampled_triangle_keeps_the_structural_pick(self):
+        lowered = lower(
+            parse("Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"),
+            triangle_relations(),
+        )
+        planner = Planner(PlannerConfig(sample_limit=16))
+        plan = planner.plan(lowered)
+        assert plan.sampled
         assert plan.engine == ENGINE_TRIANGLE
-        assert plan.triangle is not None
-        assert plan.scoreboard[0].engine == ENGINE_TRIANGLE
+        assert [c.engine for c in plan.scoreboard] == [ENGINE_TRIANGLE]
+        assert planner.estimate_runs == 1
 
     def test_alpha_acyclic_selects_yannakakis(self):
         source = {
@@ -158,7 +203,30 @@ class TestEngineSelection:
         assert plan.engine == ENGINE_YANNAKAKIS
 
     def test_cyclic_non_triangle_selects_minesweeper(self):
+        from repro.datasets.instances import disjoint_ranges_cycle4
+
+        rows = disjoint_ranges_cycle4(128)
+        source = {
+            name: Relation(name, ["A", "B"], edges)
+            for name, edges in zip("RSTU", rows)
+        }
+        lowered = lower(
+            parse("Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)"),
+            source,
+        )
+        plan = plan_query(lowered)
+        assert plan.engine == ENGINE_MINESWEEPER
+        # winner is the least measured weighted work; the abandoned
+        # candidates rank after every fully-scored one
+        board = plan.scoreboard
+        assert plan.gao == board[0].gao
+        assert ENGINE_GENERIC in {c.engine for c in board}
+        keys = [(c.capped, c.work) for c in board]
+        assert keys == sorted(keys)
+
+    def test_dense_random_cycle_selects_generic_join(self):
         rng = random.Random(7)
+
         def edges():
             return sorted(
                 {(rng.randrange(12), rng.randrange(12)) for _ in range(30)}
@@ -172,16 +240,19 @@ class TestEngineSelection:
             parse("Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)"),
             source,
         )
-        plan = plan_query(lowered)
-        assert plan.engine == ENGINE_MINESWEEPER
-        # winner is the cheapest measured candidate, ties broken
-        # lexicographically
-        board = plan.scoreboard
-        assert plan.gao == board[0].gao
-        assert all(
-            board[i].estimate <= board[i + 1].estimate
-            for i in range(len(board) - 1)
-        )
+        planner = Planner()
+        plan = planner.plan(lowered)
+        assert plan.engine == ENGINE_GENERIC
+        # generic join is scored once, under the first candidate GAO,
+        # and every Minesweeper GAO ran under its work as a budget
+        assert plan.gao == candidate_gaos(
+            lowered.query, exhaustive_below=5
+        )[0]
+        generic = plan.scoreboard[0]
+        assert planner.estimate_runs == len(plan.scoreboard) == 1 + 24
+        for cand in plan.scoreboard[1:]:
+            assert cand.engine == ENGINE_MINESWEEPER
+            assert cand.capped and cand.work > generic.work
 
     def test_parallel_resources_only_above_threshold(self):
         rng = random.Random(3)
@@ -205,7 +276,7 @@ class TestEngineSelection:
     def test_explain_contains_scoreboard_and_rationale(self):
         lowered = lower(
             parse("Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"),
-            triangle_relations(),
+            disjoint_triangle_relations(),
         )
         planner = Planner()
         plan = planner.plan(lowered)
@@ -214,13 +285,17 @@ class TestEngineSelection:
         assert "rationale" in report
         assert "findgap" in report
         assert "runtime regime" in report  # core explain reused
-        # A structural pick scores the winner alone ...
-        assert planner.estimate_runs == 1
-        assert [c.engine for c in plan.scoreboard] == [ENGINE_TRIANGLE]
+        # every candidate's raw ops and weighted work are printed
+        for cand in plan.scoreboard:
+            assert f"{cand.ops:>8d} ops {cand.work / 1000:>9.1f} µs work" in (
+                report
+            )
+        # A triangle-shaped query scores the two engines alone ...
+        assert planner.estimate_runs == 2
         assert "minesweeper" not in report
-        # ... and the losers are scored on demand, at explain time.
+        # ... and the Minesweeper board on demand, at explain time.
         board = planner.comparison_board(lowered)
-        assert planner.estimate_runs == 1 + len(board) == 1 + 6
+        assert planner.estimate_runs == 2 + len(board) == 2 + 6
         assert all(c.engine == ENGINE_MINESWEEPER for c in board)
         report = plan.explain(comparison=board)
         assert "minesweeper" in report
@@ -505,6 +580,20 @@ class TestPlanCache:
         plan = make_plan(engine=engine)
         assert not plan.drifted({"R": 0})
         assert not plan.drifted({"R": 10**9})
+
+    @pytest.mark.parametrize(
+        "engine", [ENGINE_TRIANGLE, ENGINE_GENERIC, ENGINE_MINESWEEPER]
+    )
+    def test_plans_picked_by_measured_work_drift(self, engine):
+        plan = make_plan(engine=engine)
+        plan.scoreboard = [
+            CandidatePlan(engine, ("v0",), 1, ops=1, work=1),
+            CandidatePlan(ENGINE_GENERIC, ("v0",), 2, ops=2, work=2),
+        ]
+        assert plan.compared_by_work
+        assert not plan.drifted({"R": 199})
+        assert plan.drifted({"R": 200})
+        assert plan.drifted({"R": 0})
 
     def test_drift_replans_once_and_counts_it(self):
         cache = PlanCache()

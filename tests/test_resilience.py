@@ -32,6 +32,7 @@ from repro.core.resilience import (
     admit,
 )
 from repro.datasets.graphs import uniform_graph
+from repro.planner import PlanCache
 from repro.storage.relation import Relation
 from repro.testing.faults import (
     InjectedWorkerFault,
@@ -517,6 +518,7 @@ class TestServingAdmission:
 ENGINE_QUERIES = {
     "triangle": "Q(a, b, c) :- E(a, b), E(b, c), E(a, c)",
     "yannakakis": "Q(a, b, c, d) :- E(a, b), E(b, c), E(c, d)",
+    "generic": "Q(a, b, c, d) :- E(a, b), E(b, c), E(c, d), E(d, a)",
     "minesweeper": "Q(a, b, c, d) :- E(a, b), E(b, c), E(c, d), E(d, a)",
 }
 
@@ -533,6 +535,40 @@ def edge_session(edges, budget=None):
     session = Session(budget=budget)
     session.catalog.create_relation("E", ["A", "B"], edges)
     return session
+
+
+class PinnedPlan(PlanCache):
+    """A cache that serves every statement the one plan it was given."""
+
+    def __init__(self, plan):
+        super().__init__()
+        self.plan = plan
+
+    def resolve(self, signature, sizes, build):
+        return self.plan, "cached"
+
+
+def pinned_session(edges, text, engine, budget=None):
+    """A session over E(A, B) = ``edges`` that runs ``text`` on
+    ``engine`` whatever the planner would measure: which engine wins
+    depends on the instance (``tests/test_engine_regimes.py``), while
+    the budget contract is every engine's."""
+    from repro.lang import lower, parse
+    from repro.planner import ENGINE_TRIANGLE, Plan, detect_triangle
+    from repro.serve import Session
+
+    session = edge_session(edges)
+    query = lower(parse(text).canonicalize(), session.catalog).query
+    mapping = detect_triangle(query) if engine == ENGINE_TRIANGLE else None
+    plan = Plan(
+        signature="",
+        engine=engine,
+        gao=mapping.vars if mapping else tuple(query.attributes()),
+        triangle=mapping,
+    )
+    return Session(
+        session.catalog, budget=budget, plan_cache=PinnedPlan(plan)
+    )
 
 
 def ops_measure(result):
@@ -556,7 +592,7 @@ class TestEveryEngineBudget:
         self, edges, engine, resource, scale
     ):
         text = ENGINE_QUERIES[engine]
-        full = edge_session(edges).execute(text)
+        full = pinned_session(edges, text, engine).execute(text)
         assert full.plan.engine == engine
         if resource == "deadline_ms":
             # Wall time is not reproducible: an expired deadline may
@@ -570,7 +606,9 @@ class TestEveryEngineBudget:
             )
             limit = int(measure * scale)
             never_aborts = limit >= measure
-        session = edge_session(edges, QueryBudget(**{resource: limit}))
+        session = pinned_session(
+            edges, text, engine, QueryBudget(**{resource: limit})
+        )
         try:
             rows = session.execute(text).rows
         except BudgetExceeded as exc:
@@ -584,6 +622,47 @@ class TestEveryEngineBudget:
             assert exc.deadline_s == limit / 1000.0
         else:
             assert rows == full.rows
+
+
+class TestGenericJoinBudget:
+    def test_max_ops_stops_a_generic_planned_query_inside_its_loop(self):
+        # A dense random 4-cycle: generic join is the measured pick.
+        edges = uniform_graph(12, 40, seed=3)
+        text = ENGINE_QUERIES["generic"]
+        full = edge_session(edges).execute(text)
+        assert full.plan.engine == "generic"
+        limit = full.ops["comparisons"] // 2
+        session = edge_session(edges, QueryBudget(max_ops=limit))
+        with pytest.raises(BudgetExceeded) as info:
+            session.execute(text)
+        assert (info.value.resource, info.value.limit) == ("ops", limit)
+        # raised by the per-candidate tick, not the post-run checks
+        frames = [
+            (entry.path.name, entry.name) for entry in info.traceback
+        ]
+        assert ("generic_join.py", "search") in frames
+
+    def test_rows_and_deadline_checked_before_returning(self):
+        from repro.baselines.generic_join import generic_join
+        from repro.core.query import Query
+
+        # Two output rows, and a single-level search: the row check on
+        # return is the one that fires.
+        query = Query([
+            Relation("R", ["A"], [(1,), (2,)]),
+            Relation("S", ["A"], [(1,), (2,)]),
+        ])
+        admission = QueryBudget(max_rows=1).admit()
+        with pytest.raises(BudgetExceeded) as info:
+            generic_join(query.with_gao(["A"]), admission=admission)
+        assert info.value.resource == "rows"
+        # two ticks never reach the deadline stride: the check on
+        # return is what sees the expired deadline
+        admission = QueryBudget(deadline_ms=0).admit()
+        time.sleep(0.002)
+        with pytest.raises(QueryTimeout) as info:
+            generic_join(query.with_gao(["A"]), admission=admission)
+        assert info.value.where == "generic"
 
 
 class TestDeadlinesHoldOnEveryEngine:
@@ -701,18 +780,26 @@ class TestCliExitCodes:
         assert code == 4
         assert "QueryTimeout" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["leapfrog", "generic"])
-    def test_budget_flags_refused_by_leapfrog_and_generic(
-        self, csvs, engine
-    ):
+    def test_budget_flags_refused_by_leapfrog(self, csvs):
         from repro.cli import main
 
         r, s = csvs
-        with pytest.raises(SystemExit, match="leapfrog and generic"):
+        with pytest.raises(SystemExit, match="not supported by leapfrog"):
             main([
-                "join", "--engine", engine, "--relation", f"R=A,B:{r}",
+                "join", "--engine", "leapfrog", "--relation", f"R=A,B:{r}",
                 "--relation", f"S=B,C:{s}", "--max-ops", "5",
             ])
+
+    def test_generic_join_budget_exits_4(self, csvs, capsys):
+        from repro.cli import main
+
+        r, s = csvs
+        code = main([
+            "join", "--engine", "generic", "--relation", f"R=A,B:{r}",
+            "--relation", f"S=B,C:{s}", "--max-ops", "1",
+        ])
+        assert code == 4
+        assert "BudgetExceeded" in capsys.readouterr().err
 
     def test_join_under_budget_exits_0(self, csvs):
         from repro.cli import main

@@ -6,9 +6,13 @@ import sys
 
 import pytest
 
+from repro.datasets.instances import (
+    disjoint_ranges_cycle4,
+    disjoint_ranges_triangle,
+)
 from repro.dynamic import Catalog, Update
 from repro.lang import ParseError, ValidationError
-from repro.planner import ENGINE_TRIANGLE
+from repro.planner import ENGINE_GENERIC, ENGINE_TRIANGLE
 from repro.serve import ScriptError, ScriptRunner, Session, run_script
 
 
@@ -132,7 +136,8 @@ PATH = "Q(a, c) :- R4(a, b), S4(b, c)"
 
 
 class TestDriftReplanning:
-    """Only data drift re-plans, and only a cost-based plan."""
+    """Only data drift re-plans, and only a cost-based plan: a
+    Minesweeper GAO, or any engine picked by measured work."""
 
     @pytest.fixture()
     def session(self):
@@ -155,7 +160,10 @@ class TestDriftReplanning:
 
     def test_growth_past_2x_replans_cycle4_exactly_once(self, session):
         first = session.execute(CYCLE4)
-        assert first.plan.engine == "minesweeper"
+        # the ring is small and unsampled: generic join against
+        # Minesweeper's GAOs, by measured work
+        assert first.plan.engine == ENGINE_GENERIC
+        assert first.plan.compared_by_work
         session.execute(TRIANGLE)
         session.execute(PATH)
         built = session.planner.plans_built
@@ -174,12 +182,16 @@ class TestDriftReplanning:
         stats = session.cache.stats()
         assert stats["invalidated"] == stats["drift_replans"] == 1
 
-        # The same growth never re-plans the structural picks.
-        for text in (TRIANGLE, PATH):
-            result = session.execute(text)
-            assert result.plan_origin == "cached"
-            assert result.plan.cardinalities["R4"] == 12
-        assert session.planner.plans_built == built + 1
+        # The same growth re-plans the triangle's measured pick once,
+        # and never the structural Yannakakis pick.
+        result = session.execute(TRIANGLE)
+        assert result.plan.compared_by_work
+        assert result.plan_origin == "refreshed (drift)"
+        assert session.execute(TRIANGLE).plan_origin == "cached"
+        result = session.execute(PATH)
+        assert result.plan_origin == "cached"
+        assert result.plan.cardinalities["R4"] == 12
+        assert session.planner.plans_built == built + 2
 
     def test_shrink_to_empty_and_back(self, session):
         rows = session.execute(CYCLE4).rows
@@ -225,20 +237,13 @@ class TestAggregates:
     def test_min_leading_attribute_short_circuits(self):
         # MIN of the first GAO attribute streams one row and stops:
         # its probe work must be well below the full enumeration's.
-        # A cyclic non-triangle query routes to Minesweeper (the
-        # streaming engine); the symmetric cycle data makes every GAO
-        # tie, so the lexicographic tie-break pins gao = a,b,c,d and
-        # MIN(a) is the leading attribute.
+        # Only Minesweeper streams, so the 4-cycle sits in its regime:
+        # R's and U's A ranges are disjoint apart from one planted
+        # cycle, which Minesweeper certifies in far less measured work
+        # than generic join's walk over every A value.
         catalog = Catalog()
-        n = 60
-        cycle = [(i, (i + 1) % n) for i in range(n)]
-        for name in ("R", "S", "T"):
-            catalog.create_relation(name, ["A", "B"], cycle)
-        # U(d, a) must close d -> a, i.e. hold ((i+3) % n, i), so the
-        # join yields one row (i, i+1, i+2, i+3) per i.
-        catalog.create_relation(
-            "U", ["A", "B"], sorted(((i + 3) % n, i) for i in range(n))
-        )
+        for name, rows in zip("RSTU", disjoint_ranges_cycle4(250, 1)):
+            catalog.create_relation(name, ["A", "B"], rows)
         session = Session(catalog)
         body = "R(a, b), S(b, c), T(c, d), U(d, a)"
         full = session.execute(f"Q(a, b, c, d) :- {body}")
@@ -275,19 +280,20 @@ class TestScriptRunner:
         assert "# session:" in joined
 
     def test_triangle_engine_selected_in_script(self):
-        script = [
-            "CREATE E(A, B)",
-            "+E 1,2", "+E 2,3", "+E 1,3",
-            "commit",
-            "T(x, y, z) :- E(x, y), E(y, z), E(x, z)",
-        ]
+        # R's and T's A ranges are disjoint apart from one planted
+        # triangle: the triangle engine's regime.
+        r, s, t = disjoint_ranges_triangle(128, planted=1)
+        script = ["CREATE R(A, B)", "CREATE S(B, C)", "CREATE T(A, C)"]
+        for name, rows in zip("RST", (r, s, t)):
+            script += [f"+{name} {a},{b}" for a, b in rows]
+        script += ["commit", "Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"]
         runner = ScriptRunner()
         runner.run(script)
-        assert "1,2,3" in runner.out
+        assert "256,0,0" in runner.out
         stats = runner.session.stats()
         assert stats["queries_executed"] == 1
         result = runner.session.execute(
-            "T(x, y, z) :- E(x, y), E(y, z), E(x, z)"
+            "Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"
         )
         assert result.plan.engine == ENGINE_TRIANGLE
         assert result.cached_plan
@@ -468,6 +474,10 @@ _FOOTPRINT_SCRIPT = """
 import sys
 at_startup = set(sys.modules)  # __main__, whatever site's .pth files load
 import repro.cli
+from repro.datasets.instances import (
+    disjoint_ranges_cycle4,
+    disjoint_ranges_triangle,
+)
 from repro.dynamic import Catalog
 from repro.serve import Session
 
@@ -477,12 +487,16 @@ catalog = Catalog()
 for name in "RST":
     catalog.create_relation(name, ["A", "B"], cycle)
 catalog.create_relation("U", ["A", "B"], [((i + 3) % n, i) for i in range(n)])
-catalog.create_relation("E", ["A", "B"], [(1, 2), (2, 3), (1, 3)])
+for name, rows in zip(("R3", "S3", "T3"), disjoint_ranges_triangle(128, 1)):
+    catalog.create_relation(name, ["A", "B"], rows)
+for name, rows in zip(("R4", "S4", "T4", "U4"), disjoint_ranges_cycle4(250, 1)):
+    catalog.create_relation(name, ["A", "B"], rows)
 session = Session(catalog)
 planned = {
     "yannakakis": "Q(x, z) :- R(x, y), S(y, z)",
-    "triangle": "Q(x, y, z) :- E(x, y), E(y, z), E(x, z)",
-    "minesweeper": "Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)",
+    "triangle": "Q(x, y, z) :- R3(x, y), S3(y, z), T3(x, z)",
+    "generic": "Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)",
+    "minesweeper": "Q(a, b, c, d) :- R4(a, b), S4(b, c), T4(c, d), U4(d, a)",
 }
 for engine, text in planned.items():
     result = session.execute(text)

@@ -12,8 +12,13 @@ batch:
   == rows under a plan built now
   == ``baselines.hash_join_plan`` (an engine that shares no code with
   either), and
-* for the Minesweeper-planned shape, the Prop. 2.5 certificate the run
-  records under the *stale* GAO passes ``certificates/verifier.py``.
+* for the 4-cycle, planned by measured work onto generic join or a
+  Minesweeper GAO, the Prop. 2.5 certificate a Minesweeper run records
+  under the *stale* GAO passes ``certificates/verifier.py``.
+
+A last case pins which plans go stale at all: any plan whose board
+compared engines by measured work drifts at ``DRIFT_FACTOR``; the
+Yannakakis pick is structural and never does.
 
 Every assertion message carries the seed.
 """
@@ -28,7 +33,14 @@ from repro.certificates.verifier import check_certificate
 from repro.core.query import Query
 from repro.dynamic import Catalog, Update
 from repro.lang import lower, parse
-from repro.planner import ENGINE_MINESWEEPER, PlanCache
+from repro.planner import (
+    ENGINE_GENERIC,
+    ENGINE_MINESWEEPER,
+    ENGINE_TRIANGLE,
+    ENGINE_YANNAKAKIS,
+    PlanCache,
+)
+from repro.planner.plan import DRIFT_FACTOR
 from repro.serve import Session
 from repro.storage.relation import Relation
 
@@ -44,6 +56,15 @@ SHAPES = {
     "tri_rows": (
         "Q(x, y, z) :- R(x, y), S(y, z), T(x, z)", ("R", "S", "T"),
     ),
+}
+#: class -> the engines the planner may pick for it on these small,
+#: unsampled instances (cyclic shapes are picked by measured work).
+ENGINES = {
+    "path2": {ENGINE_YANNAKAKIS},
+    "path3_proj": {ENGINE_YANNAKAKIS},
+    "count_tri": {ENGINE_TRIANGLE, ENGINE_GENERIC},
+    "cycle4": {ENGINE_MINESWEEPER, ENGINE_GENERIC},
+    "tri_rows": {ENGINE_TRIANGLE, ENGINE_GENERIC},
 }
 SEEDS = range(400, 406)
 BATCHES = 5
@@ -115,7 +136,7 @@ def test_rows_under_a_stale_plan_never_change(shape, seed):
         )
     old = Session(catalog).execute(text).plan
     stale = Session(catalog, plan_cache=PinnedPlan(old))
-    assert (old.engine == ENGINE_MINESWEEPER) == (shape == "cycle4")
+    assert old.engine in ENGINES[shape], old.engine
 
     for batch in range(BATCHES):
         where = f"shape={shape} seed={seed} batch={batch}"
@@ -127,10 +148,10 @@ def test_rows_under_a_stale_plan_never_change(shape, seed):
         assert under_old.rows == want, f"stale plan diverged: {where}"
         assert fresh.rows == want, f"fresh plan diverged: {where}"
 
-        if old.engine != ENGINE_MINESWEEPER:
+        if shape != "cycle4":
             continue
-        # Prop. 2.5 under the stale GAO: the comparisons the run makes
-        # on today's data certify today's output.
+        # Prop. 2.5 under the stale GAO: the comparisons a Minesweeper
+        # run makes on today's data certify today's output.
         statement = parse(text)
         gao, _ = Session._localize(statement, old)
         prepared = detached(lower(statement, catalog)).with_gao(list(gao))
@@ -144,3 +165,31 @@ def test_rows_under_a_stale_plan_never_change(shape, seed):
             prepared, argument, samples=6, seed=seed
         )
         assert refutation is None, f"certificate refuted: {where}"
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_measured_picks_drift_and_structural_picks_do_not(shape):
+    text, names = SHAPES[shape]
+    rng = random.Random(f"drift/{shape}")
+    catalog = Catalog()
+    for name in names:
+        catalog.create_relation(
+            name, ["A", "B"],
+            sorted({random_edge(rng) for _ in range(8)}),
+        )
+    session = Session(catalog)
+    plan = session.execute(text).plan
+    measured = shape not in ("path2", "path3_proj")
+    assert plan.compared_by_work is measured
+    # One relation grows to DRIFT_FACTOR times its planned size.
+    name = names[0]
+    size = len(catalog.relation(name))
+    catalog.apply_batch([
+        Update(name, "+", (100 + i, 200 + i))
+        for i in range((DRIFT_FACTOR - 1) * size)
+    ])
+    again = session.execute(text)
+    assert again.plan_origin == (
+        "refreshed (drift)" if measured else "cached"
+    ), shape
+    assert again.rows == baseline_rows(catalog, text), shape
