@@ -28,8 +28,9 @@ from repro.analysis.framework import Checker, Finding, ModuleInfo, Project
 #: module dotted name -> class names shipped (directly or as fields) to
 #: pool workers.  See run_sharded(): payload = the run's ExecSpec plus
 #: sliced Relations, whose indexes are FlatTrie/Delta/Trie relations
-#: over interval pools and counters; the arena CDS pickles into workers
-#: as plain int arrays.
+#: over interval pools and counters.  No CDS is shipped (workers build
+#: their own); the arena CDS stays listed so its fields stay plain,
+#: picklable data.
 PAYLOAD_CLASSES: Dict[str, Tuple[str, ...]] = {
     "repro.core.engine": ("ExecSpec",),
     "repro.parallel.supervisor": ("ShardPayload",),

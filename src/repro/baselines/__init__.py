@@ -1,6 +1,5 @@
 """Baseline join algorithms the paper compares Minesweeper against."""
 
-from repro.baselines.generic_join import generic_join
 from repro.baselines.hash_join import hash_join_plan
 from repro.baselines.leapfrog import leapfrog_triejoin
 from repro.baselines.nested_loop import block_nested_loop_join, naive_multiway_join
@@ -9,7 +8,6 @@ from repro.baselines.sort_merge import sort_merge_join
 from repro.baselines.yannakakis import yannakakis_join
 
 __all__ = [
-    "generic_join",
     "hash_join_plan",
     "leapfrog_triejoin",
     "block_nested_loop_join",

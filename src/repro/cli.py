@@ -203,46 +203,39 @@ def _cmd_join(args: argparse.Namespace) -> int:
         rows, stats = result.rows, result.stats()
         used_gao = list(result.gao)
     else:
-        if args.limit is not None:
-            raise SystemExit(
-                "--limit is Minesweeper-only (the baselines are batch "
-                "engines with no certificate-bound streaming path)"
-            )
         if spec.sharded:
             raise SystemExit(
-                "--workers/--shards are Minesweeper-only (the baselines "
-                "have no sharded execution path)"
+                "--workers/--shards are Minesweeper-only (the other "
+                "engines have no sharded execution path)"
             )
-        if args.engine == "leapfrog" and (
-            budget is not None or retry_policy is not None
-        ):
-            raise SystemExit(
-                "--max-ops/--deadline-ms/--max-rows/--retries are not "
-                "supported by leapfrog (it has no admission checkpoints)"
-            )
-        used_gao = gao = list(spec.gao)
-        # The baselines tally into the counters printed below: their
-        # own comparisons and, through the indexes, FindGap calls.
+        used_gao = list(spec.gao)
+        # The engine tallies into the counters printed below: its own
+        # comparisons and, through the indexes, FindGap calls.
         counters = OpCounters()
         if args.engine == "leapfrog":
+            if args.limit is not None:
+                raise SystemExit(
+                    "--limit is not supported by leapfrog (a batch "
+                    "oracle with no streaming path)"
+                )
+            if budget is not None or retry_policy is not None:
+                raise SystemExit(
+                    "--max-ops/--deadline-ms/--max-rows/--retries are not "
+                    "supported by leapfrog (it has no admission checkpoints)"
+                )
             from repro.baselines.leapfrog import leapfrog_triejoin
 
-            rows = leapfrog_triejoin(query.with_gao(gao, counters), counters)
-        elif args.engine == "generic":
-            from repro.baselines.generic_join import generic_join
-
-            rows = generic_join(
-                query.with_gao(gao, counters), counters,
-                admission=admit(budget),
-            )
-        elif args.engine == "yannakakis":
-            from repro.baselines.yannakakis import yannakakis_join
-
-            rows = yannakakis_join(
-                query, gao, counters, admission=admit(budget)
+            rows = leapfrog_triejoin(
+                query.with_gao(used_gao, counters), counters
             )
         else:
-            raise SystemExit(f"unknown engine {args.engine!r}")
+            from repro.planner.planner import engine_rows
+
+            rows = list(
+                engine_rows(
+                    args.engine, query, spec, None, counters, admit(budget)
+                )
+            )
         stats = counters.snapshot()
     print(f"# GAO: {','.join(used_gao)}")
     for row in rows:
@@ -670,7 +663,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stats = session.stats()
         cache = stats["plan_cache"]
         print(
-            f"# served {stats['queries_executed']} queries: "
+            f"# served {stats['session']['queries_executed']} queries: "
             f"{stats['planner']['plans_built']} planned, "
             f"{cache['hits']} from cache "
             f"({cache['invalidated']} invalidated)",
@@ -1056,8 +1049,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         metavar="K",
-        help="stop after K output rows (Minesweeper top-k streaming; "
-        "op counts then reflect only the consumed part of the certificate)",
+        help="stop after K output rows (Minesweeper and generic join "
+        "stream, so op counts then reflect only the work consumed; "
+        "not supported by leapfrog)",
     )
     _add_parallel_flags(p_join)
     _add_resilience_flags(p_join)

@@ -20,6 +20,7 @@ from repro.core.constraints import (
 from repro.core.bowtie import BowtieMinesweeper, bowtie_join
 from repro.core.engine import ExecSpec, JoinResult, iterate_join, join, run_join
 from repro.core.explain import Explanation, explain, format_explanation
+from repro.core.generic_join import generic_join, iterate_generic
 from repro.core.gao_search import (
     GaoSearchResult,
     all_nested_elimination_orders,
@@ -64,6 +65,8 @@ __all__ = [
     "Explanation",
     "explain",
     "format_explanation",
+    "generic_join",
+    "iterate_generic",
     "GaoSearchResult",
     "all_nested_elimination_orders",
     "estimate_certificate",

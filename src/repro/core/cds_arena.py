@@ -485,50 +485,6 @@ class ArenaConstraintTree:
             frontier = next_frontier
         return False
 
-    def __getstate__(self) -> dict:
-        """Pickle as plain int arrays (patterns are rebuilt on load).
-
-        Sharded executions ship engines to pool workers; the arena's
-        whole state is flat buffers, which serialize far cheaper than a
-        pointer tree's object graph.
-        """
-        state = {slot: getattr(self, slot) for slot in (
-            "n", "counters", "_counting", "root", "version",
-            "constraints_inserted", "depth_epoch", "_depth", "_star",
-            "_parent", "_plabel", "_eqc", "_ivh", "_eq_start", "_eq_len",
-            "_eq_cap", "_ekey", "_echild", "_eq_free", "_free_nodes",
-        )}
-        state["pool"] = {
-            slot: getattr(self.pool, slot) for slot in IntervalPool.__slots__
-        }
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        pool_state = state.pop("pool")
-        for key, value in state.items():
-            setattr(self, key, value)
-        self.pool = IntervalPool()
-        for key, value in pool_state.items():
-            setattr(self.pool, key, value)
-        # Rebuild pattern tuples bottom-up from parent/label arrays.
-        n_nodes = len(self._depth)
-        free = set(self._free_nodes)
-        patterns: List[Optional[Pattern]] = [None] * n_nodes
-        self._pattern = patterns
-        order = sorted(
-            (u for u in range(n_nodes) if u not in free),
-            key=self._depth.__getitem__,
-        )
-        star = self._star
-        for u in order:
-            parent = self._parent[u]
-            if parent < 0:
-                patterns[u] = ()
-            elif star[parent] == u:
-                patterns[u] = patterns[parent] + (WILDCARD,)
-            else:
-                patterns[u] = patterns[parent] + (self._plabel[u],)
-
 
 class _ShadowState:
     """One cached shadow chain (Algorithm 6) of the arena probe strategies.

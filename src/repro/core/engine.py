@@ -349,10 +349,12 @@ def iterate_join(
     The iterator yields output tuples in GAO order as the engine
     discovers them; abandoning it early costs only the part of the
     certificate actually consumed (the §6.3 top-k property ``limit``
-    exposes in batch form).  The serving layer drives this for
-    aggregate heads — ``COUNT`` tallies rows without materializing
-    them, and ``MIN`` of the leading GAO attribute stops after the very
-    first output tuple.  Serial only: sharded execution trades the
+    exposes in batch form).  It is the Minesweeper case of
+    :func:`repro.planner.planner.engine_rows`, the one row stream every
+    planned engine answers a session through — ``COUNT`` tallies rows
+    without materializing them, and ``MIN`` of the leading GAO
+    attribute stops after the very first output tuple.  Serial only:
+    sharded execution trades the
     streaming property for range parallelism, so ``spec.shards`` /
     ``spec.workers`` are not consulted (use :func:`run_join` there).
     """

@@ -4,7 +4,9 @@ The attribute-at-a-time recursive join of Ngo–Porat–Ré–Rudra: at each GAO
 depth, enumerate candidate values from the participating relation with the
 *smallest* current fan-out and probe the others — the min-size choice that
 yields the AGM-bound worst-case guarantee.  Like LFTJ it is worst-case
-optimal but not certificate-adaptive (Appendix J).
+optimal but not certificate-adaptive (Appendix J).  It is one of the
+planned engines (the planner measures it against the CDS engines on
+cyclic queries), so it streams its rows like Minesweeper does.
 
 Probes are counted in ``counters.findgap`` and candidate enumeration in
 ``counters.comparisons``.
@@ -13,7 +15,7 @@ Probes are counted in ``counters.findgap`` and candidate enumeration in
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.query import PreparedQuery
 from repro.core.resilience import AdmittedQuery
@@ -22,18 +24,20 @@ from repro.util.counters import OpCounters
 Row = Tuple[int, ...]
 
 
-def generic_join(
+def iterate_generic(
     query: PreparedQuery,
     counters: Optional[OpCounters] = None,
     admission: Optional[AdmittedQuery] = None,
-) -> List[Row]:
-    """Evaluate a prepared query with generic join; output in GAO order.
+) -> Iterator[Row]:
+    """Yield the rows of a prepared query by generic join, in GAO order.
 
     The search enumerates each depth's candidates in ascending order, so
-    rows come out distinct and lexicographically sorted.  ``admission``
-    (an :class:`~repro.core.resilience.AdmittedQuery`) is ticked once per
+    rows come out distinct and lexicographically sorted, each as soon
+    as it is found: a consumer that stops early pays only for the
+    search so far.  ``admission`` (an
+    :class:`~repro.core.resilience.AdmittedQuery`) is ticked once per
     candidate value, and checked once more on the output size and the
-    deadline before the rows are returned.
+    deadline when the stream ends.
     """
     counters = counters if counters is not None else OpCounters()
     n = len(query.gao)
@@ -49,13 +53,15 @@ def generic_join(
         ]
         for depth in range(n)
     ]
-    output: List[Row] = []
     binding: List[int] = []
+    emitted = 0
 
-    def search(depth: int, nodes: List[object]) -> None:
+    def search(depth: int, nodes: List[object]) -> Iterator[Row]:
+        nonlocal emitted
         if depth == n:
-            output.append(tuple(binding))
+            emitted += 1
             counters.output_tuples += 1
+            yield tuple(binding)
             return
         parts = parts_at[depth]
         key_lists = [tries[i].node_keys(nodes[i]) for i in parts]
@@ -80,11 +86,19 @@ def generic_join(
                 for i, k in found:
                     next_nodes[i] = tries[i].child_at(nodes[i], k)
                 binding.append(value)
-                search(depth + 1, next_nodes)
+                yield from search(depth + 1, next_nodes)
                 binding.pop()
 
-    search(0, [trie.root_handle() for trie in tries])
+    yield from search(0, [trie.root_handle() for trie in tries])
     if admission is not None:
-        admission.check_rows(len(output))
+        admission.check_rows(emitted)
         admission.check_deadline("generic")
-    return output
+
+
+def generic_join(
+    query: PreparedQuery,
+    counters: Optional[OpCounters] = None,
+    admission: Optional[AdmittedQuery] = None,
+) -> List[Row]:
+    """Every row of :func:`iterate_generic`, as a list."""
+    return list(iterate_generic(query, counters, admission))

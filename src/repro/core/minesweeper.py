@@ -175,14 +175,15 @@ class Minesweeper:
 
         Resolved once per run: flat (CSR) indexes of arity 1 and 2 get
         closures with the value/offset arrays captured (no per-probe
-        attribute walks); other flat arities bind the generic CSR
-        explorer; a writable :class:`~repro.storage.delta.DeltaRelation`
-        is explored through its FlatTrie view — probe-for-probe
-        what its handle API answers, with one generation check per
-        explore preserving the mid-run mutation guarantee.  A
-        ``gap_hook`` observer forces the generic index-tuple
-        formulation.  Membership answers, constraint order, and FindGap
-        tallies are identical across all of these forms.
+        attribute walks); a writable
+        :class:`~repro.storage.delta.DeltaRelation` of those arities is
+        explored through its FlatTrie view — probe-for-probe what its
+        handle API answers, with one generation check per explore
+        preserving the mid-run mutation guarantee.  Every other index
+        and arity, and every run with a ``gap_hook`` observer, binds the
+        node-handle formulation (:meth:`_explore`).  Membership answers,
+        constraint order, and FindGap tallies are identical across all
+        of these forms.
         """
         from functools import partial
 
@@ -209,7 +210,6 @@ class Minesweeper:
             flat = self._make_flat_closure(index, positions)
             if flat is not None:
                 return flat
-            return partial(self._explore_flat, relation, positions)
         return partial(self._explore, relation, positions)
 
     def _make_flat_closure(self, index: FlatTrieRelation, positions):
@@ -397,101 +397,6 @@ class Minesweeper:
                     continue  # target value present: the gap is empty
                 low = value_at(handle, lo_idx)
                 high = value_at(handle, hi_idx)
-                prefix: List = [WILDCARD] * interval_gao_position
-                for j, value in enumerate(val_chain):
-                    prefix[gao_positions[j]] = value
-                constraints.append(
-                    Constraint.trusted(tuple(prefix), low, high)
-                )
-        return member, constraints
-
-    def _explore_flat(
-        self,
-        relation: Relation,
-        gao_positions: Sequence[int],
-        t: Tuple[int, ...],
-    ) -> Tuple[bool, List[Constraint]]:
-        """:meth:`_explore` with the flat (CSR) trie access inlined.
-
-        Chain enumeration order, FindGap tallies, and emitted constraints
-        are identical to the generic version; only the per-operation
-        dispatch is gone.  Node handles are (level, lo, hi) spans over
-        the index's value arrays.  Relations of arity 1 and 2 (the
-        dominant shapes) take the fully unrolled closures built by
-        :meth:`_make_flat_closure`; this generic form serves arity >= 3.
-        """
-        index = relation.index
-        k = relation.arity
-        vals_levels = index._vals
-        offs_levels = index._offs
-        count = index._count
-        counters = self.counters
-        dead = (None, None)
-        frontier: List[Tuple] = [((0, 0, len(vals_levels[0])), ())]
-        levels: List[List[Optional[Tuple]]] = []
-        member = True
-        for p in range(k):
-            target = t[gao_positions[p]]
-            vals = vals_levels[p]
-            records: List[Optional[Tuple]] = []
-            next_frontier: List[Tuple] = []
-            build_children = p + 1 < k
-            if build_children:
-                offs = offs_levels[p + 1]
-            if count:
-                for entry in frontier:
-                    if entry[0] is not None:
-                        counters.findgap += 1
-            for handle, val_chain in frontier:
-                if handle is None:
-                    records.append(None)
-                    if build_children:
-                        next_frontier.append(dead)
-                        next_frontier.append(dead)
-                    continue
-                _, lo, hi = handle
-                i = bisect_left(vals, target, lo, hi)
-                if i < hi and vals[i] == target:
-                    lo_idx = hi_idx = i - lo + 1
-                else:
-                    lo_idx = i - lo
-                    hi_idx = lo_idx + 1
-                records.append((handle, val_chain, lo_idx, hi_idx))
-                if not build_children:
-                    continue
-                fan = hi - lo
-                for coord in (lo_idx, hi_idx):
-                    if 1 <= coord <= fan:
-                        entry_pos = lo + coord - 1
-                        next_frontier.append(
-                            (
-                                (p + 1, offs[entry_pos], offs[entry_pos + 1]),
-                                val_chain + (vals[entry_pos],),
-                            )
-                        )
-                    else:
-                        next_frontier.append(dead)
-            levels.append(records)
-            if member:
-                rec = records[-1] if records else None
-                if rec is None or rec[2] != rec[3]:
-                    member = False
-            frontier = next_frontier
-        constraints: List[Constraint] = []
-        for p, records in enumerate(levels):
-            interval_gao_position = gao_positions[p]
-            vals = vals_levels[p]
-            for rec in records:
-                if rec is None:
-                    continue
-                handle, val_chain, lo_idx, hi_idx = rec
-                if lo_idx == hi_idx:
-                    continue  # target value present: the gap is empty
-                _, lo, hi = handle
-                low = NEG_INF if lo_idx == 0 else vals[lo + lo_idx - 1]
-                high = (
-                    POS_INF if hi_idx == hi - lo + 1 else vals[lo + hi_idx - 1]
-                )
                 prefix: List = [WILDCARD] * interval_gao_position
                 for j, value in enumerate(val_chain):
                     prefix[gao_positions[j]] = value

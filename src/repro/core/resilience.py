@@ -147,7 +147,10 @@ class QueryBudget:
     engine as ``interval_ops + constraints + comparisons``: CDS work
     for Minesweeper and the triangle engine (which tally no
     ``comparisons``), hash/compare units for Yannakakis (which tallies
-    nothing else).  It needs counting counters: under
+    nothing else), candidate values for generic join: its measure is
+    ``comparisons`` only, while the planner's
+    :func:`~repro.planner.planner.engine_ops` also counts its
+    ``findgap`` probes.  It needs counting counters: under
     :class:`~repro.util.counters.NullCounters` the tallies stay zero
     and the cap never fires.  ``deadline_ms`` is wall-clock from
     :meth:`admit`.  ``max_rows`` bounds the engine's ``output_tuples``

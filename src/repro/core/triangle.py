@@ -42,7 +42,7 @@ lists, CSR explorer) and must return the same probes, rows and tallies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.resilience import AdmittedQuery
 from repro.storage.flat_trie import FlatTrieRelation
@@ -209,8 +209,9 @@ def _next_union(
 class TriangleMinesweeper:
     """Algorithm 10: Minesweeper for Q△ in Õ(|C|^{3/2} + Z).
 
-    Parameters are edge lists: R ⊆ A×B, S ⊆ B×C, T ⊆ A×C.  ``run`` returns
-    the triangles (a, b, c) in GAO order (A, B, C).
+    Parameters are edge lists: R ⊆ A×B, S ⊆ B×C, T ⊆ A×C.  ``iterate``
+    streams the triangles (a, b, c) in GAO order (A, B, C); ``run``
+    returns them as a list.
     """
 
     def __init__(
@@ -398,13 +399,19 @@ class TriangleMinesweeper:
     def run(
         self, admission: Optional[AdmittedQuery] = None
     ) -> List[Tuple[int, int, int]]:
-        """Enumerate all triangles (a, b, c), ascending.
+        """Every triangle of :meth:`iterate`, as a list."""
+        return list(self.iterate(admission))
+
+    def iterate(
+        self, admission: Optional[AdmittedQuery] = None
+    ) -> Iterator[Tuple[int, int, int]]:
+        """Yield the triangles (a, b, c), ascending, as they are found.
 
         Probes arrive in ascending (a, b, c) order, so the output needs
-        no sort.  ``admission`` is ticked once per probe.
+        no sort, and a consumer that stops early pays only for the
+        probes so far.  ``admission`` is ticked once per probe.
         """
         counters = self.counters
-        output: List[Tuple[int, int, int]] = []
         a_values = self.a_dict.values
         b_values = self.b_dict.values
         c_values = self.c_dict.values
@@ -432,12 +439,11 @@ class TriangleMinesweeper:
             c = c_values[c_rank]
             is_member = explore(a_rank, b_rank, c_rank, a, b, c)
             if is_member:
-                output.append((a, b, c))
                 counters.output_tuples += 1
                 self._set_cache(
                     a_rank, self.dyadic.depth, b_rank, c_rank + 1
                 )
-        return output
+                yield (a, b, c)
 
     def _explore(
         self, a_rank: int, b_rank: int, c_rank: int, a: int, b: int, c: int

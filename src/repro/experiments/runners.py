@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.baselines.generic_join import generic_join
 from repro.baselines.leapfrog import leapfrog_triejoin
 from repro.baselines.yannakakis import yannakakis_join
 from repro.certificates.builder import (
@@ -28,6 +27,7 @@ from repro.core.bowtie import bowtie_join
 from repro.core.cds import ConstraintTree
 from repro.core.constraints import Constraint
 from repro.core.engine import join
+from repro.core.generic_join import generic_join
 from repro.core.minesweeper import Minesweeper
 from repro.core.intersection import (
     intersect_sorted,

@@ -16,7 +16,7 @@ query signature + catalog generation; see :mod:`repro.planner.cache`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import ExecSpec
 from repro.core.explain import Explanation, format_explanation
@@ -93,11 +93,13 @@ class Plan:
     signature: str
     engine: str
     gao: Tuple[str, ...]
-    strategy: str = "auto"
-    #: Not plan fields: a plan picks no index or CDS tier (every run
-    #: uses the fast tier).  Kept as ``None`` constants only because the
-    #: frozen perf ledger's ``benchmarks/ledger/layers.py::_engine_call``
-    #: reads them; ROADMAP items 2(b) and 7(a) remove them.
+    #: Not plan fields: a Minesweeper plan always runs the paper's
+    #: ``"auto"`` strategy rule, and a plan picks no index or CDS tier
+    #: (every run uses the fast tier).  Kept as constants only because
+    #: the frozen perf ledger's
+    #: ``benchmarks/ledger/layers.py::_engine_call`` reads them; ROADMAP
+    #: items 2(b) and 7(a) remove the tier ones.
+    strategy: ClassVar[str] = "auto"
     backend: ClassVar[Optional[str]] = None
     cds_backend: ClassVar[Optional[str]] = None
     shards: int = 1
@@ -144,9 +146,9 @@ class Plan:
         return False
 
     def spec(self, gao: Tuple[str, ...]) -> ExecSpec:
-        """The plan's Minesweeper run configuration over ``gao`` — the
-        plan's own order, or its localization to a statement's variable
-        names (the serving layer's case)."""
+        """The plan's run configuration over ``gao`` — the plan's own
+        order, or its localization to a statement's variable names (the
+        serving layer's case)."""
         return ExecSpec(
             gao=gao,
             strategy=self.strategy,

@@ -37,7 +37,11 @@ bounds Minesweeper by Õ(|C| + Z) on beta-acyclic queries, so where
 |C| ≪ N Minesweeper can win.  A structural pick scores one candidate —
 the winner — and the Minesweeper board it would have been compared
 against is built on demand (:meth:`Planner.comparison_board`, called
-by ``EXPLAIN``).  Everything is deterministic: sampling is
+by ``EXPLAIN``).  Scoring and serving run an engine the same way:
+:func:`engine_rows` returns a serial run's rows as an iterator for
+every planned engine, so the scorer drains it and the session folds it
+(only a sharded Minesweeper plan goes through ``run_join``).  Everything
+is deterministic: sampling is
 stride-based, random GAO candidates come from a seeded generator, and
 ties break lexicographically.
 """
@@ -45,12 +49,17 @@ ties break lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro.baselines.yannakakis import yannakakis_join
+from repro.core.engine import ExecSpec, iterate_join
 from repro.core.explain import explain as explain_structure
 from repro.core.gao_search import candidate_gaos
+from repro.core.generic_join import iterate_generic
 from repro.core.query import Query
 from repro.core.resilience import AdmittedQuery, BudgetExceeded, QueryBudget
+from repro.core.triangle_arena import ArenaTriangleMinesweeper
 from repro.lang.lower import LoweredQuery
 from repro.planner.plan import (
     ENGINE_GENERIC,
@@ -218,39 +227,40 @@ def engine_ops(engine: str, counters: OpCounters) -> int:
     return counters.interval_ops + counters.constraints + counters.comparisons
 
 
-def structural_rows(
+def engine_rows(
     engine: str,
     query: Query,
-    gao: Sequence[str],
+    spec: ExecSpec,
     mapping: Optional[TriangleMapping],
     counters: OpCounters,
     admission: Optional[AdmittedQuery] = None,
-) -> List[Row]:
-    """The rows of a triangle, generic-join or Yannakakis plan,
-    ascending in ``gao``.
+) -> Iterator[Row]:
+    """The rows of one serial run of ``engine``, ascending in
+    ``spec.gao``, as a stream: at most ``spec.limit`` of them.
 
-    ``mapping`` is the triangle role mapping (``gao`` is its ``vars``);
-    the other engines ignore it.  ``admission`` is checked from inside
-    the engine's own loop.
+    Minesweeper, generic join and the triangle walk yield each row as
+    they find it, so a consumer that stops early pays only for the
+    work so far; Yannakakis hands its sorted list over as an iterator.
+    Each engine checks ``admission`` from inside its own loop.
+    ``mapping`` is the triangle role mapping (``spec.gao`` is its
+    ``vars``); the other engines ignore it.
     """
+    if engine == ENGINE_MINESWEEPER:
+        return iterate_join(query, spec, counters, admission)[0]
+    gao = list(spec.gao)
+    rows: Iterator[Row]
     if engine == ENGINE_TRIANGLE:
-        from repro.core.triangle import triangle_join
-
         assert mapping is not None
-        return triangle_join(
-            *triangle_edges(query, mapping), counters, admission=admission
+        rows = ArenaTriangleMinesweeper(
+            *triangle_edges(query, mapping), counters
+        ).iterate(admission)
+    elif engine == ENGINE_GENERIC:
+        rows = iterate_generic(
+            query.with_gao(gao, counters), counters, admission
         )
-    if engine == ENGINE_GENERIC:
-        from repro.baselines.generic_join import generic_join
-
-        return generic_join(
-            query.with_gao(list(gao), counters=counters),
-            counters,
-            admission=admission,
-        )
-    from repro.baselines.yannakakis import yannakakis_join
-
-    return yannakakis_join(query, list(gao), counters, admission=admission)
+    else:
+        rows = iter(yannakakis_join(query, gao, counters, admission))
+    return rows if spec.limit is None else islice(rows, spec.limit)
 
 
 class Planner:
@@ -360,7 +370,6 @@ class Planner:
             signature=signature,
             engine=engine,
             gao=tuple(gao),
-            strategy="auto",
             shards=shards,
             workers=workers,
             triangle=mapping,
@@ -431,14 +440,13 @@ class Planner:
             rivals = self._score_minesweeper(
                 sample, full, work_cap=generic.work
             )
-        board = [generic, *rivals]
-        board.sort(
+        return sorted(
+            [generic, *rivals],
             key=lambda c: (
                 c.capped, c.work, c.engine == ENGINE_GENERIC,
                 c.estimate, c.gao,
-            )
+            ),
         )
-        return board
 
     def _score_minesweeper(
         self, sample: Query, full: Query, work_cap: Optional[int] = None
@@ -454,8 +462,6 @@ class Planner:
         reads no clock; ``work_cap`` (weighted work, ns) tightens it to
         the ops that much work buys.
         """
-        import itertools as _it
-
         from repro.core.minesweeper import Minesweeper, MinesweeperError
 
         budget = self.config.score_budget
@@ -477,7 +483,7 @@ class Planner:
                     # candidates (near-cross-products) are as much of a
                     # scoring trap as probe-heavy ones.
                     rows_seen = sum(
-                        1 for _ in _it.islice(engine.iterate(), budget + 1)
+                        1 for _ in islice(engine.iterate(), budget + 1)
                     )
                     capped = rows_seen > budget
                 except (MinesweeperError, BudgetExceeded):
@@ -516,9 +522,12 @@ class Planner:
         capped = False
         with self.tracer.span("score", engine=engine) as span:
             try:
-                structural_rows(
-                    engine, sample, gao, mapping, counters, admission
-                )
+                # Drain the stream: an unconsumed one does no work.
+                for _ in engine_rows(
+                    engine, sample, ExecSpec(gao=tuple(gao)), mapping,
+                    counters, admission,
+                ):
+                    pass
             except BudgetExceeded:
                 capped = True
                 span.set("capped", True)
@@ -581,14 +590,8 @@ def _candidate(
             ops=ops,
         )
     return CandidatePlan(
-        engine,
-        tuple(gao),
-        counters.findgap,
-        "findgap",
-        note=note,
-        capped=capped,
-        ops=ops,
-        work=ops * NS_PER_OP[engine],
+        engine, tuple(gao), counters.findgap, "findgap", note, capped,
+        ops=ops, work=ops * NS_PER_OP[engine],
     )
 
 

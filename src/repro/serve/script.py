@@ -233,23 +233,23 @@ class ScriptRunner:
                 self.out.append(f"# {line}")
 
     def _emit_stats(self) -> None:
-        from repro.obs import render_stats_tree, unified_stats
+        from repro.obs import render_stats_tree
 
         stats = self.session.stats()
         cache = stats["plan_cache"]
         planner = stats["planner"]
         self.out.append(
             "# session: "
-            f"queries={stats['queries_executed']} "
+            f"queries={stats['session']['queries_executed']} "
             f"plans_built={planner['plans_built']} "
             f"cache_hits={cache['hits']} "
             f"cache_misses={cache['misses']} "
             f"cache_invalidated={cache['invalidated']} "
-            f"generation={stats['catalog_generation']}"
+            f"generation={stats['catalog']['generation']}"
         )
         # The full unified tree, one dotted path per line — the same
         # paths stats_to_prometheus exports as repro_stat{path=...}.
-        for line in render_stats_tree(unified_stats(self.session)):
+        for line in render_stats_tree(stats):
             self.out.append(f"# {line}")
 
 

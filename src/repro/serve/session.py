@@ -12,10 +12,13 @@ execution against the catalog's live relations.  The session owns
 * per-session stats — queries served, cache hit/miss/coalesced/drift
   counts, planner call counters, and cumulative engine op counters;
 * aggregate evaluation that avoids materializing the full join output
-  where the plan allows: ``COUNT`` tallies the Minesweeper row stream
+  where the plan allows: every plan's rows arrive as one stream
+  (:func:`~repro.planner.planner.engine_rows`), ``COUNT`` tallies it
   without storing it, and ``MIN`` of the leading GAO attribute stops
-  after the first streamed row (the §6.3 top-k property) — both
-  certificate-bound, not output-bound.
+  after the first streamed row.  Minesweeper, generic join and the
+  triangle engine yield rows as they find them, so an early stop ends
+  their work too (the §6.3 top-k property); Yannakakis and a sharded
+  Minesweeper plan finish their run before the first row.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.engine import iterate_join, run_join
+from repro.core.engine import run_join
 from repro.core.resilience import (
     AdmittedQuery,
     CircuitBreaker,
@@ -51,7 +54,7 @@ from repro.planner.plan import (
     Plan,
     TriangleMapping,
 )
-from repro.planner.planner import Planner, PlannerConfig, structural_rows
+from repro.planner.planner import Planner, PlannerConfig, engine_rows
 from repro.util.counters import OpCounters
 
 Row = Tuple[int, ...]
@@ -534,21 +537,12 @@ class Session:
         admission: Optional[AdmittedQuery] = None,
     ) -> Iterator[Row]:
         """The plan's output rows over the localized ``gao`` order,
-        ascending — the one engine dispatch both result shapes fold.
-
-        Triangle, generic-join and Yannakakis plans hand back a
-        finished list (:func:`structural_rows`), as does sharded
-        Minesweeper; a serial Minesweeper plan streams lazily, so a
-        consumer that stops early pays only for the certificate it
-        consumed.  Every engine checks ``admission`` from its own loop.
+        ascending, as a stream (:func:`engine_rows`): a consumer that
+        stops early pays only for the work so far.  Only a sharded
+        Minesweeper plan runs to completion first, under the session's
+        breaker, retry policy and tracer.  Every engine checks
+        ``admission`` from its own loop.
         """
-        if plan.engine != ENGINE_MINESWEEPER:
-            return iter(
-                structural_rows(
-                    plan.engine, lowered.query, gao, triangle, counters,
-                    admission,
-                )
-            )
         spec = plan.spec(gao)
         if spec.workers and not self.breaker.allow_pool():
             # Breaker open: repeated pooled shard failures downgraded
@@ -564,7 +558,10 @@ class Session:
                 )
             spec = replace(spec, workers=0)
         if not spec.sharded:
-            return iterate_join(lowered.query, spec, counters, admission)[0]
+            return engine_rows(
+                plan.engine, lowered.query, spec, triangle, counters,
+                admission,
+            )
         return iter(
             run_join(
                 lowered.query,
@@ -659,20 +656,10 @@ class Session:
 
         One schema for every consumer: the script layer's ``STATS``
         statement, the Prometheus exposition, and programmatic callers
-        all read this tree.  The pre-ISSUE-7 top-level keys
-        (``queries_executed``, ``plan_cache``, ``planner``, ``ops``,
-        ``catalog_generation``) are preserved at their old positions;
-        the catalog's own stats — formerly a disjoint schema with
-        drifting keys — now hang off ``catalog.*``.
+        all read this tree — the session's own counters under
+        ``session.*``, the catalog's under ``catalog.*``.
         """
-        tree = unified_stats(self)
-        # Back-compat aliases: flat keys older callers/scripts read.
-        tree["queries_executed"] = tree["session"]["queries_executed"]
-        tree["statements_prepared"] = tree["session"][
-            "statements_prepared"
-        ]
-        tree["catalog_generation"] = tree["catalog"]["generation"]
-        return tree
+        return unified_stats(self)
 
     def __repr__(self) -> str:
         return (

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from repro.baselines.generic_join import generic_join
 from repro.baselines.hash_join import hash_join_plan
 from repro.baselines.leapfrog import leapfrog_triejoin
 from repro.baselines.nested_loop import block_nested_loop_join, naive_multiway_join
 from repro.baselines.sort_merge import sort_merge_join
 from repro.baselines.yannakakis import yannakakis_join
+from repro.core.generic_join import generic_join
 from repro.core.query import Query, naive_join
 from repro.storage.relation import Relation
 from repro.util.counters import OpCounters

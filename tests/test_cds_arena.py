@@ -6,11 +6,9 @@ every strategy — the tier may only change wall-clock.  No run option
 picks the tier: these tests build the plain tier (``ConstraintTree``,
 ``TriangleMinesweeper``) directly, drive randomized interleaved
 InsConstraint + probe workloads through both, and assert that contract,
-plus the arena-only mechanics (slab recycling, plain-array pickling,
-per-depth epochs).
+plus the arena-only mechanics (slab recycling, per-depth epochs).
 """
 
-import pickle
 import random
 
 import pytest
@@ -218,24 +216,6 @@ class TestArenaTreeEquivalence:
             prepared, cds=ConstraintTree(2, counters=prepared.counters)
         )
         assert type(engine.probe) is ChainProbeStrategy
-
-    def test_pickle_round_trip_plain_arrays(self):
-        rng = random.Random(7)
-        arena = ArenaConstraintTree(3)
-        for _ in range(60):
-            arena.insert(random_constraint(rng, 3))
-        blob = pickle.dumps(arena)
-        clone = pickle.loads(blob)
-        assert tree_snapshot(clone) == tree_snapshot(arena)
-        assert clone.depth_epoch == arena.depth_epoch
-        # The payload is flat int arrays + the counters object: the
-        # pattern tuples (an object graph in the pointer tree) are
-        # rebuilt on load, not shipped.
-        state = arena.__getstate__()
-        assert "_pattern" not in state
-        assert all(
-            isinstance(v, int) for v in state["_ekey"] + state["_depth"]
-        )
 
 
 def _filters(tree, domain):

@@ -62,9 +62,9 @@ class TestJoin:
     ):
         """A baseline's ``# comparisons:`` / ``# findgap:`` lines are
         what a direct call tallies on the same input."""
-        from repro.baselines.generic_join import generic_join
         from repro.baselines.leapfrog import leapfrog_triejoin
         from repro.baselines.yannakakis import yannakakis_join
+        from repro.core.generic_join import generic_join
         from repro.core.query import Query
         from repro.storage.relation import Relation
         from repro.util.counters import OpCounters
@@ -140,9 +140,32 @@ class TestJoin:
         assert rows == ["1,2,10"]
         assert "# 1 rows" in err
 
+    def test_generic_join_limit_stops_the_search(self, relation_files, capsys):
+        """Generic join streams: ``--limit 1`` prints the first row and
+        tallies fewer comparisons than the full run."""
+        r_spec, s_spec = relation_files
+        tallies = {}
+        for limit in ([], ["--limit", "1"]):
+            code, out, err = run_cli(
+                ["join", "--relation", r_spec, "--relation", s_spec,
+                 "--gao", "A,B,C", "--engine", "generic", *limit],
+                capsys,
+            )
+            assert code == 0
+            rows = [l for l in out.splitlines() if not l.startswith("#")]
+            comparisons = [
+                int(line.split(": ")[1]) for line in err.splitlines()
+                if line.startswith("# comparisons: ")
+            ]
+            tallies[bool(limit)] = (rows, comparisons[0])
+        (all_rows, full), (first_rows, limited) = tallies[False], tallies[True]
+        assert len(all_rows) > 1
+        assert first_rows == all_rows[:1] == ["1,2,10"]
+        assert 0 < limited < full
+
     def test_limit_rejected_for_baselines(self, relation_files):
         r_spec, s_spec = relation_files
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="not supported by leapfrog"):
             main(["join", "--relation", r_spec, "--relation", s_spec,
                   "--engine", "leapfrog", "--limit", "2"])
 

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.generic_join import generic_join
 from repro.baselines.hash_join import hash_join_plan
 from repro.baselines.leapfrog import leapfrog_triejoin
 from repro.baselines.yannakakis import yannakakis_join
 from repro.certificates.recorder import record_certificate
 from repro.core.cds import ConstraintTree
 from repro.core.engine import ExecSpec, iterate_join, join
+from repro.core.generic_join import generic_join
 from repro.core.incremental import LiveJoin
 from repro.core.minesweeper import Minesweeper
 from repro.core.query import Query, naive_join

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.core.minesweeper import Minesweeper
+from repro.core.engine import ExecSpec
 from repro.core.query import Query
 from repro.datasets.instances import (
     disjoint_ranges_cycle4,
@@ -38,7 +38,7 @@ from repro.planner import (
     Planner,
     detect_triangle,
 )
-from repro.planner.planner import NS_PER_OP, engine_ops, structural_rows
+from repro.planner.planner import NS_PER_OP, engine_ops, engine_rows
 from repro.serve import Session
 from repro.util.counters import OpCounters
 
@@ -100,12 +100,10 @@ CASES = {
 def full_work(query, engine, gao, mapping):
     """Weighted work of one uncapped run to completion."""
     counters = OpCounters()
-    if engine == ENGINE_MINESWEEPER:
-        prepared = query.with_gao(list(gao), counters=counters)
-        for _ in Minesweeper(prepared).iterate():
-            pass
-    else:
-        structural_rows(engine, query, gao, mapping, counters)
+    for _ in engine_rows(
+        engine, query, ExecSpec(gao=tuple(gao)), mapping, counters
+    ):
+        pass
     return engine_ops(engine, counters) * NS_PER_OP[engine]
 
 

@@ -604,16 +604,19 @@ class TestUnifiedStats:
         assert "generation" in tree["catalog"]
         assert "R" in tree["catalog"]["relations"]
 
-    def test_session_stats_backcompat_aliases(self):
+    def test_session_stats_is_the_unified_tree(self):
+        """``Session.stats()`` is the tree itself: each counter has one
+        path, with no flat alias beside it."""
         session = Session(make_catalog())
         session.execute(TEXT)
         stats = session.stats()
-        assert stats["queries_executed"] == 1
-        assert stats["catalog_generation"] == session.catalog.generation
-        assert (
-            stats["session"]["queries_executed"]
-            == stats["queries_executed"]
-        )
+        assert stats == unified_stats(session)
+        assert stats["session"]["queries_executed"] == 1
+        assert stats["catalog"]["generation"] == session.catalog.generation
+        for alias in (
+            "queries_executed", "statements_prepared", "catalog_generation"
+        ):
+            assert alias not in stats
 
     def test_flatten_and_prometheus_agree_on_paths(self):
         session = Session(make_catalog())

@@ -6,11 +6,11 @@ test-sized version of an EXPERIMENTS.md benchmark.
 
 import pytest
 
-from repro.baselines.generic_join import generic_join
 from repro.baselines.leapfrog import leapfrog_triejoin
 from repro.baselines.yannakakis import yannakakis_join
 from repro.certificates.builder import build_certificate
 from repro.core.engine import join
+from repro.core.generic_join import generic_join
 from repro.datasets.instances import (
     appendix_j_path,
     constant_certificate_empty,

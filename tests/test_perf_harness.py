@@ -180,6 +180,32 @@ class TestBackendFlag:
             assert fast.rows == res.rows
         assert results["flat"] == results["trie"]
 
+    @pytest.mark.parametrize("gao", [("A", "B", "C"), ("C", "A", "B")])
+    def test_join_backends_agree_on_a_ternary_relation(self, gao):
+        """A ternary relation beside two binary ones: the flat tier
+        explores it through the node-handle walk and tallies what the
+        pointer trie does, row for row and op for op."""
+        rng = random.Random(11)
+        w = sorted({
+            (rng.randrange(12), rng.randrange(12), rng.randrange(12))
+            for _ in range(300)
+        })
+        r = sorted({(rng.randrange(12), rng.randrange(12)) for _ in range(60)})
+        s = sorted({(rng.randrange(12), rng.randrange(12)) for _ in range(60)})
+        results = {}
+        for backend in ("flat", "trie"):
+            query = Query(
+                [
+                    _relation("W", ["A", "B", "C"], w, backend),
+                    _relation("R", ["A", "B"], r, backend),
+                    _relation("S", ["B", "C"], s, backend),
+                ]
+            )
+            res = join(query, gao=list(gao))
+            results[backend] = (res.rows, res.stats())
+        assert results["flat"][0]
+        assert results["flat"] == results["trie"]
+
     @pytest.mark.parametrize("make,planted", [
         (lambda: triangle_hard(32)[:3], 0),
         (lambda: triangle_hard(48)[:3], 0),

@@ -6,11 +6,13 @@ row-identical to a reference ``join()`` run on every registry shape
 select the specialized engine on triangle and alpha-acyclic inputs.
 """
 
+import dataclasses
 import random
+import typing
 
 import pytest
 
-from repro.core.engine import join
+from repro.core.engine import ExecSpec, join
 from repro.core.gao_search import (
     all_nested_elimination_orders,
     candidate_gaos,
@@ -26,6 +28,7 @@ from repro.planner.cache import (
     ORIGIN_REFRESHED,
 )
 from repro.planner.plan import DRIFT_FACTOR
+from repro.planner.planner import engine_ops, engine_rows
 from repro.planner import (
     ENGINE_GENERIC,
     ENGINE_MINESWEEPER,
@@ -36,12 +39,14 @@ from repro.planner import (
     PlanCache,
     Planner,
     PlannerConfig,
+    TriangleMapping,
     detect_triangle,
     plan_query,
     sample_query,
 )
 from repro.serve import Session
 from repro.storage.relation import Relation
+from repro.util.counters import OpCounters
 
 
 def disjoint_triangle_relations(n=128):
@@ -758,4 +763,50 @@ class TestScoringBudget:
         assert not board[0].capped
         assert all(
             "budget" in c.note for c in board if c.capped
+        )
+
+
+class TestPlanAnnotations:
+    @pytest.mark.parametrize(
+        "target",
+        [Plan, CandidatePlan, TriangleMapping, Plan.explain, Plan.drifted],
+        ids=lambda t: t.__qualname__,
+    )
+    def test_type_hints_resolve(self, target):
+        # Every name an annotation uses is imported: the hints resolve.
+        assert typing.get_type_hints(target)
+
+    def test_strategy_is_a_constant(self):
+        # A plan always runs the "auto" strategy rule; the frozen
+        # ledger reads the constant off the plan.
+        assert "strategy" not in {f.name for f in dataclasses.fields(Plan)}
+        plan = Planner().plan(Query(list(triangle_relations().values())))
+        assert plan.strategy == Plan.strategy == "auto"
+
+
+class TestEngineRows:
+    """``engine_rows`` is every planned engine's one row stream."""
+
+    @pytest.mark.parametrize(
+        "engine", [ENGINE_MINESWEEPER, ENGINE_GENERIC, ENGINE_TRIANGLE]
+    )
+    def test_limit_one_stops_the_engine(self, engine):
+        query = Query(list(triangle_relations().values()))
+        mapping = detect_triangle(query)
+        spec = ExecSpec(gao=mapping.vars)
+        full_counters, first_counters = OpCounters(), OpCounters()
+        full = list(
+            engine_rows(engine, query, spec, mapping, full_counters)
+        )
+        first = list(
+            engine_rows(
+                engine, query, dataclasses.replace(spec, limit=1), mapping,
+                first_counters,
+            )
+        )
+        assert len(full) > 1
+        assert first == full[:1]
+        assert (
+            0 < engine_ops(engine, first_counters)
+            < engine_ops(engine, full_counters)
         )

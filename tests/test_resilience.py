@@ -643,7 +643,7 @@ class TestGenericJoinBudget:
         assert ("generic_join.py", "search") in frames
 
     def test_rows_and_deadline_checked_before_returning(self):
-        from repro.baselines.generic_join import generic_join
+        from repro.core.generic_join import generic_join
         from repro.core.query import Query
 
         # Two output rows, and a single-level search: the row check on

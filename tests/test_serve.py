@@ -57,7 +57,7 @@ class TestSessionBasics:
         session.execute(TEXT)
         session.execute(TEXT)
         stats = session.stats()
-        assert stats["queries_executed"] == 2
+        assert stats["session"]["queries_executed"] == 2
         assert stats["planner"]["plans_built"] == 1
         assert stats["plan_cache"]["hits"] == 1
         assert stats["ops"]["output_tuples"] > 0
@@ -237,10 +237,10 @@ class TestAggregates:
     def test_min_leading_attribute_short_circuits(self):
         # MIN of the first GAO attribute streams one row and stops:
         # its probe work must be well below the full enumeration's.
-        # Only Minesweeper streams, so the 4-cycle sits in its regime:
-        # R's and U's A ranges are disjoint apart from one planted
-        # cycle, which Minesweeper certifies in far less measured work
-        # than generic join's walk over every A value.
+        # Here the 4-cycle sits in Minesweeper's regime: R's and U's A
+        # ranges are disjoint apart from one planted cycle, which
+        # Minesweeper certifies in far less measured work than generic
+        # join's walk over every A value.
         catalog = Catalog()
         for name, rows in zip("RSTU", disjoint_ranges_cycle4(250, 1)):
             catalog.create_relation(name, ["A", "B"], rows)
@@ -256,6 +256,31 @@ class TestAggregates:
         assert low.plan.gao[0] == full.plan.gao[0]
         assert low.value == min(row[lead_index] for row in full.rows)
         assert 0 < low.ops["findgap"] < full.ops["findgap"] / 2
+
+    def test_min_leading_attribute_short_circuits_on_generic_join(self):
+        # The ring 4-cycle plans generic join, which streams too: MIN
+        # of its leading attribute stops after the first row.
+        n = 60
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        catalog = Catalog()
+        for name in "RST":
+            catalog.create_relation(name, ["A", "B"], ring)
+        # U(d, a) closes d -> a: one row (i, i+1, i+2, i+3) per i.
+        catalog.create_relation(
+            "U", ["A", "B"], sorted(((i + 3) % n, i) for i in range(n))
+        )
+        session = Session(catalog)
+        body = "R(a, b), S(b, c), T(c, d), U(d, a)"
+        full = session.execute(f"Q(a, b, c, d) :- {body}")
+        assert full.plan.engine == ENGINE_GENERIC
+        assert len(full.rows) == n
+        lead_index = int(full.plan.gao[0][1:])  # canonical 'vK' -> K
+        lead = "abcd"[lead_index]
+        low = session.execute(f"Q(MIN({lead})) :- {body}")
+        assert low.plan.engine == ENGINE_GENERIC
+        assert low.plan.gao[0] == full.plan.gao[0]
+        assert low.value == min(row[lead_index] for row in full.rows)
+        assert 0 < low.ops["comparisons"] < full.ops["comparisons"] / 2
 
 
 class TestScriptRunner:
@@ -291,7 +316,7 @@ class TestScriptRunner:
         runner.run(script)
         assert "256,0,0" in runner.out
         stats = runner.session.stats()
-        assert stats["queries_executed"] == 1
+        assert stats["session"]["queries_executed"] == 1
         result = runner.session.execute(
             "Q(x, y, z) :- R(x, y), S(y, z), T(x, z)"
         )
