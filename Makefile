@@ -186,11 +186,14 @@ http-smoke:
 # Op-count drift gate: every smoke workload's tallies must match
 # benchmarks/baselines/smoke_ops.json, each cds/* shape must tally
 # identically under both CDS backends (refresh intentionally with
+# --update), one planner board per board shape must render the
+# EXPLAIN text in benchmarks/baselines/plan_boards.txt (refresh with
 # --update), and the paper experiments' tables must equal
 # benchmarks/baselines/experiments.md byte for byte (refresh with
 # `python -m repro experiments > benchmarks/baselines/experiments.md`).
 check-ops:
 	$(PY) benchmarks/check_smoke_ops.py
+	$(PY) benchmarks/check_plan_boards.py
 	$(PY) -m repro experiments | diff benchmarks/baselines/experiments.md -
 
 # The layered perf ledger (BENCHMARK.json's command) on tiny instances:
