@@ -107,7 +107,6 @@ def leapfrog_triejoin(
         values = _leapfrog_intersection(list(iterators.values()), counters)
         for value in values:
             next_nodes = dict(nodes)
-            dead = False
             for name in parts:
                 trie = tries[name]
                 keys = trie.node_keys(nodes[name])
@@ -118,10 +117,11 @@ def leapfrog_triejoin(
                     next_nodes.pop(name, None)
                 else:
                     next_nodes[name] = child
-            if not dead:
-                binding.append(value)
-                search(depth + 1, binding, next_nodes)
-                binding.pop()
+            binding.append(value)
+            search(depth + 1, binding, next_nodes)
+            binding.pop()
 
+    # Each depth's intersection ascends, so the depth-first walk emits
+    # rows in GAO-lexicographic order: no sort needed.
     search(0, [], {r.name: tries[r.name].root_handle() for r in relations})
-    return sorted(output)
+    return output

@@ -64,7 +64,6 @@ class Minesweeper:
         query: PreparedQuery,
         strategy: str = "auto",
         memoize: bool = True,
-        max_probes: Optional[int] = None,
         cds: Optional[CDS] = None,
         admission: Optional["AdmittedQuery"] = None,
     ) -> None:
@@ -84,15 +83,14 @@ class Minesweeper:
         #: for every FindGap the exploration performs (used by the
         #: certificate recorder, Proposition 2.5).
         self.gap_hook = None
-        if max_probes is None:
-            # Generous safety valve: Theorem 3.2 bounds non-output probes by
-            # O(2^r |C|) and |C| <= r N; outputs are unbounded a priori and
-            # are credited separately inside run().
-            r = query.max_arity()
-            m = len(query.relations)
-            n = query.total_tuples()
-            max_probes = 1000 + 64 * (2**r) * max(r, 1) * m * (n + 1)
-        self.max_probes = max_probes
+        # Generous safety valve: Theorem 3.2 bounds non-output probes by
+        # O(2^r |C|) and |C| <= r N; outputs are unbounded a priori and
+        # are credited separately inside iterate().  A caller's limits
+        # go through ``admission``, never through this guard.
+        r = query.max_arity()
+        m = len(query.relations)
+        n = query.total_tuples()
+        self.max_probes = 1000 + 64 * (2**r) * max(r, 1) * m * (n + 1)
         #: Optional :class:`~repro.core.resilience.AdmittedQuery` — the
         #: one abort for a caller's limits (the serving layer's query
         #: budget, the planner's scoring cap).  It raises the *typed*

@@ -396,11 +396,6 @@ class ArenaTriangleMinesweeper(TriangleMinesweeper):
     def _explore(
         self, a_rank: int, b_rank: int, c_rank: int, a: int, b: int, c: int
     ) -> bool:
-        return self._explore_flat(a_rank, b_rank, c_rank, a, b, c)
-
-    def _explore_flat(
-        self, a_rank: int, b_rank: int, c_rank: int, a: int, b: int, c: int
-    ) -> bool:
         """The plain tier's ``_explore`` over the CSR arrays, pool inserts.
 
         Same membership tests, gap bounds and tallies as the handle-API

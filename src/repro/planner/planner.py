@@ -40,10 +40,15 @@ against is built on demand (:meth:`Planner.comparison_board`, called
 by ``EXPLAIN``).  Scoring and serving run an engine the same way:
 :func:`engine_rows` returns a serial run's rows as an iterator for
 every planned engine, so the scorer drains it and the session folds it
-(only a sharded Minesweeper plan goes through ``run_join``).  Everything
-is deterministic: sampling is
-stride-based, random GAO candidates come from a seeded generator, and
-ties break lexicographically.
+(only a sharded Minesweeper plan goes through ``run_join``).  There is
+one scorer (:meth:`Planner._score_run`) and one scoring cap, in ops: a
+Minesweeper run stops past :data:`SCORE_MAX_OPS`, and on a board
+priced by work every run stops past the ops generic join's weighted
+work buys.  No probe or row cap stands beside it: each probe inserts a
+covering gap or the output point (Thm 3.2), so the ops cap bounds
+both.  Everything is deterministic: sampling is stride-based, random
+GAO candidates come from a seeded generator, scoring reads no clock,
+and ties break lexicographically.
 """
 
 from __future__ import annotations
@@ -82,9 +87,15 @@ Row = Tuple[int, ...]
 EXHAUSTIVE_BELOW = 5
 NEO_LIMIT = 8
 RANDOM_CANDIDATES = 4
-#: The CDS-op multiple of ``PlannerConfig.score_budget`` allowed per
-#: candidate (op tallies run far above probe counts even on good GAOs).
-SCORE_OPS_FACTOR = 8
+#: The ops cap (the :class:`QueryBudget` measure, :func:`engine_ops`)
+#: of every Minesweeper scoring run: a GAO that tallies more is
+#: abandoned, its partial estimate kept as a lower bound, and it ranks
+#: after every fully-scored candidate.  Bad GAOs are exactly the ones
+#: that blow up (Ex. B.6); without a cap, *measuring* them would cost
+#: what they were meant to avoid.  No probe or row cap is needed beside
+#: it: every probe inserts a covering gap or the output point (Thm
+#: 3.2), so probes and output rows are at most the tallied constraints.
+SCORE_MAX_OPS = 160_000
 
 #: Weighted work: ns per tallied op (:func:`engine_ops`), one constant
 #: per engine whose board compares engines.  Measured in-process, warm,
@@ -113,7 +124,12 @@ NS_PER_OP = {
 
 @dataclass
 class PlannerConfig:
-    """Deterministic knobs for planning (not for execution results)."""
+    """Deterministic knobs for planning (not for execution results).
+
+    Scoring has no knob: every candidate run is capped in ops alone
+    (:data:`SCORE_MAX_OPS`, or the ops generic join's weighted work
+    buys), with no probe or row cap beside it.
+    """
 
     #: Per-relation row cap for the scoring sample (stride-sampled).
     sample_limit: int = 256
@@ -126,14 +142,6 @@ class PlannerConfig:
     #: Minimum input size (total stored tuples) before a plan goes
     #: parallel; below it, pool overhead dominates.
     shard_threshold: int = 50_000
-    #: Per-candidate scoring budget: a candidate GAO whose sample run
-    #: exceeds this many probes or output rows, or ``SCORE_OPS_FACTOR``
-    #: times as many CDS ops (interval_ops + constraints, the dominant
-    #: cost term), is abandoned — its partial estimate is kept as a
-    #: lower bound and it ranks after every fully-scored candidate.
-    #: Bad GAOs are exactly the ones that blow up (Ex. B.6); without a
-    #: cap, *measuring* them would cost what they were meant to avoid.
-    score_budget: int = 20_000
 
 
 def detect_triangle(query: Query) -> Optional[TriangleMapping]:
@@ -242,8 +250,10 @@ def engine_rows(
     they find it, so a consumer that stops early pays only for the
     work so far; Yannakakis hands its sorted list over as an iterator.
     Each engine checks ``admission`` from inside its own loop.
-    ``mapping`` is the triangle role mapping (``spec.gao`` is its
-    ``vars``); the other engines ignore it.
+    ``mapping`` is the triangle role mapping, of which the triangle
+    engine reads only the atoms and flips (``spec.gao`` names the
+    rows' columns, in any renaming of its ``vars``); the other engines
+    ignore it.
     """
     if engine == ENGINE_MINESWEEPER:
         return iterate_join(query, spec, counters, admission)[0]
@@ -362,7 +372,7 @@ class Planner:
                 "data-dependent — Ex. B.6 — so candidates were run, "
                 "not guessed)"
             )
-            scoreboard = self._score_minesweeper(sample, query)
+            scoreboard = self._minesweeper_board(sample, query)
             gao = scoreboard[0].gao
 
         shards, workers = self._resources(engine, query)
@@ -395,7 +405,7 @@ class Planner:
         """
         query = target.query if isinstance(target, LoweredQuery) else target
         sample, _ = sample_query(query, self.config.sample_limit)
-        return self._score_minesweeper(sample, query)
+        return self._minesweeper_board(sample, query)
 
     # ------------------------------------------------------------------
     # Candidate scoring (always on the sample, never on live indexes)
@@ -437,7 +447,7 @@ class Planner:
                 )
             ]
         else:
-            rivals = self._score_minesweeper(
+            rivals = self._minesweeper_board(
                 sample, full, work_cap=generic.work
             )
         return sorted(
@@ -448,57 +458,21 @@ class Planner:
             ),
         )
 
-    def _score_minesweeper(
+    def _minesweeper_board(
         self, sample: Query, full: Query, work_cap: Optional[int] = None
     ) -> List[CandidatePlan]:
-        """Score GAO candidates; ranked, ties broken lexicographically.
-
-        Each candidate runs on the sample under a probe/ops/output
-        budget: a GAO that blows it is abandoned mid-run (its partial
-        FindGap tally is a lower bound) and ranked after every
-        fully-scored candidate, so one pathological order cannot make
-        planning cost what the pathological order itself would.  The
-        ops cap is an admission budget with no deadline, so scoring
-        reads no clock; ``work_cap`` (weighted work, ns) tightens it to
-        the ops that much work buys.
-        """
-        from repro.core.minesweeper import Minesweeper, MinesweeperError
-
-        budget = self.config.score_budget
-        max_ops = budget * SCORE_OPS_FACTOR
-        if work_cap is not None:
-            max_ops = min(max_ops, work_cap // NS_PER_OP[ENGINE_MINESWEEPER])
-        board: List[CandidatePlan] = []
-        for gao in self._candidates(full):
-            counters = OpCounters()
-            engine = Minesweeper(
-                sample.with_gao(list(gao), counters=counters),
-                max_probes=budget,
-                admission=QueryBudget(max_ops=max_ops).admit(),
-            )
-            capped = False
-            with self.tracer.span("score", gao=",".join(gao)) as span:
-                try:
-                    # Consume at most budget output rows: huge-output
-                    # candidates (near-cross-products) are as much of a
-                    # scoring trap as probe-heavy ones.
-                    rows_seen = sum(
-                        1 for _ in islice(engine.iterate(), budget + 1)
-                    )
-                    capped = rows_seen > budget
-                except (MinesweeperError, BudgetExceeded):
-                    capped = True
-                span.set("estimate", counters.findgap)
-                if capped:
-                    span.set("capped", True)
-            self.estimate_runs += 1
-            board.append(
-                _candidate(
-                    ENGINE_MINESWEEPER, gao, counters, capped, work_cap
+        """Every candidate GAO's Minesweeper run (:meth:`_score_run`),
+        ranked: complete runs first, then by estimate, ties broken
+        lexicographically."""
+        return sorted(
+            (
+                self._score_run(
+                    ENGINE_MINESWEEPER, sample, gao, None, work_cap
                 )
-            )
-        board.sort(key=lambda c: (c.capped, c.estimate, c.gao))
-        return board
+                for gao in self._candidates(full)
+            ),
+            key=lambda c: (c.capped, c.estimate, c.gao),
+        )
 
     def _score_run(
         self,
@@ -509,18 +483,24 @@ class Planner:
         work_cap: Optional[int] = None,
         note: str = "",
     ) -> CandidatePlan:
-        """One triangle, generic-join or Yannakakis run on the sample,
-        scored in its engine's own unit: FindGap for the triangle engine
-        and generic join, comparisons for Yannakakis.  Under
-        ``work_cap`` (weighted work, ns) the run is abandoned once it
-        has cost more."""
+        """One run of ``engine`` on the sample, scored in its own unit:
+        FindGap for Minesweeper, the triangle engine and generic join,
+        comparisons for Yannakakis.
+
+        Under ``work_cap`` (weighted work, ns) the run is abandoned
+        once it has cost more; a Minesweeper run is abandoned past
+        :data:`SCORE_MAX_OPS` in any case.  The cap is an admission
+        budget with no deadline, so scoring reads no clock.
+        """
         counters = OpCounters()
-        admission = (
-            None if work_cap is None
-            else QueryBudget(max_ops=work_cap // NS_PER_OP[engine]).admit()
-        )
+        caps = [] if work_cap is None else [work_cap // NS_PER_OP[engine]]
+        if engine == ENGINE_MINESWEEPER:
+            caps.append(SCORE_MAX_OPS)
+        admission = QueryBudget(max_ops=min(caps)).admit() if caps else None
         capped = False
-        with self.tracer.span("score", engine=engine) as span:
+        with self.tracer.span(
+            "score", engine=engine, gao=",".join(gao)
+        ) as span:
             try:
                 # Drain the stream: an unconsumed one does no work.
                 for _ in engine_rows(

@@ -49,11 +49,7 @@ from repro.planner.cache import (
     ORIGIN_REFRESHED,
     PlanCache,
 )
-from repro.planner.plan import (
-    ENGINE_MINESWEEPER,
-    Plan,
-    TriangleMapping,
-)
+from repro.planner.plan import ENGINE_MINESWEEPER, Plan
 from repro.planner.planner import Planner, PlannerConfig, engine_rows
 from repro.util.counters import OpCounters
 
@@ -391,24 +387,18 @@ class Session:
     @staticmethod
     def _localize(
         statement: QueryStatement, plan: Plan
-    ) -> Tuple[Tuple[str, ...], Optional["TriangleMapping"]]:
-        """Translate the plan's canonical variables to the statement's.
+    ) -> Tuple[str, ...]:
+        """The plan's GAO in the statement's variables.
 
         The canonical mapping is by first appearance in the body, which
         the signature fixes, so any statement sharing the signature
         inverts it the same way.  Atom aliases need no translation:
-        lowering derives them from relation names and body order alone.
+        lowering derives them from relation names and body order alone
+        — which is also why the plan's triangle mapping serves every
+        renaming as it is (the engine reads only its atoms and flips).
         """
         rename = statement.canonical_rename()
-        gao = tuple(rename[v] for v in plan.gao)
-        triangle = plan.triangle
-        if triangle is not None:
-            triangle = TriangleMapping(
-                vars=tuple(rename[v] for v in triangle.vars),
-                atoms=triangle.atoms,
-                flipped=triangle.flipped,
-            )
-        return gao, triangle
+        return tuple(rename[v] for v in plan.gao)
 
     # ------------------------------------------------------------------
     # Execution
@@ -428,7 +418,7 @@ class Session:
                 pspan.set("origin", origin)
                 pspan.set("engine", plan.engine)
                 pspan.set("gao", ",".join(plan.gao))
-            gao, triangle = self._localize(statement, plan)
+            gao = self._localize(statement, plan)
             lowered = lower(statement, self.catalog)
             counters = OpCounters()
             aggregate = statement.aggregate
@@ -447,12 +437,11 @@ class Session:
             ) as espan:
                 if aggregate is not None:
                     result = self._execute_aggregate(
-                        lowered, plan, gao, triangle, aggregate, counters,
-                        admission,
+                        lowered, plan, gao, aggregate, counters, admission
                     )
                 else:
                     result = self._execute_rows(
-                        lowered, plan, gao, triangle, counters, admission
+                        lowered, plan, gao, counters, admission
                     )
                 espan.set("rows", len(result.rows))
                 espan.set_ops(counters.snapshot())
@@ -532,7 +521,6 @@ class Session:
         lowered: LoweredQuery,
         plan: Plan,
         gao: Tuple[str, ...],
-        triangle: Optional[TriangleMapping],
         counters: OpCounters,
         admission: Optional[AdmittedQuery] = None,
     ) -> Iterator[Row]:
@@ -559,7 +547,7 @@ class Session:
             spec = replace(spec, workers=0)
         if not spec.sharded:
             return engine_rows(
-                plan.engine, lowered.query, spec, triangle, counters,
+                plan.engine, lowered.query, spec, plan.triangle, counters,
                 admission,
             )
         return iter(
@@ -580,14 +568,11 @@ class Session:
         lowered: LoweredQuery,
         plan: Plan,
         gao: Tuple[str, ...],
-        triangle: Optional[TriangleMapping],
         counters: OpCounters,
         admission: Optional[AdmittedQuery] = None,
     ) -> ExecResult:
         head = tuple(lowered.statement.head_vars)
-        stream = self._row_stream(
-            lowered, plan, gao, triangle, counters, admission
-        )
+        stream = self._row_stream(lowered, plan, gao, counters, admission)
         if head == gao:
             rows = list(stream)
         else:
@@ -607,7 +592,6 @@ class Session:
         lowered: LoweredQuery,
         plan: Plan,
         gao: Tuple[str, ...],
-        triangle: Optional[TriangleMapping],
         aggregate: Aggregate,
         counters: OpCounters,
         admission: Optional[AdmittedQuery] = None,
@@ -616,9 +600,7 @@ class Session:
         value = self._fold(
             aggregate,
             gao,
-            self._row_stream(
-                lowered, plan, gao, triangle, counters, admission
-            ),
+            self._row_stream(lowered, plan, gao, counters, admission),
         )
         rows = [] if value is None else [(value,)]
         return ExecResult(

@@ -195,8 +195,10 @@ class TestInstrumentation:
         assert stats["constraints"] > 0
         assert res.certificate_estimate == stats["findgap"]
 
-    def test_progress_guard_configurable(self):
+    def test_progress_guard_has_a_default_bound(self):
         query = q(("R", ["A"], [(1,)]))
         prepared = query.with_gao(["A"])
-        engine = Minesweeper(prepared, max_probes=1000)
+        engine = Minesweeper(prepared)
+        # 1000 + 64 * 2^r * r * m * (N + 1) with r = m = N = 1
+        assert engine.max_probes == 1000 + 64 * 2 * 1 * 1 * 2
         assert engine.run() == [(1,)]

@@ -404,6 +404,31 @@ class TestSessionTracing:
             k: v for k, v in result.ops.items() if v
         }
 
+    def test_every_score_span_carries_the_same_attributes(self):
+        from repro.datasets.instances import disjoint_ranges_cycle4
+
+        # The disjoint 4-cycle's board scores generic join and every
+        # Minesweeper GAO, and some of the GAOs are capped.
+        cat = Catalog()
+        for name, rows in zip("RSTU", disjoint_ranges_cycle4(128)):
+            cat.create_relation(name, ["A", "B"], rows)
+        session = Session(cat, obs=Observability(trace=True))
+        result = session.execute(
+            "Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)"
+        )
+        scores = result.trace.children[0].children
+        assert {span.name for span in scores} == {"score"}
+        assert {span.attributes["engine"] for span in scores} == {
+            "generic", "minesweeper",
+        }
+        assert any(span.attributes.get("capped") for span in scores)
+        for span in scores:
+            expected = {"engine", "gao", "estimate"}
+            if span.attributes.get("capped"):
+                expected.add("capped")
+            assert set(span.attributes) == expected, span.attributes
+            assert len(span.attributes["gao"].split(",")) == 4
+
     def test_cached_plan_span_has_no_scoring_children(self):
         session = traced_session()
         session.execute(TEXT)

@@ -747,13 +747,13 @@ class TestScoringBudget:
         assert info.value.limit == 500
 
     def test_capped_candidates_rank_after_complete_ones(self):
-        from repro.planner.planner import Planner, PlannerConfig
+        from repro.planner.planner import SCORE_MAX_OPS, Planner
 
-        # Budget sized so the well-ordered GAOs finish (~24k CDS ops
-        # at n=400) while the pathological ones (>1M) abort.
-        planner = Planner(PlannerConfig(score_budget=5_000))
+        # At n=400 the well-ordered GAOs finish (~24k CDS ops) under
+        # the scoring cap while the pathological ones (>1M) abort.
+        planner = Planner()
         q = self.cycle_query()
-        board = planner._score_minesweeper(q, q)
+        board = planner._minesweeper_board(q, q)
         assert any(c.capped for c in board)
         assert any(not c.capped for c in board)
         # every complete candidate ranks before every capped one, and
@@ -761,9 +761,12 @@ class TestScoringBudget:
         flags = [c.capped for c in board]
         assert flags == sorted(flags)
         assert not board[0].capped
-        assert all(
-            "budget" in c.note for c in board if c.capped
-        )
+        for c in board:
+            if c.capped:
+                assert c.note == "aborted at scoring budget"
+                assert c.ops > SCORE_MAX_OPS
+            else:
+                assert c.ops <= SCORE_MAX_OPS
 
 
 class TestPlanAnnotations:

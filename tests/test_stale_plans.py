@@ -153,7 +153,7 @@ def test_rows_under_a_stale_plan_never_change(shape, seed):
         # Prop. 2.5 under the stale GAO: the comparisons a Minesweeper
         # run makes on today's data certify today's output.
         statement = parse(text)
-        gao, _ = Session._localize(statement, old)
+        gao = Session._localize(statement, old)
         prepared = detached(lower(statement, catalog)).with_gao(list(gao))
         rows, argument = record_certificate(prepared)
         positions = [gao.index(v) for v in statement.head_vars]
